@@ -146,10 +146,6 @@ def _sim_scenario(cfg: dict):
     return load_scenario(scenario_path)
 
 
-def _probe_secret(cfg: dict) -> bytes:
-    return int(cfg["rng_seed"]).to_bytes(8, "big", signed=False)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -218,7 +214,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     log = probe.run_scan(
         plan,
         transport,
-        _probe_secret(cfg),
+        os.urandom(16),  # per-scan token key, never stored: replies cannot be forged
         rate=rate,
         quiescence_s=float(cfg["probe_timeout_s"]),
     )

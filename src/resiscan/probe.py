@@ -8,20 +8,23 @@ validation is counted as spurious and dropped, so off-path noise and
 misdirected replies cannot enter the response log. ICMPv6 errors are
 correlated through the quoted invoking packet instead of their source.
 
-Transports are pluggable: the live transport uses raw ICMPv6 sockets, the
-simulated transport answers from a scenario in-process. Both surface the
-same event type.
+Sending and receiving share one thread: the scan loop drains the transport
+without blocking every ``POLL_EVERY`` sends and validates each event as it
+arrives. Transports are pluggable: the live transport uses raw ICMPv6
+sockets, the simulated transport answers from a scenario in-process. Both
+surface the same event type, and each says through ``drained()`` whether a
+reply can still arrive, so a simulated scan ends as soon as its queue is
+empty while a live one waits out the quiet period.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import queue
+import select
 import socket
 import struct
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
@@ -40,7 +43,10 @@ KIND_OTHER = "other"
 
 OUTGOING_HOP_LIMIT = 255  # fixed so receivers see maximal distance headroom
 TOKEN_LEN = 24  # 16-byte embedded target + 8-byte keyed MAC
+RCVBUF_BYTES = 8 << 20  # live socket buffer: holds replies between drains
+RECV_BATCH = 4096  # most packets one live poll reads, so a flood cannot stall sending
 DEFAULT_QUIESCENCE_S = 8.0
+POLL_EVERY = 1024  # sends between non-blocking drains of the transport
 
 
 @dataclass(slots=True)
@@ -61,7 +67,13 @@ class IcmpEvent:
 class Transport(Protocol):
     def send(self, dst: int, ident: int, seq: int, payload: bytes) -> None: ...
 
-    def poll(self, max_wait: float) -> list[IcmpEvent]: ...
+    def poll(self, max_wait: float) -> list[IcmpEvent]:
+        """Wait up to ``max_wait`` seconds for events, then return all pending."""
+        ...
+
+    def drained(self) -> bool:
+        """True only if nothing is pending and no further event can arrive."""
+        ...
 
 
 def encode_token(target: int, secret: bytes) -> tuple[int, int, bytes]:
@@ -183,31 +195,28 @@ def run_scan(
 ) -> ScanLog:
     """Send every plan target exactly once and collect validated responses.
 
-    Probes are single-shot (no retransmission); after the send phase the
-    receiver drains the transport until no event has arrived for
-    ``quiescence_s``. A transport send failure aborts the campaign and the
-    partial log comes back with ``complete=False``.
+    Probes are single-shot (no retransmission). Sending and receiving share
+    one loop: every ``POLL_EVERY`` sends the transport is drained without
+    blocking, and each event is validated on arrival, so spurious packets
+    are counted and dropped instead of queued. After the send phase the
+    loop keeps draining until the transport reports ``drained()`` or no
+    event has arrived for ``quiescence_s``, counted from the later of the
+    last event and the end of sending. A transport send failure aborts the
+    campaign: what is already pending is drained and the partial log comes
+    back with ``complete=False``.
     """
     scan = ScanLog()
-    events: queue.Queue[IcmpEvent | None] = queue.Queue()
-    stop = threading.Event()
-    last_event = [time.monotonic()]
 
-    def receiver() -> None:
-        while not stop.is_set():
-            batch = transport.poll(0.05)
-            if batch:
-                last_event[0] = time.monotonic()
-                for ev in batch:
-                    events.put(ev)
-        for ev in transport.poll(0.0):
-            events.put(ev)
-        events.put(None)
+    def drain(max_wait: float) -> bool:
+        batch = transport.poll(max_wait)
+        for ev in batch:
+            rec = _record_from_event(ev, secret)
+            if rec is None:
+                scan.spurious += 1
+            else:
+                scan.records.append(rec)
+        return bool(batch)
 
-    rx = threading.Thread(target=receiver, name="probe-rx", daemon=True)
-    rx.start()
-
-    send_error: Exception | None = None
     t0 = time.monotonic()
     try:
         for target in plan:
@@ -216,36 +225,24 @@ def run_scan(
             ident, seq, payload = encode_token(target.address, secret)
             transport.send(target.address, ident, seq, payload)
             scan.sent += 1
+            if scan.sent % POLL_EVERY == 0:
+                drain(0.0)
             if progress is not None and scan.sent % 100_000 == 0:
                 progress(scan.sent)
     except Exception as exc:  # noqa: BLE001 - any transport failure aborts
-        send_error = exc
+        scan.send_duration_s = time.monotonic() - t0
         log.error("transport failure after %d sends: %s", scan.sent, exc)
+        drain(0.0)
+        return scan
     scan.send_duration_s = time.monotonic() - t0
 
-    if send_error is None:
-        # Quiesce: wait until the transport has been silent long enough.
-        send_end = time.monotonic()
-        drained = getattr(transport, "drained", None)
-        while True:
-            if drained is not None and drained() and events.empty():
-                break
-            if time.monotonic() >= max(last_event[0], send_end) + quiescence_s:
-                break
-            time.sleep(0.01)
-    stop.set()
-    rx.join()
-
+    quiet_since = time.monotonic()
     while True:
-        ev = events.get()
-        if ev is None:
+        if drain(max(0.0, quiet_since + quiescence_s - time.monotonic())):
+            quiet_since = time.monotonic()
+        if transport.drained() or time.monotonic() >= quiet_since + quiescence_s:
             break
-        rec = _record_from_event(ev, secret)
-        if rec is None:
-            scan.spurious += 1
-        else:
-            scan.records.append(rec)
-    scan.complete = send_error is None
+    scan.complete = True
     return scan
 
 
@@ -315,14 +312,17 @@ def build_echo_request(ident: int, seq: int, payload: bytes) -> bytes:
     return struct.pack("!BBHHH", ICMP6_ECHO_REQUEST, 0, 0, ident, seq) + payload
 
 
-def parse_icmp6_packet(data: bytes, source: int, hop_limit: int, ts_us: int) -> IcmpEvent | None:
+def parse_icmp6_packet(
+    data: bytes, source: int, hop_limit: int | None, ts_us: int
+) -> IcmpEvent | None:
     """Decode a raw ICMPv6 message (header + body, no IPv6 header) to an event.
 
     Echo replies carry ident/seq/payload directly. For error types the body
     quotes the invoking IPv6 packet, so the original destination and our echo
-    header are recovered from the quote at offsets 24 and 40.
+    header are recovered from the quote at offsets 24 and 40. A packet whose
+    hop limit is unknown (``None``) is dropped: classification needs it.
     """
-    if len(data) < 8:
+    if hop_limit is None or len(data) < 8:
         return None
     itype, icode = data[0], data[1]
     if itype == ICMP6_ECHO_REPLY:
@@ -349,6 +349,8 @@ class LiveTransport:
         self._sock = socket.socket(socket.AF_INET6, socket.SOCK_RAW, socket.IPPROTO_ICMPV6)
         self._sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_UNICAST_HOPS, OUTGOING_HOP_LIMIT)
         self._sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_RECVHOPLIMIT, 1)
+        # The kernel caps this at net.core.rmem_max.
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RCVBUF_BYTES)
         self._sock.setblocking(False)
 
     def send(self, dst: int, ident: int, seq: int, payload: bytes) -> None:
@@ -356,17 +358,16 @@ class LiveTransport:
         self._sock.sendto(packet, (format_address(dst), 0, 0, 0))
 
     def poll(self, max_wait: float) -> list[IcmpEvent]:
-        import select
-
         out: list[IcmpEvent] = []
-        deadline = time.monotonic() + max_wait
-        while True:
-            remaining = deadline - time.monotonic()
-            r, _, _ = select.select([self._sock], [], [], max(0.0, remaining))
-            if not r:
-                return out
-            data, ancdata, _flags, addr = self._sock.recvmsg(65535, 1024)
-            hop_limit = 0
+        readable, _, _ = select.select([self._sock], [], [], max(0.0, max_wait))
+        if not readable:
+            return out
+        for _ in range(RECV_BATCH):
+            try:
+                data, ancdata, _flags, addr = self._sock.recvmsg(65535, 1024)
+            except BlockingIOError:
+                break
+            hop_limit = None
             for level, ctype, cdata in ancdata:
                 if level == socket.IPPROTO_IPV6 and ctype == socket.IPV6_HOPLIMIT:
                     hop_limit = int.from_bytes(cdata[:4], sys.byteorder)
@@ -375,8 +376,10 @@ class LiveTransport:
             )
             if ev is not None:
                 out.append(ev)
-            if remaining <= 0:
-                return out
+        return out
+
+    def drained(self) -> bool:
+        return False  # replies to live probes can still be in flight
 
     def close(self) -> None:
         self._sock.close()

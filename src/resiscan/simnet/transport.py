@@ -1,7 +1,8 @@
 """In-process ICMPv6 transport answering probes from a scenario.
 
 Responses are generated synchronously at send time and queued for poll(), so
-a scan over the simulator is fully deterministic: event order equals send
+nothing is ever in flight: once the queue is empty the transport is drained.
+A scan over the simulator is fully deterministic: event order equals send
 order and timestamps come from a virtual clock, making two identical runs
 byte-identical. Hop limits are arithmetic, never guessed: a responder with
 initial hop limit H at distance d emits H - d.
@@ -15,10 +16,6 @@ Reply rules per probed address:
 """
 
 from __future__ import annotations
-
-import threading
-import time
-from collections import deque
 
 from ..addrs import IID_MASK, PREFIX48_MASK, SUBNET_SHIFT
 from ..probe import ICMP6_DEST_UNREACH, ICMP6_ECHO_REPLY, IcmpEvent
@@ -37,8 +34,7 @@ class SimTransport:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.sent = 0
-        self._events: deque[IcmpEvent] = deque()
-        self._lock = threading.Lock()
+        self._events: list[IcmpEvent] = []
         # Flatten the scenario into int-keyed lookups for the hot path.
         self._subnets: dict[int, dict[int, _SubnetView]] = {}
         for i, net in enumerate(scenario.nets):
@@ -108,31 +104,19 @@ class SimTransport:
                     quoted_target=dst,
                     timestamp_us=ts + _HOP_US,
                 )
-        with self._lock:
-            self._events.append(ev)
+        self._events.append(ev)
 
     def poll(self, max_wait: float) -> list[IcmpEvent]:
-        with self._lock:
-            if self._events:
-                out = list(self._events)
-                self._events.clear()
-                return out
-        if max_wait > 0:
-            time.sleep(min(max_wait, 0.01))
-            with self._lock:
-                out = list(self._events)
-                self._events.clear()
-                return out
-        return []
+        # Replies are queued at send time, so there is never anything to wait for.
+        out, self._events = self._events, []
+        return out
 
     def drained(self) -> bool:
-        with self._lock:
-            return not self._events
+        return not self._events
 
     def inject(self, event: IcmpEvent) -> None:
         """Test hook: feed an arbitrary (possibly forged) inbound event."""
-        with self._lock:
-            self._events.append(event)
+        self._events.append(event)
 
 
 class _SubnetView:

@@ -1,9 +1,12 @@
 import io
 import random
+import socket
 import struct
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_host, make_net, make_scenario, make_subnet
 from resiscan.addrs import parse_address
@@ -16,6 +19,7 @@ from resiscan.probe import (
     KIND_OTHER,
     TOKEN_LEN,
     IcmpEvent,
+    LiveTransport,
     RateLimiter,
     ResponseRecord,
     build_echo_request,
@@ -193,17 +197,70 @@ class TestRunScan:
     def test_send_failure_aborts_with_partial_log(self, tiny_scenario):
         class FlakyTransport(SimTransport):
             def send(self, dst, ident, seq, payload):
-                if self.sent >= 100:
+                if self.sent >= 2000:
                     raise OSError("ENOBUFS")
                 super().send(dst, ident, seq, payload)
 
         seeds = [tiny_scenario.nets[0].prefix48]
         plan = build_plan(seeds, 3)
-        transport = FlakyTransport(tiny_scenario)
-        log = run_scan(plan, transport, SECRET, quiescence_s=0.2)
+        _, _, full = scan_scenario(tiny_scenario, seeds)
+        first = {t.address for _, t in zip(range(2000), plan)}
+        t0 = time.monotonic()
+        log = run_scan(plan, FlakyTransport(tiny_scenario), SECRET, quiescence_s=30)
+        assert time.monotonic() - t0 < 2.0
         assert not log.complete
-        assert log.sent == 100
-        assert len(log.records) <= 33
+        assert log.sent == 2000
+        # Replies queued before the failure, including those past the last
+        # periodic drain at 1024 sends, all survive.
+        expected = [r for r in full.records if r.probed_target in first]
+        assert len(expected) > 0
+        assert log.records == expected
+
+    def test_sim_scan_ends_without_waiting_out_quiescence(self, tiny_scenario):
+        seeds = [tiny_scenario.nets[0].prefix48]
+        _, _, short = scan_scenario(tiny_scenario, seeds)
+        t0 = time.monotonic()
+        log = run_scan(build_plan(seeds, 3), SimTransport(tiny_scenario), SECRET, quiescence_s=30)
+        assert time.monotonic() - t0 < 2.0
+        assert log.complete
+        assert len(log.records) == 33
+        assert log.records == short.records
+
+    def test_late_reply_kept_and_quiet_time_counted_from_it(self, tiny_scenario):
+        class LateTransport:
+            """Answers the first probe 0.1 s after the last send; never drained."""
+
+            def __init__(self):
+                self.first = None
+                self.due = None
+                self.delivered_at = None
+
+            def send(self, dst, ident, seq, payload):
+                if self.first is None:
+                    self.first = IcmpEvent(dst, ICMP6_ECHO_REPLY, 0, 60, ident, seq, payload)
+                self.due = time.monotonic() + 0.1
+
+            def poll(self, max_wait):
+                if self.delivered_at is None:
+                    time.sleep(max(0.0, min(max_wait, self.due - time.monotonic())))
+                    if time.monotonic() >= self.due:
+                        self.delivered_at = time.monotonic()
+                        return [self.first]
+                else:
+                    time.sleep(max_wait)
+                return []
+
+            def drained(self):
+                return False
+
+        plan = build_plan([tiny_scenario.nets[0].prefix48], 3)
+        transport = LateTransport()
+        log = run_scan(plan, transport, SECRET, quiescence_s=0.3)
+        done = time.monotonic()
+        assert log.complete
+        assert [r.probed_target for r in log.records] == [next(iter(plan)).address]
+        assert done - transport.delivered_at >= 0.3
+        assert done - transport.delivered_at < 1.5
 
     def test_progress_callback_fires(self):
         # 100k+ probes would be slow; shrink the reporting interval indirectly
@@ -320,8 +377,82 @@ class TestPacketCodec:
         wire = struct.pack("!BBHHH", 135, 0, 0, 0, 0) + bytes(24)  # neighbor solicit
         assert parse_icmp6_packet(wire, 0, 64, 0) is None
 
+    def test_missing_hop_limit_drops_packet(self):
+        target = parse_address("2001:db8::5")
+        ident, seq, payload = encode_token(target, SECRET)
+        wire = struct.pack("!BBHHH", ICMP6_ECHO_REPLY, 0, 0, ident, seq) + payload
+        assert parse_icmp6_packet(wire, source=target, hop_limit=None, ts_us=1) is None
+        assert parse_icmp6_packet(wire, source=target, hop_limit=0, ts_us=1) is not None
+
+    @given(
+        data=st.binary(max_size=128),
+        hop_limit=st.none() | st.integers(0, 255),
+        itype=st.integers(0, 127),
+        quoted_ip=st.binary(min_size=40, max_size=40),
+        quoted_echo=st.binary(min_size=7, max_size=40),
+    )
+    def test_hostile_bytes_never_raise(self, data, hop_limit, itype, quoted_ip, quoted_echo):
+        # Arbitrary bytes, and arbitrary error messages quoting an echo
+        # request: parsing never raises, and every error event carries the
+        # quoted destination and the ident/seq of the quoted echo header.
+        error = bytes([itype]) + bytes(7) + quoted_ip + bytes([ICMP6_ECHO_REQUEST]) + quoted_echo
+        assert (parse_icmp6_packet(error, 1, hop_limit, 0) is None) == (hop_limit is None)
+        for wire in (data, error):
+            ev = parse_icmp6_packet(wire, 1, hop_limit, 0)
+            if ev is None or wire[0] >= 128:
+                continue
+            assert ev.hop_limit == hop_limit
+            assert ev.quoted_target == int.from_bytes(wire[32:48], "big")
+            assert wire[48] == ICMP6_ECHO_REQUEST
+            assert (ev.ident, ev.seq) == struct.unpack_from("!HH", wire, 52)
+
     def test_echo_request_wire_shape(self):
         pkt = build_echo_request(0x1234, 0x5678, b"abc")
         assert pkt[0] == ICMP6_ECHO_REQUEST
         assert pkt[4:8] == bytes.fromhex("12345678")
         assert pkt.endswith(b"abc")
+
+
+class TestLivePoll:
+    """LiveTransport.poll over a UDP socket on ::1 standing in for the raw one."""
+
+    @staticmethod
+    def _transport(recv_hop_limit):
+        rx = socket.socket(socket.AF_INET6, socket.SOCK_DGRAM)
+        rx.bind(("::1", 0))
+        rx.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_RECVHOPLIMIT, int(recv_hop_limit))
+        rx.setblocking(False)
+        transport = LiveTransport.__new__(LiveTransport)
+        transport._sock = rx
+        return transport
+
+    @staticmethod
+    def _send_replies(transport, n):
+        with socket.socket(socket.AF_INET6, socket.SOCK_DGRAM) as tx:
+            for i in range(n):
+                target = parse_address("2001:db8::1") + i
+                ident, seq, payload = encode_token(target, SECRET)
+                wire = struct.pack("!BBHHH", ICMP6_ECHO_REPLY, 0, 0, ident, seq) + payload
+                tx.sendto(wire, transport._sock.getsockname())
+
+    def test_nonblocking_poll_returns_every_pending_reply(self):
+        transport = self._transport(recv_hop_limit=True)
+        try:
+            assert transport.poll(0) == []
+            self._send_replies(transport, 5)
+            events = transport.poll(1.0)
+            events += transport.poll(0)  # in case the first wake-up saw only some
+            assert len(events) == 5
+            assert all(ev.hop_limit == 64 for ev in events)  # loopback default
+            assert all(validate_token(ev.ident, ev.seq, ev.payload, SECRET) for ev in events)
+            assert not transport.drained()
+        finally:
+            transport.close()
+
+    def test_reply_without_hop_limit_is_dropped(self):
+        transport = self._transport(recv_hop_limit=False)
+        try:
+            self._send_replies(transport, 1)
+            assert transport.poll(1.0) == []
+        finally:
+            transport.close()
