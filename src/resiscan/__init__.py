@@ -6,7 +6,7 @@ and campaign reporting - plus a deterministic simulated network for
 end-to-end testing without touching the wire.
 """
 
-from .addrs import Prefix48, Prefix56, format_address, parse_address
+from .addrs import format_address, parse_address
 from .classify import LABEL_EXTERNAL, LABEL_INTERNAL, classify_log, pair_deltas
 from .grab import GrabRecord, run_grab_campaign
 from .probe import RateLimiter, ScanLog, run_scan
@@ -20,8 +20,6 @@ __all__ = [
     "GrabRecord",
     "LABEL_EXTERNAL",
     "LABEL_INTERNAL",
-    "Prefix48",
-    "Prefix56",
     "RateLimiter",
     "ScanLog",
     "ScanPlan",

@@ -8,14 +8,11 @@ only produced at file boundaries and is always the lowercase canonical
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
 
 IID_MASK = (1 << 64) - 1
-SELECTOR_SHIFT = 64  # /64 selector byte occupies bits 64..71 (from the low end)
 SUBNET_SHIFT = 72  # /56 index byte occupies bits 72..79
 PREFIX48_MASK = ((1 << 48) - 1) << 80
 PREFIX56_MASK = ((1 << 56) - 1) << 72
-PREFIX64_MASK = ((1 << 64) - 1) << 64
 
 
 def parse_address(text: str) -> int:
@@ -26,74 +23,6 @@ def parse_address(text: str) -> int:
 def format_address(value: int) -> str:
     """Render the canonical lowercase compressed form."""
     return ipaddress.IPv6Address(value).compressed
-
-
-def iid_of(value: int) -> int:
-    return value & IID_MASK
-
-
-@dataclass(frozen=True, slots=True)
-class Prefix48:
-    """A /48 network, stored as the 128-bit network address (low 80 bits zero)."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value & ~PREFIX48_MASK:
-            raise ValueError("prefix has bits set below /48")
-
-    @classmethod
-    def from_text(cls, text: str) -> "Prefix48":
-        net = ipaddress.IPv6Network(text.strip())
-        if net.prefixlen != 48:
-            raise ValueError(f"expected a /48, got /{net.prefixlen}")
-        return cls(int(net.network_address))
-
-    @property
-    def text(self) -> str:
-        return f"{format_address(self.value)}/48"
-
-    def child(self, index: int) -> "Prefix56":
-        if not 0 <= index <= 255:
-            raise ValueError("/56 index out of range")
-        return Prefix56(self.value | (index << SUBNET_SHIFT))
-
-    def covers(self, address: int) -> bool:
-        return (address & PREFIX48_MASK) == self.value
-
-
-@dataclass(frozen=True, slots=True)
-class Prefix56:
-    """A /56 network under some /48, stored as the 128-bit network address."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value & ~PREFIX56_MASK:
-            raise ValueError("prefix has bits set below /56")
-
-    @classmethod
-    def from_text(cls, text: str) -> "Prefix56":
-        net = ipaddress.IPv6Network(text.strip())
-        if net.prefixlen != 56:
-            raise ValueError(f"expected a /56, got /{net.prefixlen}")
-        return cls(int(net.network_address))
-
-    @property
-    def text(self) -> str:
-        return f"{format_address(self.value)}/56"
-
-    @property
-    def parent(self) -> Prefix48:
-        return Prefix48(self.value & PREFIX48_MASK)
-
-    @property
-    def index(self) -> int:
-        """Position of this /56 among the parent's 256 children (byte 7 of the prefix)."""
-        return (self.value >> SUBNET_SHIFT) & 0xFF
-
-    def covers(self, address: int) -> bool:
-        return (address & PREFIX56_MASK) == self.value
 
 
 def prefix48_of(address: int) -> int:

@@ -171,21 +171,26 @@ def classify_log(
     return result
 
 
-def pair_deltas(classified: Iterable[ClassifiedAddress]) -> list[PairDelta]:
-    """Internal-vs-external distance deltas, one per pair within each /56."""
+def split_by_net(
+    classified: Iterable[ClassifiedAddress],
+) -> list[tuple[int, list[ClassifiedAddress], list[ClassifiedAddress]]]:
+    """(net56, internal, external) for each /56 in address order; input order
+    is kept within each list."""
     nets: dict[int, tuple[list[ClassifiedAddress], list[ClassifiedAddress]]] = {}
     for c in classified:
         internal, external = nets.setdefault(c.net56, ([], []))
         (internal if c.label == LABEL_INTERNAL else external).append(c)
-    out: list[PairDelta] = []
-    for net56 in sorted(nets):
-        internal, external = nets[net56]
-        for i in internal:
-            for e in external:
-                out.append(
-                    PairDelta(net56, i.address, e.address, i.distance, e.distance)
-                )
-    return out
+    return [(net56, *nets[net56]) for net56 in sorted(nets)]
+
+
+def pair_deltas(classified: Iterable[ClassifiedAddress]) -> list[PairDelta]:
+    """Internal-vs-external distance deltas, one per pair within each /56."""
+    return [
+        PairDelta(net56, i.address, e.address, i.distance, e.distance)
+        for net56, internal, external in split_by_net(classified)
+        for i in internal
+        for e in external
+    ]
 
 
 # ---------------------------------------------------------------------------

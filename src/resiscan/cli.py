@@ -13,6 +13,7 @@ end-to-end with no network access and fully reproducible output.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -119,6 +120,11 @@ def _require(cfg: dict, key: str, what: str) -> str:
     return value
 
 
+def _require_operator_contact(cfg: dict) -> None:
+    """Live probing and grabbing need a reachable opt-out/contact URL."""
+    _require(cfg, "operator_contact_url", "live probing requires a reachable opt-out/contact URL")
+
+
 def _outpath(cfg: dict, name: str) -> str:
     outdir = cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
@@ -178,16 +184,8 @@ def cmd_plan(cfg: dict, args: argparse.Namespace) -> int:
     plan = targetgen.build_plan(seeds, cfg["rng_seed"])
     print(f"plan: {len(plan.seeds)} seeds, budget {plan.budget} probes")
     if args.dump:
-        count = 0
         with open(_outpath(cfg, "plan_preview.txt"), "w", encoding="utf-8") as fh:
-            for target in plan:
-                fh.write(
-                    f"{target.address_text},{target.kind_text},"
-                    f"{format_address(target.net56)}/56\n"
-                )
-                count += 1
-                if count >= args.dump:
-                    break
+            count = plan.dump(fh, args.dump)
         print(f"plan: wrote first {count} targets to plan_preview.txt")
     return 0
 
@@ -199,11 +197,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
 
     mode = cfg["transport"]["mode"]
     if mode == "live":
-        if not cfg.get("operator_contact_url"):
-            raise ConfigError(
-                "missing config value 'operator_contact_url' "
-                "(live probing requires a reachable opt-out/contact URL)"
-            )
+        _require_operator_contact(cfg)
         transport = probe.LiveTransport()
     else:
         transport = SimTransport(_sim_scenario(cfg))
@@ -262,11 +256,7 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
     specs = _service_catalog(cfg)
     addresses = [format_address(c.address) for c in classified]
     if cfg["transport"]["mode"] == "live":
-        if not cfg.get("operator_contact_url"):
-            raise ConfigError(
-                "missing config value 'operator_contact_url' "
-                "(live probing requires a reachable opt-out/contact URL)"
-            )
+        _require_operator_contact(cfg)
         connector = grab_mod.live_connector
     else:
         connector = SimServices(_sim_scenario(cfg)).connector()
@@ -293,9 +283,10 @@ def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
 
     printers = fingerprint_mod.dedupe_printers(fingerprint_mod.collect_hp_printers(grabs))
     with open(_outpath(cfg, HP_PRINTERS_FILE), "w", encoding="utf-8", newline="") as fh:
-        fh.write("address,model,serial,build\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["address", "model", "serial", "build"])
         for p in sorted(printers, key=lambda p: (p.serial, p.address)):
-            fh.write(f"{p.address},{p.model},{p.serial},{p.build or ''}\n")
+            writer.writerow([p.address, p.model, p.serial, p.build or ""])
 
     oui_db = fingerprint_mod.load_oui_db(cfg["oui_db"]) if cfg.get("oui_db") else {}
     with open(os.path.join(cfg["output_dir"], CLASSIFIED_FILE), encoding="utf-8") as fh:
@@ -308,9 +299,9 @@ def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
         vendor = fingerprint_mod.oui_vendor(mac, oui_db) or ""
         rows.append((format_address(c.address), mac, vendor))
     with open(_outpath(cfg, EUI64_FILE), "w", encoding="utf-8", newline="") as fh:
-        fh.write("address,mac,vendor\n")
-        for address, mac, vendor in sorted(set(rows)):
-            fh.write(f"{address},{mac},{vendor}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["address", "mac", "vendor"])
+        writer.writerows(sorted(set(rows)))
     print(
         f"fingerprint: {len(hits)} device hits, {len(printers)} distinct printers, "
         f"{len(rows)} embedded MACs"

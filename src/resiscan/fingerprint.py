@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .addrs import parse_address
-from .grab import OUTCOME_RESPONDED, GrabRecord
+from .grab import OUTCOME_RESPONDED, GrabRecord, csv_rows
 
 NOKIA_ROOT_CN = "Nokia DHBU Root CA"
 DAHUA_MARKER = b'appname="cameraNewConfig"'
@@ -174,8 +174,15 @@ def write_fingerprints(hits: Iterable[FingerprintHit], fh) -> None:
 
 
 def read_fingerprints(fh) -> list[FingerprintHit]:
-    reader = csv.reader(fh)
-    header = next(reader, None)
+    rows = csv_rows(fh, "fingerprint file")
+    header = next(rows, None)
     if header != ["address", "kind", "evidence"]:
         raise ValueError("fingerprint file header mismatch")
-    return [FingerprintHit(r[0], r[1], r[2]) for r in reader if r]
+    out: list[FingerprintHit] = []
+    for n, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ValueError(f"fingerprint row {n}: expected 3 fields, got {len(row)}")
+        out.append(FingerprintHit(*row))
+    return out

@@ -21,6 +21,7 @@ import ssl
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 from .services import (
     KIND_BANNER,
@@ -405,13 +406,23 @@ def write_grab_log(records, fh) -> None:
         )
 
 
-def read_grab_log(fh) -> list[GrabRecord]:
+def csv_rows(fh, what: str) -> Iterator[list[str]]:
+    """Rows of a CSV file; text the csv module rejects raises ValueError, as a
+    malformed row does, so a stage fails with a message, not a traceback."""
     reader = csv.reader(fh)
-    header = next(reader, None)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{what} line {reader.line_num}: {exc}") from None
+
+
+def read_grab_log(fh) -> list[GrabRecord]:
+    rows = csv_rows(fh, "grab log")
+    header = next(rows, None)
     if header != list(_LOG_FIELDS):
         raise ValueError("grab log header mismatch")
     out: list[GrabRecord] = []
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         if len(row) != len(_LOG_FIELDS):

@@ -164,15 +164,11 @@ def _record_from_event(ev: IcmpEvent, secret: bytes) -> ResponseRecord | None:
         return None
     if ev.icmp_type == ICMP6_ECHO_REPLY:
         kind = KIND_ECHO_REPLY
-    elif ev.icmp_type == ICMP6_DEST_UNREACH:
-        kind = KIND_DEST_UNREACH
+    else:
         # Errors must quote the probe we actually sent.
         if ev.quoted_target is not None and ev.quoted_target != target:
             return None
-    else:
-        kind = KIND_OTHER
-        if ev.quoted_target is not None and ev.quoted_target != target:
-            return None
+        kind = KIND_DEST_UNREACH if ev.icmp_type == ICMP6_DEST_UNREACH else KIND_OTHER
     return ResponseRecord(
         probed_target=target,
         source=ev.source,

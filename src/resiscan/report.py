@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .addrs import LongestPrefixMap, format_address, prefix48_of
-from .classify import LABEL_EXTERNAL, LABEL_INTERNAL, ClassifiedAddress, pair_deltas
+from .classify import LABEL_INTERNAL, ClassifiedAddress, pair_deltas, split_by_net
 from .fingerprint import FingerprintHit
 from .grab import OUTCOME_RESPONDED, GrabRecord
 from .services import ServiceSpec, default_services
@@ -81,13 +81,8 @@ def internal_only_exposures(
     """(net56, internal address, responded services) for nets whose external
     address answered no protocol at all; optionally require one service."""
     responded = _responded_services(grabs)
-    nets: dict[int, tuple[list[ClassifiedAddress], list[ClassifiedAddress]]] = {}
-    for c in classified:
-        internal, external = nets.setdefault(c.net56, ([], []))
-        (internal if c.label == LABEL_INTERNAL else external).append(c)
     out: list[tuple[int, int, tuple[str, ...]]] = []
-    for net56 in sorted(nets):
-        internal, external = nets[net56]
+    for net56, internal, external in split_by_net(classified):
         if any(responded.get(format_address(e.address)) for e in external):
             continue
         for c in internal:

@@ -58,9 +58,6 @@ class SeedSet:
     def __iter__(self):
         return iter(self.prefixes)
 
-    def __contains__(self, value: int) -> bool:
-        return value in set(self.prefixes)
-
 
 def parse_prefix_list(text: str) -> SeedSet:
     """Parse a one-CIDR-per-line seed list into /48 granularity.
@@ -173,30 +170,17 @@ def filter_seeds(
     survivors, mirroring how the filter narrows the seed population:
     ``input`` -> ``after_category`` -> ``after_connection``.
     """
-    after_category: list[int] = []
     rejects = {REASON_NO_AS: 0, REASON_CATEGORY: 0, REASON_NO_CONNECTION: 0, REASON_CONNECTION: 0}
-    for p48 in seeds.prefixes:
-        rec = as_map.lookup(p48)
-        if rec is None:
-            rejects[REASON_NO_AS] += 1
-            continue
-        if rec.primary_category.strip().casefold() != RESIDENTIAL_CATEGORY:
-            rejects[REASON_CATEGORY] += 1
-            continue
-        after_category.append(p48)
     survivors: list[int] = []
-    for p48 in after_category:
-        conn = conn_map.lookup(p48)
-        if conn is None:
-            rejects[REASON_NO_CONNECTION] += 1
-            continue
-        if conn not in RESIDENTIAL_CONNECTIONS:
-            rejects[REASON_CONNECTION] += 1
-            continue
-        survivors.append(p48)
+    for p48 in seeds.prefixes:
+        decision = classify_residential(p48, as_map, conn_map)
+        if decision.residential:
+            survivors.append(p48)
+        else:
+            rejects[decision.reason] += 1
     provenance = {
         "input": len(seeds.prefixes),
-        "after_category": len(after_category),
+        "after_category": len(seeds.prefixes) - rejects[REASON_NO_AS] - rejects[REASON_CATEGORY],
         "after_connection": len(survivors),
     }
     provenance.update({f"rejected_{k}": v for k, v in rejects.items()})

@@ -96,10 +96,3 @@ def load_services(path: str) -> tuple[ServiceSpec, ...]:
             specs.append(spec)
     return tuple(specs)
 
-
-def save_services(specs, fh) -> None:
-    for s in specs:
-        row = f"{s.name},{s.port},{s.transport},{s.probe_kind}"
-        if s.request:
-            row += f",{s.request.hex()}"
-        fh.write(row + "\n")

@@ -637,7 +637,11 @@ def ground_truth(scenario: Scenario, seeds: set[int] | None = None) -> GroundTru
 def expected_grab_outcomes(
     scenario: Scenario, specs, seeds: set[int] | None = None
 ) -> dict[tuple[int, str], str]:
-    """(address, service name) -> expected campaign outcome for truth addresses."""
+    """(address, service name) -> expected campaign outcome for truth addresses.
+
+    A test oracle: no stage calls it; the tests and the campaign benchmark
+    check grab outcomes against it.
+    """
     gt = ground_truth(scenario, seeds)
     ports_by_address: dict[int, dict[int, str]] = {}
     for i, net in enumerate(scenario.nets):

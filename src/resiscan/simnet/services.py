@@ -15,6 +15,7 @@ is how the tests enforce that grabs stay minimal.
 from __future__ import annotations
 
 import datetime
+import ipaddress
 import os
 import plistlib
 import socket
@@ -24,16 +25,18 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 
-from ..addrs import PREFIX56_MASK, parse_address
+from ..addrs import PREFIX56_MASK
 from .scenario import FIREWALL_ALLOW, Scenario, SimService
 
 TLS_ALERT_HANDSHAKE_FAILURE = b"\x15\x03\x01\x00\x02\x02\x28"
 TELNET_NEGOTIATION = b"\xff\xfd\x18\xff\xfd\x20\xff\xfd\x23\xff\xfd\x27"
 
+_Host = ipaddress.IPv4Address | ipaddress.IPv6Address
+
 
 @dataclass(slots=True)
 class Transcript:
-    address: str
+    address: _Host
     port: int
     chunks: list[bytes] = field(default_factory=list)
 
@@ -378,8 +381,8 @@ class SimServices:
         self.scenario = scenario
         self.transcripts: list[Transcript] = []
         self._lock = threading.Lock()
-        self._endpoints: dict[tuple[str, int], SimService] = {}
-        self._deny_hosts: set[int] = set()
+        self._endpoints: dict[tuple[_Host, int], SimService] = {}
+        self._deny_hosts: set[ipaddress.IPv6Address] = set()
         self._alias_stubs: dict[int, dict[int, SimService]] = {}
         for i, net in enumerate(scenario.nets):
             for j, sub in enumerate(net.subnets):
@@ -394,44 +397,28 @@ class SimServices:
                 for host in sub.hosts:
                     address = scenario.host_address(net, sub, host)
                     if not allow:
-                        self._deny_hosts.add(address)
+                        self._deny_hosts.add(ipaddress.IPv6Address(address))
                     for svc in host.services:
                         self._register(address, svc)
 
-    def _register(self, address: int | str, svc: SimService) -> None:
-        key = _canonical(address if isinstance(address, str) else _v6_text(address))
-        self._endpoints[(key, svc.port)] = svc
+    def _register(self, address: int, svc: SimService) -> None:
+        self._endpoints[(ipaddress.IPv6Address(address), svc.port)] = svc
 
     def add_endpoint(self, address: str, port: int, behavior: str, params: dict | None = None) -> None:
         """Register an extra endpoint directly (tests; either address family)."""
-        self._endpoints[(_canonical(address), port)] = SimService(port, behavior, params or {})
-
-    def lookup(self, address: str, port: int) -> SimService | None:
-        key = _canonical(address)
-        svc = self._endpoints.get((key, port))
-        if svc is not None:
-            return svc
-        if ":" in key:
-            try:
-                value = parse_address(key)
-            except ValueError:
-                return None
-            stub = self._alias_stubs.get(value & PREFIX56_MASK)
-            if stub is not None:
-                return stub.get(port)
-        return None
+        self._endpoints[(_host(address), port)] = SimService(port, behavior, params or {})
 
     def connect(self, address: str, port: int, timeout: float = 5.0, udp: bool = False):
         """Connector with live-socket semantics against the scenario."""
-        key = _canonical(address)
-        if ":" in key:
-            try:
-                value = parse_address(key)
-            except ValueError:
-                value = None
-            if value is not None and value in self._deny_hosts:
-                raise ConnectionRefusedError(f"{address}:{port} filtered")
-        svc = self.lookup(address, port)
+        try:
+            host = _host(address)
+        except ValueError:
+            raise ConnectionRefusedError(f"{address}:{port} unparsable") from None
+        if host in self._deny_hosts:
+            raise ConnectionRefusedError(f"{address}:{port} filtered")
+        svc = self._endpoints.get((host, port))
+        if svc is None and host.version == 6:
+            svc = self._alias_stubs.get(int(host) & PREFIX56_MASK, {}).get(port)
         if svc is None:
             raise ConnectionRefusedError(f"{address}:{port} closed")
         handler = BEHAVIORS.get(svc.behavior)
@@ -439,7 +426,7 @@ class SimServices:
             raise ConnectionRefusedError(f"{address}:{port} unknown behavior {svc.behavior!r}")
         kind = socket.SOCK_DGRAM if udp else socket.SOCK_STREAM
         client, server = socket.socketpair(socket.AF_UNIX, kind)
-        transcript = Transcript(key, port)
+        transcript = Transcript(host, port)
         with self._lock:
             self.transcripts.append(transcript)
         conn = _Conn(server, transcript)
@@ -454,9 +441,9 @@ class SimServices:
         return self.connect
 
     def transcripts_for(self, address: str, port: int | None = None) -> list[Transcript]:
-        key = _canonical(address)
+        host = _host(address)
         return [
-            t for t in self.transcripts if t.address == key and (port is None or t.port == port)
+            t for t in self.transcripts if t.address == host and (port is None or t.port == port)
         ]
 
 
@@ -469,17 +456,6 @@ def _run_handler(handler, conn: _Conn, params: dict) -> None:
         conn.close()
 
 
-def _v6_text(value: int) -> str:
-    from ..addrs import format_address
-
-    return format_address(value)
-
-
-def _canonical(address: str) -> str:
-    text = address.strip().strip("[]")
-    if ":" in text:
-        try:
-            return _v6_text(parse_address(text))
-        except ValueError:
-            return text
-    return text
+def _host(address: str) -> _Host:
+    """Parse connector address text: IPv4, IPv6 in any form, or ``[IPv6]``."""
+    return ipaddress.ip_address(address.strip().strip("[]"))

@@ -16,6 +16,7 @@ a multi-billion-probe plan run on a small box.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -48,18 +49,6 @@ class ProbeTarget:
     @property
     def kind_text(self) -> str:
         return f"{KIND_LOW_IID}_{self.iid_n}" if self.kind == KIND_LOW_IID else KIND_ALIAS
-
-
-def expand_48(prefix48: int) -> list[int]:
-    """All 256 /56 network addresses under a /48, in index order."""
-    return [prefix48 | (i << SUBNET_SHIFT) for i in range(SUBNETS_PER_48)]
-
-
-def low_iid_targets(net56: int) -> list[ProbeTarget]:
-    """The ten lowest addresses of the /56: net56::1 .. net56::a."""
-    return [
-        ProbeTarget(net56 | n, net56, KIND_LOW_IID, n) for n in range(1, LOW_IIDS_PER_56 + 1)
-    ]
 
 
 def alias_probe_target(net56: int, rng_seed: int) -> ProbeTarget:
@@ -210,10 +199,11 @@ class ScanPlan:
     def __iter__(self) -> Iterator[ProbeTarget]:
         return self.iter_steps(0, self.cycle_len)
 
-    def dump(self, fh) -> int:
-        """Write the permuted order as ``address,kind,prefix56`` lines."""
+    def dump(self, fh, limit: int) -> int:
+        """Write the first ``limit`` targets of the permuted order as
+        ``address,kind,prefix56`` lines; returns how many were written."""
         count = 0
-        for t in self:
+        for t in itertools.islice(self, limit):
             fh.write(f"{t.address_text},{t.kind_text},{format_address(t.net56)}/56\n")
             count += 1
         return count
@@ -235,11 +225,6 @@ def probed_low_iid(address: int) -> int | None:
         return None
     iid = address & IID_MASK
     return iid if 1 <= iid <= LOW_IIDS_PER_56 else None
-
-
-def is_alias_shaped(address: int) -> bool:
-    """True if the address's IID sits in the alias-probe range."""
-    return (address & IID_MASK) >= ALIAS_MIN_IID or bool(address & (0xFF << 64))
 
 
 def alias_target_for(net56: int, rng_seed: int) -> int:

@@ -1,6 +1,5 @@
 import ipaddress
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,10 +8,7 @@ from resiscan.addrs import (
     PREFIX48_MASK,
     PREFIX56_MASK,
     LongestPrefixMap,
-    Prefix48,
-    Prefix56,
     format_address,
-    iid_of,
     parse_address,
     prefix48_of,
     prefix56_of,
@@ -33,33 +29,9 @@ def test_parse_format_roundtrip(value):
 
 def test_iid_and_prefix_slicing():
     addr = parse_address("2001:db8:1:2345:6789:abcd:ef01:2345")
-    assert iid_of(addr) == 0x6789ABCDEF012345
+    assert addr & IID_MASK == 0x6789ABCDEF012345
     assert format_address(prefix48_of(addr)) == "2001:db8:1::"
     assert format_address(prefix56_of(addr)) == "2001:db8:1:2300::"
-
-
-def test_prefix48_children_and_covers():
-    p = Prefix48.from_text("2001:db8:5::/48")
-    assert p.text == "2001:db8:5::/48"
-    child = p.child(0xAB)
-    assert child.text == "2001:db8:5:ab00::/56"
-    assert child.parent == p
-    assert child.index == 0xAB
-    assert p.covers(parse_address("2001:db8:5:ffff::1"))
-    assert not p.covers(parse_address("2001:db8:6::1"))
-    assert child.covers(parse_address("2001:db8:5:ab42::9"))
-    assert not child.covers(parse_address("2001:db8:5:ac00::9"))
-
-
-def test_prefix48_rejects_other_lengths_and_dirty_values():
-    with pytest.raises(ValueError):
-        Prefix48.from_text("2001:db8::/32")
-    with pytest.raises(ValueError):
-        Prefix48(parse_address("2001:db8::1"))
-    with pytest.raises(ValueError):
-        Prefix56.from_text("2001:db8::/48")
-    with pytest.raises(ValueError):
-        Prefix48.from_text("2001:db8:5::/48").child(256)
 
 
 def test_masks_are_consistent():

@@ -10,9 +10,13 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resiscan import classify as classify_mod
+from resiscan import fingerprint as fingerprint_mod
 from resiscan import grab as grab_mod
+from resiscan import probe as probe_mod
 from resiscan.addrs import format_address, parse_address
 from resiscan.cli import DEFAULT_CONFIG, ConfigError, load_config, main
 from resiscan.seedprep import RESIDENTIAL_CATEGORY, RESIDENTIAL_CONNECTIONS
@@ -325,6 +329,47 @@ class TestLiveModeGuards:
         res = run_cli("--out", seeded_dir, "scan")
         assert res.code == 2
         assert "transport.scenario" in res.err
+
+
+class TestHostileFiles:
+    def test_hp_header_cannot_inject_rows(self, tmp_path):
+        header = "HP HTTP Server; Evil,Model\ninjected,row,here,x; Serial Number: CN1,2"
+        printer = grab_mod.GrabRecord(
+            address="2001:db8::5", service="http", outcome=grab_mod.OUTCOME_RESPONDED,
+            http_server_header=header,
+        )
+        with open(tmp_path / "grabs.csv", "w", encoding="utf-8", newline="") as fh:
+            grab_mod.write_grab_log([printer], fh)
+        with open(tmp_path / "classified.csv", "w", encoding="utf-8") as fh:
+            classify_mod.write_classification([], fh)
+        res = run_cli("--out", str(tmp_path), "fingerprint")
+        assert res.code == 0, res.err
+        with open(tmp_path / "hp_printers.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["address", "model", "serial", "build"],
+            ["2001:db8::5", "Evil,Model\ninjected,row,here,x", "CN1,2", ""],
+        ]
+
+    @pytest.mark.parametrize(
+        "loader, header",
+        [
+            (probe_mod.read_response_log, ""),
+            (classify_mod.read_classification, ""),
+            (grab_mod.read_grab_log, ",".join(grab_mod._LOG_FIELDS) + "\n"),
+            (fingerprint_mod.read_fingerprints, "address,kind,evidence\n"),
+        ],
+        ids=["response_log", "classification", "grab_log", "fingerprints"],
+    )
+    @settings(deadline=None)
+    @given(body=st.text())
+    def test_loaders_reject_hostile_text_with_value_error(self, loader, header, body):
+        # cli.main turns ValueError into "error: ..." and exit 1; anything
+        # else escapes as a traceback.
+        try:
+            loader(io.StringIO(header + body))
+        except ValueError:
+            pass
 
 
 class TestEntryPoints:

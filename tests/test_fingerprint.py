@@ -335,6 +335,11 @@ class TestFingerprintFile:
         loaded = read_fingerprints(buf)
         assert loaded == sorted(hits, key=lambda h: (h.address, h.kind))
 
+    @pytest.mark.parametrize("row", ["2001:db8::1,hp_printer", "2001:db8::1,a,b,c"])
+    def test_row_without_three_fields_rejected(self, row):
+        with pytest.raises(ValueError, match="fingerprint row 1"):
+            read_fingerprints(io.StringIO(f"address,kind,evidence\n{row}\n"))
+
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError):
             read_fingerprints(io.StringIO("а,b,c\n"))

@@ -24,7 +24,7 @@ from resiscan.grab import (
     run_grab_campaign,
     write_grab_log,
 )
-from resiscan.services import ServiceSpec, default_services, load_services, save_services
+from resiscan.services import ServiceSpec, default_services, load_services
 from resiscan.simnet import SimServices
 from resiscan.simnet.services import TELNET_NEGOTIATION
 
@@ -111,11 +111,20 @@ class TestCatalog:
         with pytest.raises(ValueError):
             ServiceSpec("x", 0, "tcp", "banner_read")
 
-    def test_catalog_file_roundtrip(self, tmp_path):
+    def test_catalog_file_loads(self, tmp_path):
         path = tmp_path / "services.csv"
-        with path.open("w") as fh:
-            save_services(default_services(), fh)
-        assert load_services(str(path)) == default_services()
+        path.write_text(
+            "# name,port,transport,probe_kind\n"
+            "ssh,22,tcp,banner_read\n"
+            "\n"
+            " ntp , 123 , udp , ntp_query \n"
+            "lockdown,62078,tcp,lockdown_query\n"
+        )
+        assert load_services(str(path)) == (
+            ServiceSpec("ssh", 22, "tcp", "banner_read"),
+            ServiceSpec("ntp", 123, "udp", "ntp_query"),
+            ServiceSpec("lockdown", 62078, "tcp", "lockdown_query"),
+        )
 
     def test_catalog_file_rejects_duplicates(self, tmp_path):
         path = tmp_path / "services.csv"
@@ -331,10 +340,16 @@ class TestAddressFamilies:
         assert rec.lockdown_product_version == "17.5.1"
 
     def test_v6_text_forms_canonicalized(self, env):
+        before = len(env.transcripts_for(V6, 22))
         rec = do_grab(env, "2001:0db8:0005:0100::0001", spec_by_name("ssh"), timeout=0.5)
         assert rec.outcome == OUTCOME_RESPONDED
         rec = do_grab(env, f"[{V6}]", spec_by_name("ssh"), timeout=0.5)
         assert rec.outcome == OUTCOME_RESPONDED
+        assert len(env.transcripts_for("2001:0db8:0005:0100::0001", 22)) == before + 2
+
+    def test_unparsable_address_refused(self, env):
+        with pytest.raises(ConnectionRefusedError):
+            env.connect("2001:db8::zz", 22, timeout=0.5)
 
 
 class TestCampaign:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resiscan.addrs import SUBNET_SHIFT, format_address, parse_address, prefix56_of
+from resiscan.addrs import SUBNET_SHIFT, parse_address, prefix56_of
 from resiscan.seedprep import parse_prefix_list
 from resiscan.targetgen import (
     ALIAS_MIN_IID,
@@ -22,9 +22,6 @@ from resiscan.targetgen import (
     alias_probe_target,
     alias_target_for,
     build_plan,
-    expand_48,
-    is_alias_shaped,
-    low_iid_targets,
     probed_low_iid,
 )
 
@@ -38,22 +35,12 @@ def test_counting_constants():
     assert TARGETS_PER_48 == 256 * 11 == 2816
 
 
-def test_expand_48_enumerates_all_56s_in_order():
-    nets = expand_48(SEED48)
-    assert len(nets) == 256
-    assert nets[0] == SEED48
-    assert format_address(nets[1]) == "2001:db8:1:100::"
-    assert format_address(nets[0xAB]) == "2001:db8:1:ab00::"
-    assert len(set(nets)) == 256
-    assert all((n >> SUBNET_SHIFT) & 0xFF == i for i, n in enumerate(nets))
-
-
 def test_low_iid_targets_are_the_first_ten_addresses():
-    net56 = SEED48 | (0x42 << SUBNET_SHIFT)
-    targets = low_iid_targets(net56)
-    assert [t.address - net56 for t in targets] == list(range(1, 11))
+    plan = ScanPlan((SEED48,), 1)
+    targets = [plan.target_at(i) for i in range(LOW_IIDS_PER_56)]
+    assert [t.address - SEED48 for t in targets] == list(range(1, 11))
     assert [t.iid_n for t in targets] == list(range(1, 11))
-    assert {t.net56 for t in targets} == {net56}
+    assert {t.net56 for t in targets} == {SEED48}
     assert {t.kind for t in targets} == {KIND_LOW_IID}
     assert targets[2].kind_text == "low_iid_3"
 
@@ -82,10 +69,10 @@ class TestAliasProbe:
         iid = t.address & ((1 << 64) - 1)
         assert iid >= ALIAS_MIN_IID
         assert probed_low_iid(t.address) is None
-        assert is_alias_shaped(t.address)
 
     def test_distinct_nets_get_distinct_targets(self):
-        targets = {alias_probe_target(n, 3).address for n in expand_48(SEED48)}
+        nets = [SEED48 | (i << SUBNET_SHIFT) for i in range(SUBNETS_PER_48)]
+        targets = {alias_probe_target(n, 3).address for n in nets}
         assert len(targets) == 256
 
     def test_alias_target_for_matches(self):
@@ -224,9 +211,11 @@ class TestScanPlan:
         plan = build_plan([SEED48], 1)
         out = tmp_path / "plan.txt"
         with out.open("w") as fh:
-            n = plan.dump(fh)
+            n = plan.dump(fh, 100)
         lines = out.read_text().splitlines()
-        assert n == len(lines) == plan.budget
+        assert n == len(lines) == 100
+        first = [t for _, t in zip(range(100), plan)]
+        assert [line.split(",")[0] for line in lines] == [t.address_text for t in first]
         addr, kind, net = lines[0].split(",")
         assert parse_address(addr)  # parses
         assert kind == "alias_probe" or kind.startswith("low_iid_")
