@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .addrs import parse_address
-from .grab import OUTCOME_RESPONDED, GrabRecord, csv_rows
+from .csvio import csv_rows, table_rows
+from .grab import OUTCOME_RESPONDED, GrabRecord
 
 NOKIA_ROOT_CN = "Nokia DHBU Root CA"
 DAHUA_MARKER = b'appname="cameraNewConfig"'
@@ -120,13 +121,10 @@ def extract_eui64(address: str | int) -> str | None:
 def load_oui_db(path: str) -> dict[str, str]:
     """Read ``xx:xx:xx,vendor name`` registration rows."""
     db: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"oui row needs 2 fields: {row!r}")
-            db[row[0].strip().lower()] = row[1].strip()
+    for row in table_rows(path, "oui db"):
+        if len(row) != 2:
+            raise ValueError(f"oui row needs 2 fields: {row!r}")
+        db[row[0].strip().lower()] = row[1].strip()
     return db
 
 

@@ -21,8 +21,8 @@ import ssl
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
+from .csvio import csv_rows
 from .services import (
     KIND_BANNER,
     KIND_HTTP,
@@ -404,16 +404,6 @@ def write_grab_log(records, fh) -> None:
                 base64.b64encode(r.banner).decode("ascii"),
             ]
         )
-
-
-def csv_rows(fh, what: str) -> Iterator[list[str]]:
-    """Rows of a CSV file; text the csv module rejects raises ValueError, as a
-    malformed row does, so a stage fails with a message, not a traceback."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{what} line {reader.line_num}: {exc}") from None
 
 
 def read_grab_log(fh) -> list[GrabRecord]:

@@ -19,6 +19,7 @@ empty while a live one waits out the quiet period.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import select
@@ -47,6 +48,7 @@ RCVBUF_BYTES = 8 << 20  # live socket buffer: holds replies between drains
 RECV_BATCH = 4096  # most packets one live poll reads, so a flood cannot stall sending
 DEFAULT_QUIESCENCE_S = 8.0
 POLL_EVERY = 1024  # sends between non-blocking drains of the transport
+PROGRESS_EVERY = 100_000  # sends between progress callbacks
 
 
 @dataclass(slots=True)
@@ -76,6 +78,15 @@ class Transport(Protocol):
         ...
 
 
+@functools.lru_cache(maxsize=8)
+def _mac_state(secret: bytes):
+    """The token MAC keyed with ``secret``, keyed once; callers hash into a ``.copy()``."""
+    return hashlib.blake2b(key=secret, digest_size=12)
+
+
+_MAC_FIELDS = struct.Struct("!HH8s")  # the 12-byte MAC as ident, seq, payload tail
+
+
 def encode_token(target: int, secret: bytes) -> tuple[int, int, bytes]:
     """Derive (identifier, sequence, payload) for a probe to ``target``.
 
@@ -85,11 +96,10 @@ def encode_token(target: int, secret: bytes) -> tuple[int, int, bytes]:
     different source.
     """
     target_bytes = target.to_bytes(16, "big")
-    mac = hashlib.blake2b(target_bytes, key=secret, digest_size=12).digest()
-    ident = int.from_bytes(mac[0:2], "big")
-    seq = int.from_bytes(mac[2:4], "big")
-    payload = target_bytes + mac[4:12]
-    return ident, seq, payload
+    mac = _mac_state(secret).copy()
+    mac.update(target_bytes)
+    ident, seq, tail = _MAC_FIELDS.unpack(mac.digest())
+    return ident, seq, target_bytes + tail
 
 
 def validate_token(ident: int, seq: int, payload: bytes, secret: bytes) -> int | None:
@@ -97,12 +107,9 @@ def validate_token(ident: int, seq: int, payload: bytes, secret: bytes) -> int |
     if len(payload) < TOKEN_LEN:
         return None
     target_bytes = payload[:16]
-    mac = hashlib.blake2b(target_bytes, key=secret, digest_size=12).digest()
-    if (
-        ident != int.from_bytes(mac[0:2], "big")
-        or seq != int.from_bytes(mac[2:4], "big")
-        or payload[16:24] != mac[4:12]
-    ):
+    mac = _mac_state(secret).copy()
+    mac.update(target_bytes)
+    if (ident, seq, payload[16:24]) != _MAC_FIELDS.unpack(mac.digest()):
         return None
     return int.from_bytes(target_bytes, "big")
 
@@ -213,23 +220,29 @@ def run_scan(
                 scan.records.append(rec)
         return bool(batch)
 
+    send = transport.send
+    pace = rate.wait if rate is not None else None
+    sent = 0
     t0 = time.monotonic()
     try:
         for target in plan:
-            if rate is not None:
-                rate.wait()
-            ident, seq, payload = encode_token(target.address, secret)
-            transport.send(target.address, ident, seq, payload)
-            scan.sent += 1
-            if scan.sent % POLL_EVERY == 0:
+            if pace is not None:
+                pace()
+            address = target.address
+            ident, seq, payload = encode_token(address, secret)
+            send(address, ident, seq, payload)
+            sent += 1
+            if sent % POLL_EVERY == 0:
                 drain(0.0)
-            if progress is not None and scan.sent % 100_000 == 0:
-                progress(scan.sent)
+            if progress is not None and sent % PROGRESS_EVERY == 0:
+                progress(sent)
     except Exception as exc:  # noqa: BLE001 - any transport failure aborts
+        scan.sent = sent
         scan.send_duration_s = time.monotonic() - t0
-        log.error("transport failure after %d sends: %s", scan.sent, exc)
+        log.error("transport failure after %d sends: %s", sent, exc)
         drain(0.0)
         return scan
+    scan.sent = sent
     scan.send_duration_s = time.monotonic() - t0
 
     quiet_since = time.monotonic()
@@ -351,7 +364,10 @@ class LiveTransport:
 
     def send(self, dst: int, ident: int, seq: int, payload: bytes) -> None:
         packet = build_echo_request(ident, seq, payload)
-        self._sock.sendto(packet, (format_address(dst), 0, 0, 0))
+        # The kernel needs parseable text, not canonical text: inet_ntop is
+        # about 15x cheaper per probe than ipaddress formatting.
+        dst_text = socket.inet_ntop(socket.AF_INET6, dst.to_bytes(16, "big"))
+        self._sock.sendto(packet, (dst_text, 0, 0, 0))
 
     def poll(self, max_wait: float) -> list[IcmpEvent]:
         out: list[IcmpEvent] = []

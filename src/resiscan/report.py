@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .addrs import LongestPrefixMap, format_address, prefix48_of
 from .classify import LABEL_INTERNAL, ClassifiedAddress, pair_deltas, split_by_net
+from .csvio import table_rows
 from .fingerprint import FingerprintHit
 from .grab import OUTCOME_RESPONDED, GrabRecord
 from .services import ServiceSpec, default_services
@@ -34,14 +35,11 @@ class AsnGeoRecord:
 def load_asn_geo(path: str) -> LongestPrefixMap:
     """Read ``prefix,asn,as_name,country`` registry rows into an LPM table."""
     table = LongestPrefixMap()
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"asn/geo row needs 4 fields: {row!r}")
-            prefix, asn, name, country = (f.strip() for f in row)
-            table.insert(prefix, AsnGeoRecord(int(asn), name, country))
+    for row in table_rows(path, "asn/geo table"):
+        if len(row) != 4:
+            raise ValueError(f"asn/geo row needs 4 fields: {row!r}")
+        prefix, asn, name, country = (f.strip() for f in row)
+        table.insert(prefix, AsnGeoRecord(int(asn), name, country))
     return table
 
 

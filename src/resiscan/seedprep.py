@@ -8,11 +8,11 @@ Both datasets are offline snapshot files; no network lookups happen here.
 
 from __future__ import annotations
 
-import csv
 import ipaddress
 from dataclasses import dataclass, field
 
 from .addrs import PREFIX48_MASK, LongestPrefixMap
+from .csvio import table_rows
 
 RESIDENTIAL_CATEGORY = "internet service provider"
 RESIDENTIAL_CONNECTIONS = frozenset({"cable_dsl", "dialup"})
@@ -110,31 +110,25 @@ def parse_prefix_list(text: str) -> SeedSet:
 def load_as_map(path: str) -> LongestPrefixMap:
     """Load ``prefix,asn,category,country`` rows into an LPM table."""
     table = LongestPrefixMap()
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"as map row needs 4 fields, got {row!r}")
-            prefix, asn, category, country = (f.strip() for f in row)
-            table.insert(prefix, AsCategoryRecord(int(asn), category, country))
+    for row in table_rows(path, "as map"):
+        if len(row) != 4:
+            raise ValueError(f"as map row needs 4 fields, got {row!r}")
+        prefix, asn, category, country = (f.strip() for f in row)
+        table.insert(prefix, AsCategoryRecord(int(asn), category, country))
     return table
 
 
 def load_connection_map(path: str) -> LongestPrefixMap:
     """Load ``prefix,connection_type`` rows into an LPM table."""
     table = LongestPrefixMap()
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"connection map row needs 2 fields, got {row!r}")
-            prefix, conn = (f.strip() for f in row)
-            conn = conn.casefold().replace("/", "_")
-            if conn not in CONNECTION_TYPES:
-                raise ValueError(f"unknown connection type {conn!r} for {prefix}")
-            table.insert(prefix, conn)
+    for row in table_rows(path, "connection map"):
+        if len(row) != 2:
+            raise ValueError(f"connection map row needs 2 fields, got {row!r}")
+        prefix, conn = (f.strip() for f in row)
+        conn = conn.casefold().replace("/", "_")
+        if conn not in CONNECTION_TYPES:
+            raise ValueError(f"unknown connection type {conn!r} for {prefix}")
+        table.insert(prefix, conn)
     return table
 
 

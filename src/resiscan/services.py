@@ -10,8 +10,9 @@ as raw bytes rather than parsed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+
+from .csvio import table_rows
 
 KIND_BANNER = "banner_read"
 KIND_HTTP = "http_get"
@@ -80,19 +81,16 @@ def load_services(path: str) -> tuple[ServiceSpec, ...]:
     """Read a catalog file: ``name,port,transport,probe_kind[,request_hex]``."""
     specs: list[ServiceSpec] = []
     seen: set[tuple[str, int]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) not in (4, 5):
-                raise ValueError(f"service row {lineno}: expected 4 or 5 fields")
-            name, port, transport, kind = (f.strip() for f in row[:4])
-            request = bytes.fromhex(row[4].strip()) if len(row) == 5 else b""
-            spec = ServiceSpec(name, int(port), transport, kind, request)
-            key = (spec.name, spec.port)
-            if key in seen:
-                raise ValueError(f"service row {lineno}: duplicate {key}")
-            seen.add(key)
-            specs.append(spec)
+    for row in table_rows(path, "service catalog"):
+        if len(row) not in (4, 5):
+            raise ValueError(f"service row needs 4 or 5 fields: {row!r}")
+        name, port, transport, kind = (f.strip() for f in row[:4])
+        request = bytes.fromhex(row[4].strip()) if len(row) == 5 else b""
+        spec = ServiceSpec(name, int(port), transport, kind, request)
+        key = (spec.name, spec.port)
+        if key in seen:
+            raise ValueError(f"service row duplicates {key}")
+        seen.add(key)
+        specs.append(spec)
     return tuple(specs)
 

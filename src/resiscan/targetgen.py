@@ -15,6 +15,7 @@ a multi-billion-probe plan run on a small box.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -35,7 +36,7 @@ KIND_ALIAS = "alias_probe"
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)  # not frozen: one is built per probe, and frozen init costs 3x
 class ProbeTarget:
     address: int
     net56: int  # network address of the covering /56
@@ -51,6 +52,12 @@ class ProbeTarget:
         return f"{KIND_LOW_IID}_{self.iid_n}" if self.kind == KIND_LOW_IID else KIND_ALIAS
 
 
+@functools.lru_cache(maxsize=8)
+def _alias_hash_state(rng_seed: int):
+    """The alias-probe hash keyed with ``rng_seed``, keyed once; callers hash into a ``.copy()``."""
+    return hashlib.blake2b(key=(rng_seed & ((1 << 64) - 1)).to_bytes(8, "big"), digest_size=9)
+
+
 def alias_probe_target(net56: int, rng_seed: int) -> ProbeTarget:
     """The /56's single alias-check probe: a random address high in the IID space.
 
@@ -59,13 +66,13 @@ def alias_probe_target(net56: int, rng_seed: int) -> ProbeTarget:
     independent of where the probe lands in the plan. The IID is uniform over
     [0x0b, 2^64), rejection-sampled so it can never shadow a low-IID target.
     """
-    key = (rng_seed & ((1 << 64) - 1)).to_bytes(8, "big")
+    keyed = _alias_hash_state(rng_seed)
     net_bytes = net56.to_bytes(16, "big")
     counter = 0
     while True:
-        digest = hashlib.blake2b(
-            net_bytes + counter.to_bytes(2, "big"), key=key, digest_size=9
-        ).digest()
+        h = keyed.copy()
+        h.update(net_bytes + counter.to_bytes(2, "big"))
+        digest = h.digest()
         iid = int.from_bytes(digest[1:9], "big")
         if iid >= ALIAS_MIN_IID:
             selector = digest[0]

@@ -17,6 +17,9 @@ from resiscan import classify as classify_mod
 from resiscan import fingerprint as fingerprint_mod
 from resiscan import grab as grab_mod
 from resiscan import probe as probe_mod
+from resiscan import report as report_mod
+from resiscan import seedprep as seedprep_mod
+from resiscan import services as services_mod
 from resiscan.addrs import format_address, parse_address
 from resiscan.cli import DEFAULT_CONFIG, ConfigError, load_config, main
 from resiscan.seedprep import RESIDENTIAL_CATEGORY, RESIDENTIAL_CONNECTIONS
@@ -370,6 +373,32 @@ class TestHostileFiles:
             loader(io.StringIO(header + body))
         except ValueError:
             pass
+
+    @pytest.mark.parametrize(
+        "loader",
+        [
+            seedprep_mod.load_as_map,
+            seedprep_mod.load_connection_map,
+            report_mod.load_asn_geo,
+            fingerprint_mod.load_oui_db,
+            services_mod.load_services,
+        ],
+        ids=["as_map", "conn_map", "asn_geo", "oui_db", "services"],
+    )
+    def test_reference_loaders_turn_csv_errors_into_value_error(self, tmp_path, loader):
+        path = tmp_path / "table.csv"
+        path.write_text("# comment\n" + "x" * 200_000 + ",1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: field larger than field limit"):
+            loader(str(path))
+
+    def test_oversized_field_fails_stage_with_message(self, tmp_path):
+        gen = run_cli("--out", str(tmp_path), "simnet-gen")
+        assert gen.code == 0, gen.err
+        with open(tmp_path / "as_map.csv", "a", encoding="utf-8") as fh:
+            fh.write("2001:db8::/32," + "9" * 200_000 + ",isp,ZZ\n")
+        res = run_cli("--config", str(tmp_path / "config.json"), "seed-filter")
+        assert res.code == 1
+        assert res.err.startswith("error: as map line")
 
 
 class TestEntryPoints:

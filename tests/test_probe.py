@@ -63,6 +63,33 @@ class TestToken:
         assert validate_token(ident, seq, flipped, SECRET) is None
         assert validate_token(ident, seq, payload[:-1] + b"\x00", SECRET) is None
 
+    def test_known_answers(self):
+        # Fixed wire bytes: no change to the token code may move them.
+        cases = [
+            ("2001:db8:1:200::7", SECRET, 32591, 22867,
+             "20010db8000102000000000000000007aed652e384b09f4f"),
+            ("2001:db8::1", SECRET, 50650, 6633,
+             "20010db8000000000000000000000001744992bb905da97d"),
+            ("2001:db8::1", bytes(range(16)), 19861, 54661,
+             "20010db800000000000000000000000138a1aed5caf4fa76"),
+        ]
+        for text, secret, ident, seq, payload_hex in cases:
+            target = parse_address(text)
+            assert encode_token(target, secret) == (ident, seq, bytes.fromhex(payload_hex))
+            assert validate_token(ident, seq, bytes.fromhex(payload_hex), secret) == target
+
+    def test_interleaved_secrets_never_cross_validate(self):
+        other = b"another-secret-16"
+        targets = [parse_address(f"2001:db8:7:{i:x}00::{i % 10 + 1:x}") for i in range(64)]
+        tokens = []
+        for t in targets:  # alternate secrets call by call
+            tokens.append((t, SECRET, encode_token(t, SECRET)))
+            tokens.append((t, other, encode_token(t, other)))
+        for t, secret, (ident, seq, payload) in tokens:
+            wrong = other if secret == SECRET else SECRET
+            assert validate_token(ident, seq, payload, wrong) is None
+            assert validate_token(ident, seq, payload, secret) == t
+
     def test_short_payload_rejected(self):
         assert validate_token(0, 0, b"short", SECRET) is None
         assert validate_token(0, 0, b"", SECRET) is None
@@ -456,3 +483,28 @@ class TestLivePoll:
             assert transport.poll(1.0) == []
         finally:
             transport.close()
+
+
+class TestLiveSend:
+    """LiveTransport.send into a stub socket, so no raw socket is needed."""
+
+    class _StubSocket:
+        def __init__(self):
+            self.sent = []
+
+        def sendto(self, packet, address):
+            self.sent.append((packet, address))
+
+    @pytest.mark.parametrize(
+        "text", ["2001:db8::1", "2001:db8:1:200:5f11:fc94:8c6f:1a58", "::ffff:192.0.2.1", "::1"]
+    )
+    def test_packet_unchanged_and_destination_parses_back(self, text):
+        transport = LiveTransport.__new__(LiveTransport)
+        transport._sock = self._StubSocket()
+        dst = parse_address(text)
+        ident, seq, payload = encode_token(dst, SECRET)
+        transport.send(dst, ident, seq, payload)
+        [(packet, (host, port, flowinfo, scope))] = transport._sock.sent
+        assert packet == build_echo_request(ident, seq, payload)
+        assert parse_address(host) == dst
+        assert (port, flowinfo, scope) == (0, 0, 0)

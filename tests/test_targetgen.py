@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resiscan.addrs import SUBNET_SHIFT, parse_address, prefix56_of
+from resiscan.addrs import SUBNET_SHIFT, format_address, parse_address, prefix56_of
 from resiscan.seedprep import parse_prefix_list
 from resiscan.targetgen import (
     ALIAS_MIN_IID,
@@ -80,6 +81,18 @@ class TestAliasProbe:
         assert alias_target_for(net56, 4) == alias_probe_target(net56, 4).address
         # Also accepts a full address inside the /56.
         assert alias_target_for(net56 | 0x1234, 4) == alias_target_for(net56, 4)
+
+
+def test_alias_probe_known_answers():
+    # Fixed addresses: no change to the alias hash may move them.
+    cases = [
+        ("2001:db8:1:100::", 1, "2001:db8:1:12f:5f11:fc94:8c6f:1a58"),
+        ("2001:db8:1:100::", 7, "2001:db8:1:1c0:784f:d10e:f9f9:9743"),
+        ("2a02:8070:ab00:ff00::", 2**64 + 5, "2a02:8070:ab00:ff48:327e:7f85:a582:2b37"),
+        ("2001:db8:ffff:ff00::", 0, "2001:db8:ffff:ffba:5491:3ad7:33cf:3132"),
+    ]
+    for net, rng_seed, expected in cases:
+        assert alias_probe_target(parse_address(net), rng_seed).address == parse_address(expected)
 
 
 def test_probed_low_iid_shapes():
@@ -206,6 +219,20 @@ class TestScanPlan:
         t_last = plan.target_at(plan.budget - 1)
         assert t_last.kind == KIND_ALIAS
         assert t_last.net56 == seeds[1] | (255 << SUBNET_SHIFT)
+
+    def test_first_targets_known_answer(self):
+        # Fixed order and addresses: no change to the plan code may move them.
+        seeds = [parse_address(t) for t in ("2001:db8:1::", "2001:db8:2::", "2a02:8070:ab00::")]
+        texts = [format_address(t.address) for _, t in zip(range(500), build_plan(seeds, 42))]
+        assert texts[:5] == [
+            "2001:db8:2:322b:378:b43e:2788:b55",
+            "2001:db8:1:4400::8",
+            "2001:db8:2:f800::2",
+            "2001:db8:1:4400::5",
+            "2001:db8:1:b200::7",
+        ]
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == "d28abeed5834afbf8a6b5b2120f9fb849a4d8ff92c62caae9a00da8c58e695f9"
 
     def test_dump_format(self, tmp_path):
         plan = build_plan([SEED48], 1)
