@@ -8,6 +8,7 @@ only produced at file boundaries and is always the lowercase canonical
 from __future__ import annotations
 
 import ipaddress
+import socket
 
 IID_MASK = (1 << 64) - 1
 SUBNET_SHIFT = 72  # /56 index byte occupies bits 72..79
@@ -17,12 +18,21 @@ PREFIX56_MASK = ((1 << 56) - 1) << 72
 
 def parse_address(text: str) -> int:
     """Parse IPv6 text to its 128-bit integer value."""
-    return int(ipaddress.IPv6Address(text.strip()))
+    text = text.strip()
+    try:
+        return int.from_bytes(socket.inet_pton(socket.AF_INET6, text), "big")
+    except (OSError, ValueError):
+        # ipaddress also takes a scope id and words the error.
+        return int(ipaddress.IPv6Address(text))
 
 
 def format_address(value: int) -> str:
     """Render the canonical lowercase compressed form."""
-    return ipaddress.IPv6Address(value).compressed
+    if value >> 32 in (0, 0xFFFF) or value >> 128:
+        # inet_ntop prints ::a.b.c.d and ::ffff:a.b.c.d dotted; ipaddress
+        # also rejects a value out of range.
+        return ipaddress.IPv6Address(value).compressed
+    return socket.inet_ntop(socket.AF_INET6, value.to_bytes(16, "big"))
 
 
 def prefix48_of(address: int) -> int:

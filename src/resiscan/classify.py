@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .addrs import IID_MASK, format_address, parse_address, prefix56_of
+from .csvio import read_rows, write_rows
 from .probe import KIND_ECHO_REPLY, ResponseRecord
 from .targetgen import alias_target_for, probed_low_iid
 
@@ -199,34 +200,29 @@ def pair_deltas(classified: Iterable[ClassifiedAddress]) -> list[PairDelta]:
 
 
 def write_classification(classified: Iterable[ClassifiedAddress], fh) -> None:
-    rows = sorted(classified, key=lambda c: (c.net56, c.label, c.address))
-    for c in rows:
-        fh.write(
-            f"{format_address(c.net56)}/56,{format_address(c.address)},"
-            f"{c.label},{c.initial_hop_limit},{c.distance}\n"
-        )
+    ordered = sorted(classified, key=lambda c: (c.net56, c.label, c.address))
+    write_rows(
+        fh,
+        (
+            (f"{format_address(c.net56)}/56", format_address(c.address), c.label,
+             c.initial_hop_limit, c.distance)
+            for c in ordered
+        ),
+    )
+
+
+def _classified_address(row: list[str]) -> ClassifiedAddress:
+    net, address, label, initial, distance = row
+    if label not in (LABEL_INTERNAL, LABEL_EXTERNAL):
+        raise ValueError(f"bad label {label!r}")
+    return ClassifiedAddress(
+        net56=parse_address(net.split("/", 1)[0]),
+        address=parse_address(address),
+        label=label,
+        initial_hop_limit=int(initial),
+        distance=int(distance),
+    )
 
 
 def read_classification(fh) -> list[ClassifiedAddress]:
-    out: list[ClassifiedAddress] = []
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"classification line {lineno}: expected 5 fields")
-        net, address, label, initial, distance = parts
-        if label not in (LABEL_INTERNAL, LABEL_EXTERNAL):
-            raise ValueError(f"classification line {lineno}: bad label {label!r}")
-        net56 = parse_address(net.split("/", 1)[0])
-        out.append(
-            ClassifiedAddress(
-                net56=net56,
-                address=parse_address(address),
-                label=label,
-                initial_hop_limit=int(initial),
-                distance=int(distance),
-            )
-        )
-    return out
+    return list(read_rows(fh, "classification", 5, parse=_classified_address))

@@ -13,7 +13,6 @@ end-to-end with no network access and fully reproducible output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -23,6 +22,7 @@ from . import fingerprint as fingerprint_mod
 from . import grab as grab_mod
 from . import probe, report, seedprep, services, targetgen
 from .addrs import format_address
+from .csvio import write_rows
 from .simnet import (
     ScenarioParams,
     SimServices,
@@ -56,6 +56,21 @@ DEFAULT_CONFIG = {
     "operator_contact_url": None,
 }
 
+# The JSON type each config key takes, and its name in errors. A bool is
+# not a number here, although Python counts it as an int.
+_OPTIONAL_TEXT = ((str, type(None)), "a string or null")
+CONFIG_TYPES = {
+    **dict.fromkeys(
+        ("seed_list", "as_map", "conn_map", "oui_db", "asn_geo", "services", "operator_contact_url"),
+        _OPTIONAL_TEXT,
+    ),
+    **dict.fromkeys(("rng_seed", "grab_parallelism"), ((int,), "an integer")),
+    **dict.fromkeys(("probe_timeout_s", "grab_timeout_s"), ((int, float), "a number")),
+    "rate_pps": ((int, float, type(None)), "a number or null"),
+    "transport": ((dict,), "an object"),
+    "output_dir": ((str,), "a string"),
+}
+
 # Stage outputs, all under output_dir.
 SEEDS_FILE = "seeds.txt"
 SEED_STATS_FILE = "seed_stats.json"
@@ -86,18 +101,23 @@ def load_config(path: str | None) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in loaded.items():
-            if key not in DEFAULT_CONFIG:
+            if key not in CONFIG_TYPES:
                 raise ConfigError(f"unknown config key: {key!r}")
+            _check_type(key, value, *CONFIG_TYPES[key])
             if key == "transport":
-                if not isinstance(value, dict):
-                    raise ConfigError("'transport' must be an object")
                 cfg["transport"].update(value)
             else:
                 cfg[key] = value
     mode = cfg["transport"].get("mode")
     if mode not in ("sim", "live"):
         raise ConfigError(f"transport.mode must be 'sim' or 'live', got {mode!r}")
+    _check_type("transport.scenario", cfg["transport"].get("scenario"), *_OPTIONAL_TEXT)
     return cfg
+
+
+def _check_type(key: str, value, types: tuple, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"config value {key!r} must be {what}, got {json.dumps(value)}")
 
 
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
@@ -129,6 +149,17 @@ def _outpath(cfg: dict, name: str) -> str:
     outdir = cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     return os.path.join(outdir, name)
+
+
+def _read_stage(cfg: dict, name: str, reader):
+    """Records of a CSV stage file under output_dir, read by ``reader``."""
+    with open(os.path.join(cfg["output_dir"], name), encoding="utf-8", newline="") as fh:
+        return reader(fh)
+
+
+def _write_stage(cfg: dict, name: str):
+    """A CSV stage file under output_dir, opened for writing."""
+    return open(_outpath(cfg, name), "w", encoding="utf-8", newline="")
 
 
 def _load_filtered_seeds(cfg: dict) -> seedprep.SeedSet:
@@ -212,7 +243,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
         rate=rate,
         quiescence_s=float(cfg["probe_timeout_s"]),
     )
-    with open(_outpath(cfg, RESPONSES_FILE), "w", encoding="utf-8", newline="") as fh:
+    with _write_stage(cfg, RESPONSES_FILE) as fh:
         probe.write_response_log(sorted(log.records, key=lambda r: (r.probed_target, r.source)), fh)
     status = "complete" if log.complete else "ABORTED (partial log)"
     print(
@@ -224,12 +255,11 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
 
 def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
     seeds = _load_filtered_seeds(cfg)
-    with open(os.path.join(cfg["output_dir"], RESPONSES_FILE), encoding="utf-8") as fh:
-        records = probe.read_response_log(fh)
+    records = _read_stage(cfg, RESPONSES_FILE, probe.read_response_log)
     result = classify_mod.classify_log(
         records, seeds=seeds.prefixes, rng_seed=cfg["rng_seed"]
     )
-    with open(_outpath(cfg, CLASSIFIED_FILE), "w", encoding="utf-8", newline="") as fh:
+    with _write_stage(cfg, CLASSIFIED_FILE) as fh:
         classify_mod.write_classification(result.classified, fh)
     stats = {
         "internal": len(result.by_label(classify_mod.LABEL_INTERNAL)),
@@ -251,8 +281,7 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
-    with open(os.path.join(cfg["output_dir"], CLASSIFIED_FILE), encoding="utf-8") as fh:
-        classified = classify_mod.read_classification(fh)
+    classified = _read_stage(cfg, CLASSIFIED_FILE, classify_mod.read_classification)
     specs = _service_catalog(cfg)
     addresses = [format_address(c.address) for c in classified]
     if cfg["transport"]["mode"] == "live":
@@ -267,7 +296,7 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
         parallelism=int(cfg["grab_parallelism"]),
         timeout=float(cfg["grab_timeout_s"]),
     )
-    with open(_outpath(cfg, GRABS_FILE), "w", encoding="utf-8", newline="") as fh:
+    with _write_stage(cfg, GRABS_FILE) as fh:
         grab_mod.write_grab_log(records, fh)
     responded = sum(1 for r in records if r.outcome == grab_mod.OUTCOME_RESPONDED)
     print(f"grab: {len(records)} attempts over {len(addresses)} addresses, {responded} responded")
@@ -275,22 +304,24 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
-    with open(os.path.join(cfg["output_dir"], GRABS_FILE), encoding="utf-8") as fh:
-        grabs = grab_mod.read_grab_log(fh)
+    grabs = _read_stage(cfg, GRABS_FILE, grab_mod.read_grab_log)
     hits = fingerprint_mod.fingerprint_records(grabs)
-    with open(_outpath(cfg, FINGERPRINTS_FILE), "w", encoding="utf-8", newline="") as fh:
+    with _write_stage(cfg, FINGERPRINTS_FILE) as fh:
         fingerprint_mod.write_fingerprints(hits, fh)
 
-    printers = fingerprint_mod.dedupe_printers(fingerprint_mod.collect_hp_printers(grabs))
-    with open(_outpath(cfg, HP_PRINTERS_FILE), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["address", "model", "serial", "build"])
-        for p in sorted(printers, key=lambda p: (p.serial, p.address)):
-            writer.writerow([p.address, p.model, p.serial, p.build or ""])
+    printers = sorted(
+        fingerprint_mod.dedupe_printers(fingerprint_mod.collect_hp_printers(grabs)),
+        key=lambda p: (p.serial, p.address),
+    )
+    with _write_stage(cfg, HP_PRINTERS_FILE) as fh:
+        write_rows(
+            fh,
+            ((p.address, p.model, p.serial, p.build or "") for p in printers),
+            header=("address", "model", "serial", "build"),
+        )
 
     oui_db = fingerprint_mod.load_oui_db(cfg["oui_db"]) if cfg.get("oui_db") else {}
-    with open(os.path.join(cfg["output_dir"], CLASSIFIED_FILE), encoding="utf-8") as fh:
-        classified = classify_mod.read_classification(fh)
+    classified = _read_stage(cfg, CLASSIFIED_FILE, classify_mod.read_classification)
     rows = []
     for c in classified:
         mac = fingerprint_mod.extract_eui64(c.address)
@@ -298,10 +329,8 @@ def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
             continue
         vendor = fingerprint_mod.oui_vendor(mac, oui_db) or ""
         rows.append((format_address(c.address), mac, vendor))
-    with open(_outpath(cfg, EUI64_FILE), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["address", "mac", "vendor"])
-        writer.writerows(sorted(set(rows)))
+    with _write_stage(cfg, EUI64_FILE) as fh:
+        write_rows(fh, sorted(set(rows)), header=("address", "mac", "vendor"))
     print(
         f"fingerprint: {len(hits)} device hits, {len(printers)} distinct printers, "
         f"{len(rows)} embedded MACs"
@@ -311,15 +340,11 @@ def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
 
 def cmd_report(cfg: dict, args: argparse.Namespace) -> int:
     geo_path = _require(cfg, "asn_geo", "prefix/ASN/name/country registry table")
-    with open(os.path.join(cfg["output_dir"], CLASSIFIED_FILE), encoding="utf-8") as fh:
-        classified = classify_mod.read_classification(fh)
-    with open(os.path.join(cfg["output_dir"], GRABS_FILE), encoding="utf-8") as fh:
-        grabs = grab_mod.read_grab_log(fh)
-    fp_path = os.path.join(cfg["output_dir"], FINGERPRINTS_FILE)
+    classified = _read_stage(cfg, CLASSIFIED_FILE, classify_mod.read_classification)
+    grabs = _read_stage(cfg, GRABS_FILE, grab_mod.read_grab_log)
     hits = []
-    if os.path.exists(fp_path):
-        with open(fp_path, encoding="utf-8") as fh:
-            hits = fingerprint_mod.read_fingerprints(fh)
+    if os.path.exists(os.path.join(cfg["output_dir"], FINGERPRINTS_FILE)):
+        hits = _read_stage(cfg, FINGERPRINTS_FILE, fingerprint_mod.read_fingerprints)
     seed_total = None
     try:
         seed_total = len(_load_filtered_seeds(cfg))

@@ -1,28 +1,61 @@
-"""CSV input: the one reader behind every file the pipeline loads.
+"""The one CSV codec behind every file the pipeline writes or reads.
 
-Text the csv module rejects (an unterminated quote, a field over its size
-limit) raises ``ValueError``, as a malformed row does, so a stage given a
-bad file fails with a message instead of a traceback.
+Rows end in ``\n`` and fields are quoted only where they must be. Readers
+skip blank rows and rows whose first field starts with ``#``; a wrong
+header, a wrong field count, text the csv module rejects or a field the
+format module cannot map raises ``ValueError("<what> line N: ...")``, so a
+bad file ends a stage with a message. Open files with ``newline=""``, so a
+quoted line end reads back as written. Format modules supply only the
+mapping between a record and its row.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
-def csv_rows(fh, what: str) -> Iterator[list[str]]:
-    """Rows of a CSV file; ``csv.Error`` becomes ``ValueError`` naming ``what``."""
+def write_rows(fh, rows: Iterable[Sequence], header: Sequence[str] | None = None) -> None:
+    # csv quotes for the line terminator's characters only, and a bare "\r"
+    # reads back as a line end: a row holding one is quoted in full.
+    plain = csv.writer(fh, lineterminator="\n")
+    quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    if header is not None:
+        plain.writerow(header)
+    for row in rows:
+        if any(type(f) is str and "\r" in f for f in row):
+            quoted.writerow(row)
+        else:
+            plain.writerow(row)
+
+
+def read_rows(
+    fh,
+    what: str,
+    width: int | None = None,
+    header: Sequence[str] | None = None,
+    parse: Callable[[list[str]], object] | None = None,
+) -> Iterator:
+    """Data rows of ``fh``, each passed through ``parse`` when one is given.
+
+    A ``ValueError`` from ``parse`` is re-raised with the file and line.
+    """
     reader = csv.reader(fh)
     try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{what} line {reader.line_num}: {exc}") from None
+        if header is not None and next(reader, None) != list(header):
+            raise ValueError(f"expected header {','.join(header)}")
+        for row in reader:
+            first = row[0].strip() if row else ""
+            if (len(row) < 2 and not first) or first.startswith("#"):
+                continue
+            if width is not None and len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            yield row if parse is None else parse(row)
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"{what} line {max(reader.line_num, 1)}: {exc}") from None
 
 
-def table_rows(path: str, what: str) -> Iterator[list[str]]:
-    """Data rows of a reference table file; blank and ``#`` comment rows are skipped."""
+def table_rows(path: str, what: str, width: int | None = None) -> Iterator[list[str]]:
+    """Data rows of a reference table file."""
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv_rows(fh, what):
-            if row and not row[0].lstrip().startswith("#"):
-                yield row
+        yield from read_rows(fh, what, width)

@@ -14,13 +14,12 @@ addresses counts once.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from typing import Iterable
 
 from .addrs import parse_address
-from .csvio import csv_rows, table_rows
+from .csvio import read_rows, table_rows, write_rows
 from .grab import OUTCOME_RESPONDED, GrabRecord
 
 NOKIA_ROOT_CN = "Nokia DHBU Root CA"
@@ -121,9 +120,7 @@ def extract_eui64(address: str | int) -> str | None:
 def load_oui_db(path: str) -> dict[str, str]:
     """Read ``xx:xx:xx,vendor name`` registration rows."""
     db: dict[str, str] = {}
-    for row in table_rows(path, "oui db"):
-        if len(row) != 2:
-            raise ValueError(f"oui row needs 2 fields: {row!r}")
+    for row in table_rows(path, "oui db", 2):
         db[row[0].strip().lower()] = row[1].strip()
     return db
 
@@ -164,23 +161,14 @@ def fingerprint_records(grabs: Iterable[GrabRecord]) -> list[FingerprintHit]:
     return hits
 
 
+_FINGERPRINT_FIELDS = ("address", "kind", "evidence")
+
+
 def write_fingerprints(hits: Iterable[FingerprintHit], fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["address", "kind", "evidence"])
-    for h in sorted(hits, key=lambda h: (h.address, h.kind)):
-        writer.writerow([h.address, h.kind, h.evidence])
+    ordered = sorted(hits, key=lambda h: (h.address, h.kind))
+    write_rows(fh, ((h.address, h.kind, h.evidence) for h in ordered), header=_FINGERPRINT_FIELDS)
 
 
 def read_fingerprints(fh) -> list[FingerprintHit]:
-    rows = csv_rows(fh, "fingerprint file")
-    header = next(rows, None)
-    if header != ["address", "kind", "evidence"]:
-        raise ValueError("fingerprint file header mismatch")
-    out: list[FingerprintHit] = []
-    for n, row in enumerate(rows, start=1):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"fingerprint row {n}: expected 3 fields, got {len(row)}")
-        out.append(FingerprintHit(*row))
-    return out
+    rows = read_rows(fh, "fingerprint file", 3, _FINGERPRINT_FIELDS)
+    return [FingerprintHit(*row) for row in rows]

@@ -14,7 +14,6 @@ work identically - only the Host header bracketing cares about the family.
 from __future__ import annotations
 
 import base64
-import csv
 import logging
 import socket
 import ssl
@@ -22,7 +21,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .csvio import csv_rows
+from .csvio import read_rows, write_rows
 from .services import (
     KIND_BANNER,
     KIND_HTTP,
@@ -388,11 +387,10 @@ _LOG_FIELDS = (
 
 
 def write_grab_log(records, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_LOG_FIELDS)
-    for r in records:
-        writer.writerow(
-            [
+    write_rows(
+        fh,
+        (
+            (
                 r.address,
                 r.service,
                 r.outcome,
@@ -402,32 +400,26 @@ def write_grab_log(records, fh) -> None:
                 "" if r.mqtt_return_code is None else r.mqtt_return_code,
                 r.lockdown_product_version or "",
                 base64.b64encode(r.banner).decode("ascii"),
-            ]
-        )
+            )
+            for r in records
+        ),
+        header=_LOG_FIELDS,
+    )
+
+
+def _grab_record(row: list[str]) -> GrabRecord:
+    return GrabRecord(
+        address=row[0],
+        service=row[1],
+        outcome=row[2],
+        detail=row[3],
+        http_server_header=row[4] or None,
+        tls_subject_cn=row[5] or None,
+        mqtt_return_code=int(row[6]) if row[6] else None,
+        lockdown_product_version=row[7] or None,
+        banner=base64.b64decode(row[8], validate=True),
+    )
 
 
 def read_grab_log(fh) -> list[GrabRecord]:
-    rows = csv_rows(fh, "grab log")
-    header = next(rows, None)
-    if header != list(_LOG_FIELDS):
-        raise ValueError("grab log header mismatch")
-    out: list[GrabRecord] = []
-    for row in rows:
-        if not row:
-            continue
-        if len(row) != len(_LOG_FIELDS):
-            raise ValueError(f"grab log row has {len(row)} fields")
-        out.append(
-            GrabRecord(
-                address=row[0],
-                service=row[1],
-                outcome=row[2],
-                detail=row[3],
-                http_server_header=row[4] or None,
-                tls_subject_cn=row[5] or None,
-                mqtt_return_code=int(row[6]) if row[6] else None,
-                lockdown_product_version=row[7] or None,
-                banner=base64.b64decode(row[8]),
-            )
-        )
-    return out
+    return list(read_rows(fh, "grab log", len(_LOG_FIELDS), _LOG_FIELDS, _grab_record))

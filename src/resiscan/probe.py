@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol
 
 from .addrs import format_address, parse_address
+from .csvio import read_rows, write_rows
 
 log = logging.getLogger(__name__)
 
@@ -271,44 +272,40 @@ def _code_field(rec: ResponseRecord) -> str:
 
 
 def write_response_log(records: Iterable[ResponseRecord], fh) -> None:
-    for rec in records:
-        fh.write(
-            f"{format_address(rec.probed_target)},{format_address(rec.source)},"
-            f"{rec.kind},{_code_field(rec)},{rec.hop_limit},{rec.timestamp_us}\n"
-        )
+    write_rows(
+        fh,
+        (
+            (format_address(r.probed_target), format_address(r.source), r.kind,
+             _code_field(r), r.hop_limit, r.timestamp_us)
+            for r in records
+        ),
+    )
+
+
+def _response_record(row: list[str]) -> ResponseRecord:
+    target, source, kind, code, hop_limit, ts = row
+    if kind == KIND_ECHO_REPLY:
+        itype, icode = ICMP6_ECHO_REPLY, 0
+    elif kind == KIND_DEST_UNREACH:
+        itype, icode = ICMP6_DEST_UNREACH, int(code)
+    elif kind == KIND_OTHER:
+        t, _, c = code.partition(":")
+        itype, icode = int(t), int(c)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return ResponseRecord(
+        probed_target=parse_address(target),
+        source=parse_address(source),
+        kind=kind,
+        icmp_type=itype,
+        icmp_code=icode,
+        hop_limit=int(hop_limit),
+        timestamp_us=int(ts),
+    )
 
 
 def read_response_log(fh) -> list[ResponseRecord]:
-    out: list[ResponseRecord] = []
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"response log line {lineno}: expected 6 fields")
-        target, source, kind, code, hop_limit, ts = parts
-        if kind == KIND_ECHO_REPLY:
-            itype, icode = ICMP6_ECHO_REPLY, 0
-        elif kind == KIND_DEST_UNREACH:
-            itype, icode = ICMP6_DEST_UNREACH, int(code)
-        elif kind == KIND_OTHER:
-            t, _, c = code.partition(":")
-            itype, icode = int(t), int(c)
-        else:
-            raise ValueError(f"response log line {lineno}: unknown kind {kind!r}")
-        out.append(
-            ResponseRecord(
-                probed_target=parse_address(target),
-                source=parse_address(source),
-                kind=kind,
-                icmp_type=itype,
-                icmp_code=icode,
-                hop_limit=int(hop_limit),
-                timestamp_us=int(ts),
-            )
-        )
-    return out
+    return list(read_rows(fh, "response log", 6, parse=_response_record))
 
 
 # ---------------------------------------------------------------------------

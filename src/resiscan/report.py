@@ -10,14 +10,13 @@ locale-independent text, one plottable series per chart.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .addrs import LongestPrefixMap, format_address, prefix48_of
 from .classify import LABEL_INTERNAL, ClassifiedAddress, pair_deltas, split_by_net
-from .csvio import table_rows
+from .csvio import table_rows, write_rows
 from .fingerprint import FingerprintHit
 from .grab import OUTCOME_RESPONDED, GrabRecord
 from .services import ServiceSpec, default_services
@@ -35,9 +34,7 @@ class AsnGeoRecord:
 def load_asn_geo(path: str) -> LongestPrefixMap:
     """Read ``prefix,asn,as_name,country`` registry rows into an LPM table."""
     table = LongestPrefixMap()
-    for row in table_rows(path, "asn/geo table"):
-        if len(row) != 4:
-            raise ValueError(f"asn/geo row needs 4 fields: {row!r}")
+    for row in table_rows(path, "asn/geo table", 4):
         prefix, asn, name, country = (f.strip() for f in row)
         table.insert(prefix, AsnGeoRecord(int(asn), name, country))
     return table
@@ -179,92 +176,57 @@ def yield_cdf(bundle: ReportBundle) -> list[tuple[int, float, float]]:
     return rows
 
 
-def _write_rows(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(list(row))
-
-
 def emit(bundle: ReportBundle, outdir: str) -> list[str]:
     """Write every table/series under outdir; returns the file list."""
+    tables = {
+        "summary.csv": (
+            ["key", "value"],
+            [
+                ["internal_addresses", bundle.total_internal],
+                ["external_addresses", bundle.total_external],
+                ["responsive_48s", len(bundle.yield_stats)],
+                ["seed_total", "" if bundle.seed_total is None else bundle.seed_total],
+                ["delta_pairs", bundle.total_pairs],
+                ["internal_only_exposures", len(bundle.internal_only)],
+            ],
+        ),
+        "country_split.csv": (
+            ["country", "internal", "external"],
+            [[c, v[0], v[1]] for c, v in sorted(bundle.country_counts.items())],
+        ),
+        "asn_split.csv": (
+            ["asn", "as_name", "internal", "external"],
+            [
+                [a, bundle.asn_names.get(a, ""), v[0], v[1]]
+                for a, v in sorted(bundle.asn_counts.items(), key=lambda kv: str(kv[0]))
+            ],
+        ),
+        "yield_cdf.csv": (
+            ["addresses", "internal_cdf", "external_cdf"],
+            [[x, f"{i:.6f}", f"{e:.6f}"] for x, i, e in yield_cdf(bundle)],
+        ),
+        "iid_hist.csv": (["iid", "count"], [[n, bundle.iid_hist.get(n, 0)] for n in range(1, 11)]),
+        "delta_hist.csv": (["delta", "count"], sorted(bundle.delta_hist.items())),
+        "protocol_split.csv": (
+            ["service", "port", "internal", "external"],
+            [
+                [name, bundle.service_ports.get(name, ""), v[0], v[1]]
+                for name, v in sorted(bundle.protocol_split.items())
+            ],
+        ),
+        "distinct_ports.csv": (["ports", "count"], sorted(bundle.distinct_ports_hist.items())),
+        "internal_only.csv": (
+            ["prefix56", "address", "services"],
+            [
+                [f"{format_address(net)}/56", format_address(addr), ";".join(svcs)]
+                for net, addr, svcs in bundle.internal_only
+            ],
+        ),
+        "lockdown_versions.csv": (["version", "count"], sorted(bundle.lockdown_versions.items())),
+        "fingerprints_summary.csv": (["kind", "count"], sorted(bundle.fingerprint_counts.items())),
+    }
     os.makedirs(outdir, exist_ok=True)
-    written: list[str] = []
-
-    def path(name: str) -> str:
-        written.append(name)
-        return os.path.join(outdir, name)
-
-    _write_rows(
-        path("summary.csv"),
-        ["key", "value"],
-        [
-            ["internal_addresses", bundle.total_internal],
-            ["external_addresses", bundle.total_external],
-            ["responsive_48s", len(bundle.yield_stats)],
-            ["seed_total", "" if bundle.seed_total is None else bundle.seed_total],
-            ["delta_pairs", bundle.total_pairs],
-            ["internal_only_exposures", len(bundle.internal_only)],
-        ],
-    )
-    _write_rows(
-        path("country_split.csv"),
-        ["country", "internal", "external"],
-        [[c, v[0], v[1]] for c, v in sorted(bundle.country_counts.items())],
-    )
-    _write_rows(
-        path("asn_split.csv"),
-        ["asn", "as_name", "internal", "external"],
-        [
-            [a, bundle.asn_names.get(a, ""), v[0], v[1]]
-            for a, v in sorted(bundle.asn_counts.items(), key=lambda kv: str(kv[0]))
-        ],
-    )
-    _write_rows(
-        path("yield_cdf.csv"),
-        ["addresses", "internal_cdf", "external_cdf"],
-        [[x, f"{i:.6f}", f"{e:.6f}"] for x, i, e in yield_cdf(bundle)],
-    )
-    _write_rows(
-        path("iid_hist.csv"),
-        ["iid", "count"],
-        [[n, bundle.iid_hist.get(n, 0)] for n in range(1, 11)],
-    )
-    _write_rows(
-        path("delta_hist.csv"),
-        ["delta", "count"],
-        [[d, c] for d, c in sorted(bundle.delta_hist.items())],
-    )
-    _write_rows(
-        path("protocol_split.csv"),
-        ["service", "port", "internal", "external"],
-        [
-            [name, bundle.service_ports.get(name, ""), v[0], v[1]]
-            for name, v in sorted(bundle.protocol_split.items())
-        ],
-    )
-    _write_rows(
-        path("distinct_ports.csv"),
-        ["ports", "count"],
-        [[k, v] for k, v in sorted(bundle.distinct_ports_hist.items())],
-    )
-    _write_rows(
-        path("internal_only.csv"),
-        ["prefix56", "address", "services"],
-        [
-            [f"{format_address(net)}/56", format_address(addr), ";".join(svcs)]
-            for net, addr, svcs in bundle.internal_only
-        ],
-    )
-    _write_rows(
-        path("lockdown_versions.csv"),
-        ["version", "count"],
-        [[v, c] for v, c in sorted(bundle.lockdown_versions.items())],
-    )
-    _write_rows(
-        path("fingerprints_summary.csv"),
-        ["kind", "count"],
-        [[k, c] for k, c in sorted(bundle.fingerprint_counts.items())],
-    )
-    return written
+    for name, (header, rows) in tables.items():
+        with open(os.path.join(outdir, name), "w", newline="", encoding="utf-8") as fh:
+            write_rows(fh, rows, header)
+    return list(tables)

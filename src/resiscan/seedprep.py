@@ -110,9 +110,7 @@ def parse_prefix_list(text: str) -> SeedSet:
 def load_as_map(path: str) -> LongestPrefixMap:
     """Load ``prefix,asn,category,country`` rows into an LPM table."""
     table = LongestPrefixMap()
-    for row in table_rows(path, "as map"):
-        if len(row) != 4:
-            raise ValueError(f"as map row needs 4 fields, got {row!r}")
+    for row in table_rows(path, "as map", 4):
         prefix, asn, category, country = (f.strip() for f in row)
         table.insert(prefix, AsCategoryRecord(int(asn), category, country))
     return table
@@ -121,9 +119,7 @@ def load_as_map(path: str) -> LongestPrefixMap:
 def load_connection_map(path: str) -> LongestPrefixMap:
     """Load ``prefix,connection_type`` rows into an LPM table."""
     table = LongestPrefixMap()
-    for row in table_rows(path, "connection map"):
-        if len(row) != 2:
-            raise ValueError(f"connection map row needs 2 fields, got {row!r}")
+    for row in table_rows(path, "connection map", 2):
         prefix, conn = (f.strip() for f in row)
         conn = conn.casefold().replace("/", "_")
         if conn not in CONNECTION_TYPES:

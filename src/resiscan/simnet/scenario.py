@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass, field
 
 from ..addrs import (
-    IID_MASK,
     PREFIX48_MASK,
     SUBNET_SHIFT,
     format_address,

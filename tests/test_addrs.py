@@ -1,6 +1,7 @@
 import ipaddress
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resiscan.addrs import (
@@ -25,6 +26,62 @@ def test_parse_format_examples():
 @given(st.integers(min_value=0, max_value=(1 << 128) - 1))
 def test_parse_format_roundtrip(value):
     assert parse_address(format_address(value)) == value
+
+
+# Addresses shaped like the cases text forms treat specially: runs of zero
+# words (which "::" compresses), ::1, and the IPv4-compatible and
+# IPv4-mapped prefixes (::a.b.c.d, ::ffff:a.b.c.d).
+_WORD = st.one_of(
+    st.sampled_from([0, 0, 0, 1, 0xFFFF]), st.integers(min_value=0, max_value=0xFFFF)
+)
+EDGE_SHAPED = st.lists(_WORD, min_size=8, max_size=8).map(
+    lambda words: int.from_bytes(b"".join(w.to_bytes(2, "big") for w in words), "big")
+)
+ANY_ADDRESS = st.one_of(st.integers(min_value=0, max_value=(1 << 128) - 1), EDGE_SHAPED)
+
+
+@settings(max_examples=500)
+@given(ANY_ADDRESS)
+def test_format_agrees_with_ipaddress(value):
+    assert format_address(value) == ipaddress.IPv6Address(value).compressed
+
+
+def _ipaddress_parse(text: str) -> int | None:
+    try:
+        return int(ipaddress.IPv6Address(text.strip()))
+    except ValueError:
+        return None
+
+
+def _parse_or_none(text: str) -> int | None:
+    try:
+        return parse_address(text)
+    except ValueError:
+        return None
+
+
+ADDRESS_TEXT = st.one_of(
+    st.text(alphabet="0123456789abcdefABCDEF:.% \n", max_size=48),
+    ANY_ADDRESS.map(lambda v: ipaddress.IPv6Address(v).exploded),
+    ANY_ADDRESS.map(lambda v: ipaddress.IPv6Address(v).compressed.upper()),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=500)
+@given(ADDRESS_TEXT)
+def test_parse_agrees_with_ipaddress(text):
+    # Same value for every text ipaddress accepts, ValueError for the rest.
+    assert _parse_or_none(text) == _ipaddress_parse(text)
+
+
+def test_parse_keeps_ipaddress_only_forms_and_errors():
+    assert parse_address("fe80::1%eth0") == parse_address("fe80::1")
+    assert parse_address("::ffff:192.0.2.1") == 0xFFFF_C000_0201
+    with pytest.raises(ValueError, match="Leading zeros"):
+        parse_address("::01.2.3.4")
+    with pytest.raises(ValueError):
+        format_address(1 << 128)
 
 
 def test_iid_and_prefix_slicing():

@@ -21,7 +21,7 @@ from resiscan import report as report_mod
 from resiscan import seedprep as seedprep_mod
 from resiscan import services as services_mod
 from resiscan.addrs import format_address, parse_address
-from resiscan.cli import DEFAULT_CONFIG, ConfigError, load_config, main
+from resiscan.cli import CONFIG_TYPES, DEFAULT_CONFIG, ConfigError, load_config, main
 from resiscan.seedprep import RESIDENTIAL_CATEGORY, RESIDENTIAL_CONNECTIONS
 from resiscan.services import default_services
 from resiscan.simnet import load_scenario
@@ -282,6 +282,37 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="transport.mode"):
             load_config(str(p))
 
+    def test_every_default_passes_its_type_check(self, tmp_path):
+        assert CONFIG_TYPES.keys() == DEFAULT_CONFIG.keys()
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(DEFAULT_CONFIG))
+        assert load_config(str(p)) == DEFAULT_CONFIG
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"rng_seed": "7"}', "rng_seed"),
+            ('{"rng_seed": true}', "rng_seed"),
+            ('{"rng_seed": 7.5}', "rng_seed"),
+            ('{"probe_timeout_s": null}', "probe_timeout_s"),
+            ('{"grab_timeout_s": "5"}', "grab_timeout_s"),
+            ('{"grab_parallelism": null}', "grab_parallelism"),
+            ('{"rate_pps": "100"}', "rate_pps"),
+            ('{"seed_list": ["a.txt"]}', "seed_list"),
+            ('{"output_dir": null}', "output_dir"),
+            ('{"transport": "sim"}', "transport"),
+            ('{"transport": {"scenario": 5}}', "transport.scenario"),
+        ],
+    )
+    def test_value_of_wrong_type_rejected(self, tmp_path, text, key):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=f"config value '{key}' must be"):
+            load_config(str(p))
+        res = run_cli("--config", str(p), "scan")
+        assert res.code == 2
+        assert res.err.startswith("config error:") and key in res.err
+
     def test_cli_exit_codes(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{not json")
@@ -302,6 +333,31 @@ class TestConfigHandling:
         res = run_cli("--out", str(tmp_path), "plan")
         assert res.code == 2
         assert "seed-filter" in res.err  # says what to run first
+
+    def test_corrupt_grab_log_fails_stage(self, tmp_path):
+        (tmp_path / "grabs.csv").write_text(
+            ",".join(grab_mod._LOG_FIELDS) + "\n2001:db8::5,ssh,responded,,,,,,U1NI*LTIu\n"
+        )
+        res = run_cli("--out", str(tmp_path), "fingerprint")
+        assert res.code == 1
+        assert res.err.startswith("error: grab log line 2:")
+
+    def test_carriage_return_in_header_survives_stages(self, tmp_path):
+        header = "HP HTTP Server; Evil\rModel; Serial Number: CN1"
+        printer = grab_mod.GrabRecord(
+            address="2001:db8::5", service="http", outcome=grab_mod.OUTCOME_RESPONDED,
+            http_server_header=header,
+        )
+        with open(tmp_path / "grabs.csv", "w", encoding="utf-8", newline="") as fh:
+            grab_mod.write_grab_log([printer], fh)
+        with open(tmp_path / "classified.csv", "w", encoding="utf-8") as fh:
+            classify_mod.write_classification([], fh)
+        res = run_cli("--out", str(tmp_path), "fingerprint")
+        assert res.code == 0, res.err
+        with open(tmp_path / "hp_printers.csv", encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh))[1] == ["2001:db8::5", "Evil\rModel", "CN1", ""]
+        with open(tmp_path / "fingerprints.csv", encoding="utf-8", newline="") as fh:
+            assert fingerprint_mod.read_fingerprints(fh)[0].evidence == header
 
     def test_missing_stage_file_is_runtime_error(self, tmp_path):
         (tmp_path / "seeds.txt").write_text("2001:db8::/48\n")

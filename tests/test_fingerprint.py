@@ -337,7 +337,7 @@ class TestFingerprintFile:
 
     @pytest.mark.parametrize("row", ["2001:db8::1,hp_printer", "2001:db8::1,a,b,c"])
     def test_row_without_three_fields_rejected(self, row):
-        with pytest.raises(ValueError, match="fingerprint row 1"):
+        with pytest.raises(ValueError, match="fingerprint file line 2: expected 3 fields"):
             read_fingerprints(io.StringIO(f"address,kind,evidence\n{row}\n"))
 
     def test_header_mismatch_rejected(self):

@@ -1,7 +1,11 @@
 import io
+import plistlib
+import socket
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIREWALL_DENY,
@@ -12,6 +16,7 @@ from conftest import (
     make_subnet,
 )
 from resiscan.grab import (
+    _LOG_FIELDS,
     BANNER_CAP,
     OUTCOME_ERROR,
     OUTCOME_REFUSED,
@@ -422,3 +427,73 @@ class TestGrabLog:
         buf = io.StringIO()
         write_grab_log([], buf)
         assert buf.getvalue().startswith("address,service,outcome,")
+
+    def test_corrupt_banner_column_rejected(self):
+        # A lenient decoder drops the "*" and reads this back as b"SSH-2.".
+        text = ",".join(_LOG_FIELDS) + "\n" + f"{V6},ssh,responded,,,,,,U1NI*LTIu\n"
+        with pytest.raises(ValueError, match="grab log line 2"):
+            read_grab_log(io.StringIO(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        detail=st.text(),
+        texts=st.lists(st.one_of(st.none(), st.text(min_size=1)), min_size=3, max_size=3),
+        mqtt=st.one_of(st.none(), st.integers(min_value=0, max_value=255)),
+        banner=st.binary(max_size=64),
+    )
+    def test_roundtrip_any_text(self, detail, texts, mqtt, banner):
+        # Text from the network may hold separators, quotes, "\r" and "\n".
+        record = GrabRecord(
+            address=V6, service="http", outcome=OUTCOME_RESPONDED, detail=detail,
+            banner=banner, http_server_header=texts[0], tls_subject_cn=texts[1],
+            mqtt_return_code=mqtt, lockdown_product_version=texts[2],
+        )
+        buf = io.StringIO()
+        write_grab_log([record], buf)
+        buf.seek(0)
+        assert read_grab_log(buf) == [record]
+
+
+def _reply_bytes():
+    """Arbitrary bytes, often behind a prefix that gets a reader past its first check."""
+    def lockdown(value: str) -> bytes:
+        body = plistlib.dumps({"Key": "ProductVersion", "Value": value})
+        return struct.pack(">I", len(body)) + body
+
+    prefixes = st.sampled_from(
+        [b"", b"HTTP/1.1 200 OK\r\nServer: ", b"HTTP/1.0 200 OK\r\n\r\n", b"\x16\x03\x01",
+         b"\x20\x02\x00", b"\x00\x00\x01\x00<?xml"]
+    )
+    return st.one_of(
+        st.binary(max_size=2048),
+        st.tuples(prefixes, st.binary(max_size=1024)).map(b"".join),
+        st.binary(min_size=47, max_size=100).map(lambda b: b"\x24" + b),  # an NTP v4 server reply
+        st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=300).map(lockdown),
+    )
+
+
+class TestHostileBytes:
+    KINDS = {s.probe_kind: s for s in default_services()}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @settings(max_examples=60, deadline=None)
+    @given(reply=_reply_bytes(), cap=st.integers(min_value=1, max_value=512))
+    def test_grab_never_raises(self, kind, reply, cap):
+        peers = []
+
+        def connector(address, port, timeout, udp=False):
+            # The peer writes the reply and stops sending; a TLS retry gets it again.
+            ours, peer = socket.socketpair(type=socket.SOCK_DGRAM if udp else socket.SOCK_STREAM)
+            peers.append(peer)
+            peer.sendall(reply)
+            if not udp:
+                peer.shutdown(socket.SHUT_WR)
+            return ours
+
+        try:
+            rec = grab(V6, self.KINDS[kind], connector=connector, timeout=2.0, cap=cap)
+        finally:
+            for peer in peers:
+                peer.close()
+        assert rec.outcome in (OUTCOME_RESPONDED, OUTCOME_REFUSED, OUTCOME_TIMEOUT, OUTCOME_ERROR)
+        assert len(rec.banner) <= cap

@@ -1,9 +1,12 @@
-"""Every module-level function and class in the package has a caller in it.
+"""Every module-level function and class in the package has a caller in it,
+and every module uses each name it imports.
 
 A name counts as used when some ``ast.Name`` or ``ast.Attribute`` in
 ``src/`` refers to it from outside its own definition. Imports and
 ``__all__`` are not uses: a name that is only exported or only tested is
-code that no pipeline stage runs.
+code that no pipeline stage runs. ``__init__.py`` files import to
+re-export, and ``from __future__`` imports are directives, so neither
+counts as an unused import.
 """
 
 from __future__ import annotations
@@ -59,4 +62,27 @@ def test_every_top_level_definition_is_used_in_src():
         if not (uses.get(name, set()) - {(module, name)})
         and f"{module}:{name}" not in TEST_HOOKS
     ]
+    assert unused == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        unused += [f"{path.relative_to(PACKAGE)}: {name}" for name in _unused_imports(tree)]
     assert unused == []
