@@ -55,7 +55,12 @@ def read_rows(
         raise ValueError(f"{what} line {max(reader.line_num, 1)}: {exc}") from None
 
 
-def table_rows(path: str, what: str, width: int | None = None) -> Iterator[list[str]]:
-    """Data rows of a reference table file."""
+def table_rows(
+    path: str,
+    what: str,
+    width: int | None = None,
+    parse: Callable[[list[str]], object] | None = None,
+) -> list:
+    """Data rows of a reference table file, each passed through ``parse`` as in ``read_rows``."""
     with open(path, newline="", encoding="utf-8") as fh:
-        yield from read_rows(fh, what, width)
+        return list(read_rows(fh, what, width, parse=parse))

@@ -119,10 +119,7 @@ def extract_eui64(address: str | int) -> str | None:
 
 def load_oui_db(path: str) -> dict[str, str]:
     """Read ``xx:xx:xx,vendor name`` registration rows."""
-    db: dict[str, str] = {}
-    for row in table_rows(path, "oui db", 2):
-        db[row[0].strip().lower()] = row[1].strip()
-    return db
+    return dict(table_rows(path, "oui db", 2, lambda row: (row[0].strip().lower(), row[1].strip())))
 
 
 def oui_vendor(mac: str, db: dict[str, str]) -> str | None:

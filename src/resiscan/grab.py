@@ -208,7 +208,8 @@ def _grab_tls_http(sock, rec: GrabRecord, address: str, cap: int) -> None:
     _finish_http(rec, raw)
 
 
-def _recv_exact(sock, n: int) -> bytes:
+def recv_exact(sock, n: int) -> bytes:
+    """``n`` bytes from ``sock``, or fewer if the peer stops sending first."""
     buf = b""
     while len(buf) < n:
         data = sock.recv(n - len(buf))
@@ -223,7 +224,7 @@ def _grab_mqtt(sock, rec: GrabRecord) -> None:
     client_id = b"rs-probe"
     var = b"\x00\x04MQTT\x04\x02\x00\x3c" + struct.pack(">H", len(client_id)) + client_id
     sock.sendall(bytes([0x10, len(var)]) + var)
-    reply = _recv_exact(sock, 4)
+    reply = recv_exact(sock, 4)
     if len(reply) < 4:
         rec.outcome = OUTCOME_ERROR
         rec.detail = "connection_closed"
@@ -245,7 +246,7 @@ def _grab_lockdown(sock, rec: GrabRecord, label: str) -> None:
         fmt=plistlib.FMT_XML,
     )
     sock.sendall(struct.pack(">I", len(request)) + request)
-    head = _recv_exact(sock, 4)
+    head = recv_exact(sock, 4)
     if len(head) < 4:
         rec.outcome = OUTCOME_ERROR
         rec.detail = "connection_closed"
@@ -255,7 +256,7 @@ def _grab_lockdown(sock, rec: GrabRecord, label: str) -> None:
         rec.outcome = OUTCOME_ERROR
         rec.detail = "bounds"
         return
-    body = _recv_exact(sock, length)
+    body = recv_exact(sock, length)
     if len(body) < length:
         rec.outcome = OUTCOME_ERROR
         rec.detail = "connection_closed"

@@ -34,9 +34,12 @@ class AsnGeoRecord:
 def load_asn_geo(path: str) -> LongestPrefixMap:
     """Read ``prefix,asn,as_name,country`` registry rows into an LPM table."""
     table = LongestPrefixMap()
-    for row in table_rows(path, "asn/geo table", 4):
+
+    def insert(row: list[str]) -> None:
         prefix, asn, name, country = (f.strip() for f in row)
         table.insert(prefix, AsnGeoRecord(int(asn), name, country))
+
+    table_rows(path, "asn/geo table", 4, insert)
     return table
 
 

@@ -110,21 +110,27 @@ def parse_prefix_list(text: str) -> SeedSet:
 def load_as_map(path: str) -> LongestPrefixMap:
     """Load ``prefix,asn,category,country`` rows into an LPM table."""
     table = LongestPrefixMap()
-    for row in table_rows(path, "as map", 4):
+
+    def insert(row: list[str]) -> None:
         prefix, asn, category, country = (f.strip() for f in row)
         table.insert(prefix, AsCategoryRecord(int(asn), category, country))
+
+    table_rows(path, "as map", 4, insert)
     return table
 
 
 def load_connection_map(path: str) -> LongestPrefixMap:
     """Load ``prefix,connection_type`` rows into an LPM table."""
     table = LongestPrefixMap()
-    for row in table_rows(path, "connection map", 2):
+
+    def insert(row: list[str]) -> None:
         prefix, conn = (f.strip() for f in row)
         conn = conn.casefold().replace("/", "_")
         if conn not in CONNECTION_TYPES:
             raise ValueError(f"unknown connection type {conn!r} for {prefix}")
         table.insert(prefix, conn)
+
+    table_rows(path, "connection map", 2, insert)
     return table
 
 

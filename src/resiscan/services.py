@@ -79,11 +79,11 @@ def default_services() -> tuple[ServiceSpec, ...]:
 
 def load_services(path: str) -> tuple[ServiceSpec, ...]:
     """Read a catalog file: ``name,port,transport,probe_kind[,request_hex]``."""
-    specs: list[ServiceSpec] = []
     seen: set[tuple[str, int]] = set()
-    for row in table_rows(path, "service catalog"):
+
+    def parse(row: list[str]) -> ServiceSpec:
         if len(row) not in (4, 5):
-            raise ValueError(f"service row needs 4 or 5 fields: {row!r}")
+            raise ValueError(f"expected 4 or 5 fields, got {len(row)}")
         name, port, transport, kind = (f.strip() for f in row[:4])
         request = bytes.fromhex(row[4].strip()) if len(row) == 5 else b""
         spec = ServiceSpec(name, int(port), transport, kind, request)
@@ -91,6 +91,7 @@ def load_services(path: str) -> tuple[ServiceSpec, ...]:
         if key in seen:
             raise ValueError(f"service row duplicates {key}")
         seen.add(key)
-        specs.append(spec)
-    return tuple(specs)
+        return spec
+
+    return tuple(table_rows(path, "service catalog", parse=parse))
 

@@ -16,6 +16,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..addrs import (
     PREFIX48_MASK,
@@ -88,8 +89,8 @@ class SimSubnet:
 class SimNet:
     prefix48: int
     asn: int
-    as_name: str
-    country: str
+    as_name: str = ""
+    country: str = "zz"
     category: str = "Internet Service Provider"
     connection: str = "cable_dsl"
     subnets: list[SimSubnet] = field(default_factory=list)
@@ -111,29 +112,78 @@ class Scenario:
     def host_address(self, net: SimNet, sub: SimSubnet, host: SimHost) -> int:
         return self.net56(net, sub) | host.iid
 
-    def wan_address(self, net_idx: int, sub_idx: int) -> int:
-        """WAN-side address of a subnet's CPE, on its own infrastructure /64."""
-        counter = self._wan_counters[(net_idx, sub_idx)]
-        sub = self.nets[net_idx].subnets[sub_idx]
-        net64 = self.wan_base | (counter << 64)
-        cpe = sub.cpe
-        if cpe.wan_mode == WAN_EUI64:
-            return net64 | eui64_iid(cpe.wan_mac)
-        if cpe.wan_mode == WAN_LOW_IID:
-            return net64 | cpe.wan_iid
-        return net64 | derived_iid(self.rng_seed, b"wan-iid", counter)
+    def iter_subnets(self) -> Iterator[tuple[SimNet, SimSubnet, int, int]]:
+        """``(net, subnet, net56, CPE WAN address)`` for every subnet, in file order.
+
+        Each CPE's WAN address sits on its own infrastructure /64, numbered
+        1, 2, ... over all subnets, aliased ones included, so an address
+        never depends on which subnets a caller goes on to skip.
+        """
+        counter = 0
+        for net in self.nets:
+            for sub in net.subnets:
+                counter += 1
+                net64 = self.wan_base | (counter << 64)
+                cpe = sub.cpe
+                if cpe.wan_mode == WAN_EUI64:
+                    wan = net64 | eui64_iid(cpe.wan_mac)
+                elif cpe.wan_mode == WAN_LOW_IID:
+                    wan = net64 | cpe.wan_iid
+                else:
+                    wan = net64 | derived_iid(self.rng_seed, b"wan-iid", counter)
+                yield net, sub, self.net56(net, sub), wan
 
     def finalize(self) -> None:
-        """Assign WAN counters and validate; call after any mutation."""
-        self._wan_counters = {}
-        counter = 1
-        for i, net in enumerate(self.nets):
-            for j, _sub in enumerate(net.subnets):
-                self._wan_counters[(i, j)] = counter
-                counter += 1
-        _validate(self)
-
-    _wan_counters: dict = field(default_factory=dict, repr=False)
+        """Validate; call after any mutation."""
+        if not self.nets:
+            raise ScenarioError("scenario has no networks")
+        wan_top = self.wan_base >> 96
+        seen48: set[int] = set()
+        for net in self.nets:
+            if net.prefix48 & ~PREFIX48_MASK:
+                raise ScenarioError("net prefix has bits below /48")
+            if net.prefix48 in seen48:
+                raise ScenarioError(f"duplicate /48 {format_address(net.prefix48)}")
+            seen48.add(net.prefix48)
+            if (net.prefix48 >> 96) == wan_top:
+                raise ScenarioError("seed /48 overlaps the WAN infrastructure range")
+            indexes: set[int] = set()
+            for sub in net.subnets:
+                if not 0 <= sub.index <= 255:
+                    raise ScenarioError(f"subnet index {sub.index} out of range")
+                if sub.index in indexes:
+                    raise ScenarioError(f"duplicate subnet index {sub.index}")
+                indexes.add(sub.index)
+                cpe = sub.cpe
+                if cpe.firewall not in (FIREWALL_ALLOW, FIREWALL_DENY):
+                    raise ScenarioError(f"bad firewall {cpe.firewall!r}")
+                if cpe.wan_mode not in (WAN_EUI64, WAN_RANDOM, WAN_LOW_IID):
+                    raise ScenarioError(f"bad wan mode {cpe.wan_mode!r}")
+                if cpe.wan_mode == WAN_EUI64 and not cpe.wan_mac:
+                    raise ScenarioError("eui64 wan mode needs wan_mac")
+                if cpe.wan_mode == WAN_LOW_IID and not (cpe.wan_iid and 1 <= cpe.wan_iid <= 10):
+                    raise ScenarioError("low_iid wan mode needs wan_iid in 1..10")
+                if not 1 <= cpe.base_distance <= 50:
+                    raise ScenarioError("base_distance must be in 1..50")
+                if cpe.initial_hop_limit not in HOP_LIMIT_PROFILES:
+                    raise ScenarioError("cpe initial_hop_limit must be 64, 128, or 255")
+                iids: set[int] = set()
+                for host in sub.hosts:
+                    if host.iid_mode == IID_DHCP_LOW:
+                        if not 1 <= host.iid <= 10:
+                            raise ScenarioError("dhcp_low host IID must be in 1..10")
+                    elif host.iid_mode == IID_SLAAC_RANDOM:
+                        if host.iid < (1 << 32):
+                            raise ScenarioError("slaac_random host IID must be >= 2^32")
+                    else:
+                        raise ScenarioError(f"bad iid_mode {host.iid_mode!r}")
+                    if host.iid in iids:
+                        raise ScenarioError(f"duplicate host IID {host.iid}")
+                    iids.add(host.iid)
+                    if not 0 <= host.extra_hops <= 8:
+                        raise ScenarioError("extra_hops must be in 0..8")
+                    if host.initial_hop_limit not in HOP_LIMIT_PROFILES:
+                        raise ScenarioError("host initial_hop_limit must be 64, 128, or 255")
 
 
 def eui64_iid(mac: str) -> int:
@@ -163,179 +213,115 @@ def derived_iid(rng_seed: int, tag: bytes, counter: int) -> int:
     return int.from_bytes(raw, "big")
 
 
-def _validate(s: Scenario) -> None:
-    if not s.nets:
-        raise ScenarioError("scenario has no networks")
-    wan_top = s.wan_base >> 96
-    seen48: set[int] = set()
-    for net in s.nets:
-        if net.prefix48 & ~PREFIX48_MASK:
-            raise ScenarioError("net prefix has bits below /48")
-        if net.prefix48 in seen48:
-            raise ScenarioError(f"duplicate /48 {format_address(net.prefix48)}")
-        seen48.add(net.prefix48)
-        if (net.prefix48 >> 96) == wan_top:
-            raise ScenarioError("seed /48 overlaps the WAN infrastructure range")
-        indexes: set[int] = set()
-        for sub in net.subnets:
-            if not 0 <= sub.index <= 255:
-                raise ScenarioError(f"subnet index {sub.index} out of range")
-            if sub.index in indexes:
-                raise ScenarioError(f"duplicate subnet index {sub.index}")
-            indexes.add(sub.index)
-            cpe = sub.cpe
-            if cpe.firewall not in (FIREWALL_ALLOW, FIREWALL_DENY):
-                raise ScenarioError(f"bad firewall {cpe.firewall!r}")
-            if cpe.wan_mode not in (WAN_EUI64, WAN_RANDOM, WAN_LOW_IID):
-                raise ScenarioError(f"bad wan mode {cpe.wan_mode!r}")
-            if cpe.wan_mode == WAN_EUI64 and not cpe.wan_mac:
-                raise ScenarioError("eui64 wan mode needs wan_mac")
-            if cpe.wan_mode == WAN_LOW_IID and not (cpe.wan_iid and 1 <= cpe.wan_iid <= 10):
-                raise ScenarioError("low_iid wan mode needs wan_iid in 1..10")
-            if not 1 <= cpe.base_distance <= 50:
-                raise ScenarioError("base_distance must be in 1..50")
-            if cpe.initial_hop_limit not in HOP_LIMIT_PROFILES:
-                raise ScenarioError("cpe initial_hop_limit must be 64, 128, or 255")
-            iids: set[int] = set()
-            for host in sub.hosts:
-                if host.iid_mode == IID_DHCP_LOW:
-                    if not 1 <= host.iid <= 10:
-                        raise ScenarioError("dhcp_low host IID must be in 1..10")
-                elif host.iid_mode == IID_SLAAC_RANDOM:
-                    if host.iid < (1 << 32):
-                        raise ScenarioError("slaac_random host IID must be >= 2^32")
-                else:
-                    raise ScenarioError(f"bad iid_mode {host.iid_mode!r}")
-                if host.iid in iids:
-                    raise ScenarioError(f"duplicate host IID {host.iid}")
-                iids.add(host.iid)
-                if not 0 <= host.extra_hops <= 8:
-                    raise ScenarioError("extra_hops must be in 0..8")
-                if host.initial_hop_limit not in HOP_LIMIT_PROFILES:
-                    raise ScenarioError("host initial_hop_limit must be 64, 128, or 255")
-
-
 # ---------------------------------------------------------------------------
 # Serialization. The scenario file is a single JSON document mirroring the
-# dataclass tree; addresses and prefixes are canonical text.
+# dataclass tree. Each record type has one field table keyed by attribute
+# name, which is also the JSON key. An entry is the decoder that checks and
+# converts the JSON value, or an (encode, decode) pair where the JSON form
+# differs from the attribute. A key a document omits takes the dataclass
+# default; a field without one is required.
 
 
-def _service_to_dict(svc: SimService) -> dict:
-    return {"port": svc.port, "behavior": svc.behavior, "params": svc.params}
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"expected text, got {value!r}")
+    return value
 
 
-def _service_from_dict(d: dict) -> SimService:
-    return SimService(int(d["port"]), str(d["behavior"]), dict(d.get("params", {})))
+def _optional(decode):
+    return lambda value: None if value is None else decode(value)
 
 
-def scenario_to_dict(s: Scenario) -> dict:
+def _records(cls) -> tuple:
+    return (
+        lambda records: [_encode(r) for r in records],
+        lambda docs: [_decode(cls, doc) for doc in docs],
+    )
+
+
+def _encode(record) -> dict:
     return {
-        "rng_seed": s.rng_seed,
-        "wan_base": format_address(s.wan_base),
-        "nets": [
-            {
-                "prefix48": f"{format_address(net.prefix48)}/48",
-                "asn": net.asn,
-                "as_name": net.as_name,
-                "country": net.country,
-                "category": net.category,
-                "connection": net.connection,
-                "subnets": [
-                    {
-                        "index": sub.index,
-                        "aliased": sub.aliased,
-                        "cpe": {
-                            "wan_mode": sub.cpe.wan_mode,
-                            "wan_mac": sub.cpe.wan_mac,
-                            "wan_iid": sub.cpe.wan_iid,
-                            "firewall": sub.cpe.firewall,
-                            "base_distance": sub.cpe.base_distance,
-                            "initial_hop_limit": sub.cpe.initial_hop_limit,
-                            "services": [_service_to_dict(x) for x in sub.cpe.services],
-                        },
-                        "hosts": [
-                            {
-                                "iid_mode": h.iid_mode,
-                                "iid": h.iid,
-                                "extra_hops": h.extra_hops,
-                                "initial_hop_limit": h.initial_hop_limit,
-                                "services": [_service_to_dict(x) for x in h.services],
-                            }
-                            for h in sub.hosts
-                        ],
-                        "stub_services": [_service_to_dict(x) for x in sub.stub_services],
-                    }
-                    for sub in net.subnets
-                ],
-            }
-            for net in s.nets
-        ],
+        key: spec[0](getattr(record, key)) if type(spec) is tuple else getattr(record, key)
+        for key, spec in _FIELD_TABLES[type(record)].items()
     }
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
+def _decode(cls, doc):
+    """``cls`` from a JSON object; a missing required key raises ``TypeError``."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
+    values = {}
+    for key, spec in _FIELD_TABLES[cls].items():
+        if key in doc:
+            try:
+                values[key] = (spec[1] if type(spec) is tuple else spec)(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(f"{key}: {exc}") from None
+    return cls(**values)
+
+
+_FIELD_TABLES = {
+    SimService: {"port": int, "behavior": _text, "params": dict},
+    SimHost: {
+        "iid_mode": _text,
+        "iid": int,
+        "extra_hops": int,
+        "initial_hop_limit": int,
+        "services": _records(SimService),
+    },
+    SimCpe: {
+        "wan_mode": _text,
+        "firewall": _text,
+        "base_distance": int,
+        "initial_hop_limit": int,
+        "wan_mac": _optional(_text),
+        "wan_iid": _optional(int),
+        "services": _records(SimService),
+    },
+    SimSubnet: {
+        "index": int,
+        "cpe": (_encode, lambda doc: _decode(SimCpe, doc)),
+        "aliased": bool,
+        "hosts": _records(SimHost),
+        "stub_services": _records(SimService),
+    },
+    SimNet: {
+        "prefix48": (
+            lambda prefix: f"{format_address(prefix)}/48",
+            lambda text: parse_address(_text(text).split("/", 1)[0]),
+        ),
+        "asn": int,
+        "as_name": _text,
+        "country": _text,
+        "category": _text,
+        "connection": _text,
+        "subnets": _records(SimSubnet),
+    },
+    Scenario: {
+        "rng_seed": int,
+        "nets": _records(SimNet),
+        "wan_base": (format_address, lambda text: parse_address(_text(text))),
+    },
+}
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    return _encode(s)
+
+
+def scenario_from_dict(doc) -> Scenario:
     try:
-        nets = []
-        for nd in doc["nets"]:
-            subnets = []
-            for sd in nd.get("subnets", []):
-                cd = sd["cpe"]
-                cpe = SimCpe(
-                    wan_mode=str(cd["wan_mode"]),
-                    firewall=str(cd["firewall"]),
-                    base_distance=int(cd["base_distance"]),
-                    initial_hop_limit=int(cd.get("initial_hop_limit", 255)),
-                    wan_mac=cd.get("wan_mac"),
-                    wan_iid=cd.get("wan_iid"),
-                    services=[_service_from_dict(x) for x in cd.get("services", [])],
-                )
-                hosts = [
-                    SimHost(
-                        iid_mode=str(hd["iid_mode"]),
-                        iid=int(hd["iid"]),
-                        extra_hops=int(hd.get("extra_hops", 0)),
-                        initial_hop_limit=int(hd.get("initial_hop_limit", 64)),
-                        services=[_service_from_dict(x) for x in hd.get("services", [])],
-                    )
-                    for hd in sd.get("hosts", [])
-                ]
-                subnets.append(
-                    SimSubnet(
-                        index=int(sd["index"]),
-                        aliased=bool(sd.get("aliased", False)),
-                        cpe=cpe,
-                        hosts=hosts,
-                        stub_services=[
-                            _service_from_dict(x) for x in sd.get("stub_services", [])
-                        ],
-                    )
-                )
-            nets.append(
-                SimNet(
-                    prefix48=parse_address(str(nd["prefix48"]).split("/", 1)[0]),
-                    asn=int(nd["asn"]),
-                    as_name=str(nd.get("as_name", "")),
-                    country=str(nd.get("country", "zz")),
-                    category=str(nd.get("category", "Internet Service Provider")),
-                    connection=str(nd.get("connection", "cable_dsl")),
-                    subnets=subnets,
-                )
-            )
-        scenario = Scenario(
-            rng_seed=int(doc["rng_seed"]),
-            nets=nets,
-            wan_base=parse_address(doc.get("wan_base", DEFAULT_WAN_BASE)),
-        )
-    except (KeyError, TypeError) as exc:
+        scenario = _decode(Scenario, doc)
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario document: {exc}") from None
     scenario.finalize()
     return scenario
 
 
 def save_scenario(s: Scenario, path: str) -> None:
+    text = json.dumps(scenario_to_dict(s), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -573,7 +559,6 @@ def generate_scenario(params: ScenarioParams, rng_seed: int) -> Scenario:
                 SimSubnet(index=idx, aliased=aliased, cpe=cpe, hosts=hosts, stub_services=stub)
             )
         category = "Internet Service Provider"
-        connection = "cable_dsl"
         if nonres_pool.pop():
             category = "Content Delivery"
         nets.append(
@@ -583,7 +568,6 @@ def generate_scenario(params: ScenarioParams, rng_seed: int) -> Scenario:
                 as_name=f"Residential Net {i}",
                 country=_COUNTRIES[i % len(_COUNTRIES)],
                 category=category,
-                connection=connection,
                 subnets=subnets,
             )
         )
@@ -600,36 +584,33 @@ def generate_scenario(params: ScenarioParams, rng_seed: int) -> Scenario:
 class GroundTruth:
     aliased: set[int]  # /56 network addresses
     internal: dict[int, int]  # reachable internal address -> true distance
-    internal_by_net: dict[int, set[int]]
     external: dict[int, tuple[int, int]]  # net56 -> (wan address, distance)
     deltas: list[int]  # one per (internal, external) pair
     populated: set[int]  # net56s with a CPE
+    ports: dict[int, dict[int, str]]  # internal or WAN address -> port -> behavior
 
 
 def ground_truth(scenario: Scenario, seeds: set[int] | None = None) -> GroundTruth:
     """Derive expected pipeline results (optionally restricted to some /48s)."""
-    gt = GroundTruth(set(), {}, {}, {}, [], set())
-    for i, net in enumerate(scenario.nets):
+    gt = GroundTruth(set(), {}, {}, [], set(), {})
+    for net, sub, net56, wan in scenario.iter_subnets():
         if seeds is not None and net.prefix48 not in seeds:
             continue
-        for j, sub in enumerate(net.subnets):
-            net56 = scenario.net56(net, sub)
-            gt.populated.add(net56)
-            if sub.aliased:
-                gt.aliased.add(net56)
+        gt.populated.add(net56)
+        if sub.aliased:
+            gt.aliased.add(net56)
+            continue
+        gt.external[net56] = (wan, sub.cpe.base_distance)
+        gt.ports[wan] = {svc.port: svc.behavior for svc in sub.cpe.services}
+        if sub.cpe.firewall != FIREWALL_ALLOW:
+            continue
+        for host in sub.hosts:
+            if host.iid_mode != IID_DHCP_LOW:
                 continue
-            wan = scenario.wan_address(i, j)
-            gt.external[net56] = (wan, sub.cpe.base_distance)
-            if sub.cpe.firewall != FIREWALL_ALLOW:
-                continue
-            for host in sub.hosts:
-                if host.iid_mode != IID_DHCP_LOW:
-                    continue
-                address = scenario.host_address(net, sub, host)
-                distance = sub.cpe.base_distance + host.extra_hops
-                gt.internal[address] = distance
-                gt.internal_by_net.setdefault(net56, set()).add(address)
-                gt.deltas.append(host.extra_hops)
+            address = scenario.host_address(net, sub, host)
+            gt.internal[address] = sub.cpe.base_distance + host.extra_hops
+            gt.ports[address] = {svc.port: svc.behavior for svc in host.services}
+            gt.deltas.append(host.extra_hops)
     return gt
 
 
@@ -641,25 +622,8 @@ def expected_grab_outcomes(
     A test oracle: no stage calls it; the tests and the campaign benchmark
     check grab outcomes against it.
     """
-    gt = ground_truth(scenario, seeds)
-    ports_by_address: dict[int, dict[int, str]] = {}
-    for i, net in enumerate(scenario.nets):
-        if seeds is not None and net.prefix48 not in seeds:
-            continue
-        for j, sub in enumerate(net.subnets):
-            if sub.aliased:
-                continue
-            wan = scenario.wan_address(i, j)
-            ports_by_address[wan] = {svc.port: svc.behavior for svc in sub.cpe.services}
-            if sub.cpe.firewall != FIREWALL_ALLOW:
-                continue
-            for host in sub.hosts:
-                if host.iid_mode != IID_DHCP_LOW:
-                    continue
-                address = scenario.host_address(net, sub, host)
-                ports_by_address[address] = {svc.port: svc.behavior for svc in host.services}
     out: dict[tuple[int, str], str] = {}
-    for address, ports in ports_by_address.items():
+    for address, ports in ground_truth(scenario, seeds).ports.items():
         for spec in specs:
             behavior = ports.get(spec.port)
             if behavior is None:
@@ -699,12 +663,9 @@ def asn_geo_lines(scenario: Scenario) -> str:
         f"{format_address(net.prefix48)}/48,{net.asn},{net.as_name},{net.country}\n"
         for net in scenario.nets
     ]
-    for i, net in enumerate(scenario.nets):
-        for j, _sub in enumerate(net.subnets):
-            wan64 = scenario.wan_address(i, j) & ~((1 << 64) - 1)
-            rows.append(
-                f"{format_address(wan64)}/64,{net.asn},{net.as_name},{net.country}\n"
-            )
+    for net, _sub, _net56, wan in scenario.iter_subnets():
+        wan64 = wan & ~((1 << 64) - 1)
+        rows.append(f"{format_address(wan64)}/64,{net.asn},{net.as_name},{net.country}\n")
     return "".join(rows)
 
 

@@ -26,6 +26,7 @@ import threading
 from dataclasses import dataclass, field
 
 from ..addrs import PREFIX56_MASK
+from ..grab import recv_exact
 from .scenario import FIREWALL_ALLOW, Scenario, SimService
 
 TLS_ALERT_HANDSHAKE_FAILURE = b"\x15\x03\x01\x00\x02\x02\x28"
@@ -83,17 +84,12 @@ class _Conn:
         except OSError:
             pass
 
-    def rewrap(self, sock: socket.socket) -> "_Conn":
-        """Same transcript, new underlying socket (post-TLS-wrap)."""
-        return _Conn(sock, self.transcript)
-
 
 class _CertStore:
     """Self-signed certificate cache, one per requested common name."""
 
     def __init__(self) -> None:
         self._contexts: dict[str, ssl.SSLContext] = {}
-        self._dir: str | None = None
         self._lock = threading.Lock()
 
     def context_for(self, common_name: str) -> ssl.SSLContext:
@@ -101,8 +97,6 @@ class _CertStore:
             ctx = self._contexts.get(common_name)
             if ctx is not None:
                 return ctx
-            if self._dir is None:
-                self._dir = tempfile.mkdtemp(prefix="simnet-tls-")
             from cryptography import x509
             from cryptography.hazmat.primitives import hashes, serialization
             from cryptography.hazmat.primitives.asymmetric import ec
@@ -120,19 +114,21 @@ class _CertStore:
                 .not_valid_after(datetime.datetime(2045, 1, 1))
                 .sign(key, hashes.SHA256())
             )
-            base = os.path.join(self._dir, f"cn{len(self._contexts)}")
-            with open(base + ".crt", "wb") as fh:
-                fh.write(cert.public_bytes(serialization.Encoding.PEM))
-            with open(base + ".key", "wb") as fh:
-                fh.write(
-                    key.private_bytes(
-                        serialization.Encoding.PEM,
-                        serialization.PrivateFormat.PKCS8,
-                        serialization.NoEncryption(),
-                    )
-                )
             ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            ctx.load_cert_chain(base + ".crt", base + ".key")
+            # The ssl module loads a certificate and key only from files.
+            with tempfile.TemporaryDirectory(prefix="simnet-tls-") as tmp:
+                crt, pem = os.path.join(tmp, "cert.pem"), os.path.join(tmp, "key.pem")
+                with open(crt, "wb") as fh:
+                    fh.write(cert.public_bytes(serialization.Encoding.PEM))
+                with open(pem, "wb") as fh:
+                    fh.write(
+                        key.private_bytes(
+                            serialization.Encoding.PEM,
+                            serialization.PrivateFormat.PKCS8,
+                            serialization.NoEncryption(),
+                        )
+                    )
+                ctx.load_cert_chain(crt, pem)
             self._contexts[common_name] = ctx
             return ctx
 
@@ -141,7 +137,8 @@ _certs = _CertStore()
 
 
 # ---------------------------------------------------------------------------
-# Behaviors. Each takes the recording connection and its params dict.
+# Behaviors. Each takes the recording connection and its params dict;
+# _run_handler closes the connection when the behavior returns.
 
 
 def _drain_until_close(conn: _Conn, limit: float = 5.0) -> None:
@@ -167,10 +164,10 @@ def _read_http_request(conn: _Conn, limit: int = 16384) -> bytes:
     return buf
 
 
-def _http_payload(params: dict, default_server: str | None = None) -> bytes:
+def _http_payload(params: dict) -> bytes:
     status = int(params.get("status", 200))
     body = params.get("body", "").encode()
-    server = params.get("server", default_server)
+    server = params.get("server")
     head = [f"HTTP/1.1 {status} OK".encode()]
     if server:
         head.append(b"Server: " + str(server).encode())
@@ -182,40 +179,33 @@ def _http_payload(params: dict, default_server: str | None = None) -> bytes:
 
 def h_greeting(conn: _Conn, params: dict) -> None:
     conn.sendall(str(params.get("text", "220 ready\r\n")).encode())
-    conn.close()
 
 
 def h_banner(conn: _Conn, params: dict) -> None:
     conn.sendall(bytes.fromhex(params.get("data_hex", "00")))
-    conn.close()
 
 
 def h_big_banner(conn: _Conn, params: dict) -> None:
     conn.sendall(b"B" * int(params.get("size", 1 << 20)))
-    conn.close()
 
 
 def h_silent(conn: _Conn, params: dict) -> None:
     _drain_until_close(conn, limit=float(params.get("hold_s", 10.0)))
-    conn.close()
 
 
 def h_ssh(conn: _Conn, params: dict) -> None:
     conn.sendall(f"SSH-2.0-{params.get('version', 'OpenSSH_9.6')}\r\n".encode())
     _drain_until_close(conn, 1.0)
-    conn.close()
 
 
 def h_telnet(conn: _Conn, params: dict) -> None:
     conn.sendall(TELNET_NEGOTIATION + str(params.get("banner", "login: ")).encode())
     _drain_until_close(conn, 1.0)
-    conn.close()
 
 
 def h_http(conn: _Conn, params: dict) -> None:
     if _read_http_request(conn):
         conn.sendall(_http_payload(params))
-    conn.close()
 
 
 def h_hp_printer_http(conn: _Conn, params: dict) -> None:
@@ -227,21 +217,11 @@ def h_hp_printer_http(conn: _Conn, params: dict) -> None:
         server += f"; Built: {built}"
     if _read_http_request(conn):
         conn.sendall(_http_payload({**params, "server": server, "body": "<html>printer</html>"}))
-    conn.close()
 
 
-def h_dahua_http(conn: _Conn, params: dict) -> None:
-    body = '<script>var appname="cameraNewConfig";</script>'
-    if _read_http_request(conn):
-        conn.sendall(_http_payload({"server": "webserver", "body": body}))
-    conn.close()
-
-
-def h_nanoleaf_http(conn: _Conn, params: dict) -> None:
-    body = '<html><a href="/upgrade">Upload New Firmware</a></html>'
-    if _read_http_request(conn):
-        conn.sendall(_http_payload({"server": "nanoleaf/1.0", "body": body}))
-    conn.close()
+def _fixed_page(server: str, body: str):
+    """A device web server that answers any request with one page and takes no params."""
+    return lambda conn, params: h_http(conn, {"server": server, "body": body})
 
 
 def h_tls_http(conn: _Conn, params: dict) -> None:
@@ -249,86 +229,59 @@ def h_tls_http(conn: _Conn, params: dict) -> None:
     conn.settimeout(5.0)
     first = conn.sock.recv(1, socket.MSG_PEEK)
     if not first:
-        conn.close()
         return
     if first[0] != 0x16:  # not a TLS ClientHello: scold and hang up
         _read_http_request(conn)
         conn.sendall(TLS_ALERT_HANDSHAKE_FAILURE)
-        conn.close()
         return
     ctx = _certs.context_for(str(params.get("common_name", "simnet test")))
     try:
-        tls = ctx.wrap_socket(conn.sock, server_side=True)
+        conn.sock = ctx.wrap_socket(conn.sock, server_side=True)
     except (ssl.SSLError, OSError):
-        conn.close()
         return
-    h_http(conn.rewrap(tls), params)
+    h_http(conn, params)
 
 
 def h_mqtt_broker(conn: _Conn, params: dict) -> None:
     if params.get("close_immediately"):
-        conn.close()
         return
     conn.settimeout(5.0)
-    try:
-        head = conn.recv(1)
-        if not head or head[0] >> 4 != 1:  # only CONNECT is acceptable first
-            conn.close()
+    head = conn.recv(1)
+    if not head or head[0] >> 4 != 1:  # only CONNECT is acceptable first
+        return
+    remaining = 0
+    shift = 0
+    while True:
+        b = conn.recv(1)
+        if not b:
             return
-        remaining = 0
-        shift = 0
-        while True:
-            b = conn.recv(1)
-            if not b:
-                conn.close()
-                return
-            remaining |= (b[0] & 0x7F) << shift
-            if not b[0] & 0x80:
-                break
-            shift += 7
-        got = b""
-        while len(got) < remaining:
-            data = conn.recv(remaining - len(got))
-            if not data:
-                conn.close()
-                return
-            got += data
-        if not got.startswith(b"\x00\x04MQTT"):
-            conn.close()
-            return
-        rc = int(params.get("return_code", 0))
-        conn.sendall(bytes([0x20, 0x02, 0x00, rc]))
-    except OSError:
-        pass
-    conn.close()
+        remaining |= (b[0] & 0x7F) << shift
+        if not b[0] & 0x80:
+            break
+        shift += 7
+    got = recv_exact(conn, remaining)
+    if len(got) < remaining or not got.startswith(b"\x00\x04MQTT"):
+        return
+    rc = int(params.get("return_code", 0))
+    conn.sendall(bytes([0x20, 0x02, 0x00, rc]))
 
 
 def h_lockdown(conn: _Conn, params: dict) -> None:
     conn.settimeout(5.0)
     try:
-        raw_len = b""
-        while len(raw_len) < 4:
-            data = conn.recv(4 - len(raw_len))
-            if not data:
-                conn.close()
-                return
-            raw_len += data
+        raw_len = recv_exact(conn, 4)
+        if len(raw_len) < 4:
+            return
         (length,) = struct.unpack(">I", raw_len)
         if length > 1 << 20:
-            conn.close()
             return
-        body = b""
-        while len(body) < length:
-            data = conn.recv(length - len(body))
-            if not data:
-                conn.close()
-                return
-            body += data
+        body = recv_exact(conn, length)
+        if len(body) < length:
+            return
         request = plistlib.loads(body)
         mode = params.get("mode", "normal")
         if mode == "hostile_length":
             conn.sendall(struct.pack(">I", 0x7FFFFFFF) + b"\x00" * 16)
-            conn.close()
             return
         reply: dict = {"Request": request.get("Request", "GetValue"), "Key": request.get("Key", "")}
         if mode != "no_value" and request.get("Key") == "ProductVersion":
@@ -337,23 +290,17 @@ def h_lockdown(conn: _Conn, params: dict) -> None:
         conn.sendall(struct.pack(">I", len(payload)) + payload)
     except (OSError, plistlib.InvalidFileException, ValueError):
         pass
-    conn.close()
 
 
 def h_ntp(conn: _Conn, params: dict) -> None:
     conn.settimeout(5.0)
-    try:
-        query = conn.recv(512)
-        if len(query) < 48 or query[0] & 0x07 != 3:  # client mode only
-            conn.close()
-            return
-        reply = bytearray(48)
-        reply[0] = (query[0] & 0x38) | 0x04  # same version, server mode
-        reply[1] = 2  # stratum
-        conn.sendall(bytes(reply))
-    except OSError:
-        pass
-    conn.close()
+    query = conn.recv(512)
+    if len(query) < 48 or query[0] & 0x07 != 3:  # client mode only
+        return
+    reply = bytearray(48)
+    reply[0] = (query[0] & 0x38) | 0x04  # same version, server mode
+    reply[1] = 2  # stratum
+    conn.sendall(bytes(reply))
 
 
 BEHAVIORS = {
@@ -365,8 +312,10 @@ BEHAVIORS = {
     "telnet": h_telnet,
     "http": h_http,
     "hp_printer_http": h_hp_printer_http,
-    "dahua_http": h_dahua_http,
-    "nanoleaf_http": h_nanoleaf_http,
+    "dahua_http": _fixed_page("webserver", '<script>var appname="cameraNewConfig";</script>'),
+    "nanoleaf_http": _fixed_page(
+        "nanoleaf/1.0", '<html><a href="/upgrade">Upload New Firmware</a></html>'
+    ),
     "tls_http": h_tls_http,
     "mqtt_broker": h_mqtt_broker,
     "lockdown": h_lockdown,
@@ -384,22 +333,19 @@ class SimServices:
         self._endpoints: dict[tuple[_Host, int], SimService] = {}
         self._deny_hosts: set[ipaddress.IPv6Address] = set()
         self._alias_stubs: dict[int, dict[int, SimService]] = {}
-        for i, net in enumerate(scenario.nets):
-            for j, sub in enumerate(net.subnets):
-                net56 = scenario.net56(net, sub)
-                if sub.aliased:
-                    self._alias_stubs[net56] = {s.port: s for s in sub.stub_services}
-                    continue
-                wan = scenario.wan_address(i, j)
-                for svc in sub.cpe.services:
-                    self._register(wan, svc)
-                allow = sub.cpe.firewall == FIREWALL_ALLOW
-                for host in sub.hosts:
-                    address = scenario.host_address(net, sub, host)
-                    if not allow:
-                        self._deny_hosts.add(ipaddress.IPv6Address(address))
-                    for svc in host.services:
-                        self._register(address, svc)
+        for net, sub, net56, wan in scenario.iter_subnets():
+            if sub.aliased:
+                self._alias_stubs[net56] = {s.port: s for s in sub.stub_services}
+                continue
+            for svc in sub.cpe.services:
+                self._register(wan, svc)
+            allow = sub.cpe.firewall == FIREWALL_ALLOW
+            for host in sub.hosts:
+                address = scenario.host_address(net, sub, host)
+                if not allow:
+                    self._deny_hosts.add(ipaddress.IPv6Address(address))
+                for svc in host.services:
+                    self._register(address, svc)
 
     def _register(self, address: int, svc: SimService) -> None:
         self._endpoints[(ipaddress.IPv6Address(address), svc.port)] = svc

@@ -37,21 +37,18 @@ class SimTransport:
         self._events: list[IcmpEvent] = []
         # Flatten the scenario into int-keyed lookups for the hot path.
         self._subnets: dict[int, dict[int, _SubnetView]] = {}
-        for i, net in enumerate(scenario.nets):
-            by_index: dict[int, _SubnetView] = {}
-            for j, sub in enumerate(net.subnets):
-                hosts = {
-                    h.iid: (h.initial_hop_limit, sub.cpe.base_distance + h.extra_hops)
-                    for h in sub.hosts
-                }
-                by_index[sub.index] = _SubnetView(
-                    aliased=sub.aliased,
-                    allow=sub.cpe.firewall == FIREWALL_ALLOW,
-                    wan=scenario.wan_address(i, j),
-                    cpe_hop_limit=sub.cpe.initial_hop_limit - sub.cpe.base_distance,
-                    hosts=hosts,
-                )
-            self._subnets[net.prefix48] = by_index
+        for net, sub, _net56, wan in scenario.iter_subnets():
+            hosts = {
+                h.iid: (h.initial_hop_limit, sub.cpe.base_distance + h.extra_hops)
+                for h in sub.hosts
+            }
+            self._subnets.setdefault(net.prefix48, {})[sub.index] = _SubnetView(
+                aliased=sub.aliased,
+                allow=sub.cpe.firewall == FIREWALL_ALLOW,
+                wan=wan,
+                cpe_hop_limit=sub.cpe.initial_hop_limit - sub.cpe.base_distance,
+                hosts=hosts,
+            )
 
     def send(self, dst: int, ident: int, seq: int, payload: bytes) -> None:
         self.sent += 1

@@ -431,21 +431,43 @@ class TestHostileFiles:
             pass
 
     @pytest.mark.parametrize(
-        "loader",
+        "loader, bad_row, error",
         [
-            seedprep_mod.load_as_map,
-            seedprep_mod.load_connection_map,
-            report_mod.load_asn_geo,
-            fingerprint_mod.load_oui_db,
-            services_mod.load_services,
+            (seedprep_mod.load_as_map, "2001:db8::/32,x64496,isp,de", "invalid literal"),
+            (seedprep_mod.load_connection_map, "2001:db8::/129,cable_dsl", "netmask"),
+            (report_mod.load_asn_geo, "2001:db8:zz::/48,64496,Net,de", "hex digits"),
+            (fingerprint_mod.load_oui_db, "00:1b:2c,Gatework,extra", "expected 2 fields"),
+            (services_mod.load_services, "ssh,22,tcp", "expected 4 or 5 fields, got 3"),
         ],
         ids=["as_map", "conn_map", "asn_geo", "oui_db", "services"],
     )
-    def test_reference_loaders_turn_csv_errors_into_value_error(self, tmp_path, loader):
+    def test_reference_loaders_turn_csv_errors_into_value_error(
+        self, tmp_path, loader, bad_row, error
+    ):
         path = tmp_path / "table.csv"
         path.write_text("# comment\n" + "x" * 200_000 + ",1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2: field larger than field limit"):
             loader(str(path))
+        # A value that does not convert, or a bad CIDR, is reported at its line too.
+        path.write_text("# comment\n" + bad_row + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 2: .*{re.escape(error)}"):
+            loader(str(path))
+
+    def test_malformed_scenario_fails_stage_with_message(self, tmp_path):
+        (tmp_path / "seeds.txt").write_text("2001:db8::/48\n")
+        (tmp_path / "scenario.json").write_text('{"rng_seed": 1, "nets": [5]}')
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "transport": {"mode": "sim", "scenario": str(tmp_path / "scenario.json")},
+                    "output_dir": str(tmp_path),
+                }
+            )
+        )
+        res = run_cli("--config", str(config), "scan")
+        assert res.code == 1
+        assert res.err.startswith("error: malformed scenario document: nets: SimNet")
 
     def test_oversized_field_fails_stage_with_message(self, tmp_path):
         gen = run_cli("--out", str(tmp_path), "simnet-gen")

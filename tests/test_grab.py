@@ -2,6 +2,7 @@ import io
 import plistlib
 import socket
 import struct
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from resiscan.grab import (
 )
 from resiscan.services import ServiceSpec, default_services, load_services
 from resiscan.simnet import SimServices
+from resiscan.simnet import services as sim_services
 from resiscan.simnet.services import TELNET_NEGOTIATION
 
 V6 = "2001:db8:5:100::1"
@@ -316,6 +318,78 @@ class TestLockdown:
         rec = do_grab(env, V6, spec)
         assert rec.outcome == OUTCOME_RESPONDED
         assert rec.lockdown_product_version is None
+
+
+class TestBehaviorBytes:
+    """Exact replies of the behaviors that read framed requests or serve a fixed page."""
+
+    LOCKDOWN_QUERY = plistlib.dumps(
+        {"Key": "ProductVersion", "Request": "GetValue"}, fmt=plistlib.FMT_XML
+    )
+    MQTT_CONNECT = b"\x10\x14\x00\x04MQTT\x04\x02\x00\x3c\x00\x08rs-probe"
+
+    @pytest.mark.parametrize(
+        "behavior, params, request_bytes, reply",
+        [
+            (
+                "dahua_http",
+                {},
+                b"GET / HTTP/1.1\r\n\r\n",
+                b"HTTP/1.1 200 OK\r\nServer: webserver\r\nContent-Type: text/html\r\n"
+                b"Content-Length: 47\r\nConnection: close\r\n\r\n"
+                b'<script>var appname="cameraNewConfig";</script>',
+            ),
+            (
+                "nanoleaf_http",
+                {"server": "ignored", "status": 500},
+                b"GET / HTTP/1.1\r\n\r\n",
+                b"HTTP/1.1 200 OK\r\nServer: nanoleaf/1.0\r\nContent-Type: text/html\r\n"
+                b"Content-Length: 55\r\nConnection: close\r\n\r\n"
+                b'<html><a href="/upgrade">Upload New Firmware</a></html>',
+            ),
+            ("mqtt_broker", {"return_code": 5}, MQTT_CONNECT, b"\x20\x02\x00\x05"),
+            ("mqtt_broker", {}, MQTT_CONNECT[:8], b""),  # body shorter than its length
+            (
+                "lockdown",
+                {"product_version": "17.1"},
+                struct.pack(">I", len(LOCKDOWN_QUERY)) + LOCKDOWN_QUERY,
+                b"\x00\x00\x01E" + plistlib.dumps(
+                    {"Key": "ProductVersion", "Request": "GetValue", "Value": "17.1"},
+                    fmt=plistlib.FMT_XML,
+                ),
+            ),
+            ("lockdown", {}, b"\x00\x00", b""),  # length prefix cut short
+            ("lockdown", {}, b"\x00\x00\x00\x09<?x", b""),  # body cut short
+        ],
+        ids=[
+            "dahua", "nanoleaf", "mqtt", "mqtt-short", "lockdown", "lockdown-short", "lockdown-body"
+        ],
+    )
+    def test_reply_and_transcript(self, behavior, params, request_bytes, reply):
+        backend = SimServices(make_scenario([make_net("2001:db8:5::", [make_subnet(1)])]))
+        backend.add_endpoint(V6, 9000, behavior, params)
+        sock = backend.connect(V6, 9000, timeout=5.0)
+        sock.sendall(request_bytes)
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := sock.recv(4096):
+            received += chunk
+        sock.close()
+        assert received == reply
+        (transcript,) = backend.transcripts_for(V6, 9000)
+        assert transcript.data == request_bytes
+
+
+class TestTlsCertificates:
+    def test_no_key_material_left_on_disk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        # An empty certificate cache, so this grab makes a fresh certificate.
+        monkeypatch.setattr(sim_services, "_certs", sim_services._CertStore())
+        backend = SimServices(make_scenario([make_net("2001:db8:5::", [make_subnet(1)])]))
+        backend.add_endpoint(V6, 443, "tls_http", {"common_name": "no-leftovers.example"})
+        rec = do_grab(backend, V6, spec_by_name("https"))
+        assert rec.tls_subject_cn == "no-leftovers.example"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNtp:

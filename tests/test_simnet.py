@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import pytest
 
 from conftest import (
@@ -17,12 +20,14 @@ from resiscan.simnet import (
     ScenarioError,
     ScenarioParams,
     SimTransport,
+    expected_grab_outcomes,
     generate_scenario,
     ground_truth,
     load_scenario,
     save_scenario,
 )
 from resiscan.simnet.scenario import (
+    _FIELD_TABLES,
     as_map_lines,
     asn_geo_lines,
     connection_map_lines,
@@ -33,6 +38,54 @@ from resiscan.simnet.scenario import (
     scenario_to_dict,
     seed_lines,
 )
+from resiscan.services import ServiceSpec
+
+
+def minimal_doc():
+    """A valid scenario document holding only required keys."""
+    return {
+        "rng_seed": 1,
+        "nets": [
+            {
+                "prefix48": "2001:db8:1::/48",
+                "asn": 1,
+                "subnets": [
+                    {
+                        "index": 3,
+                        "cpe": {
+                            "wan_mode": "random_iid",
+                            "firewall": "default_allow",
+                            "base_distance": 2,
+                        },
+                        "hosts": [
+                            {
+                                "iid_mode": "dhcp_low",
+                                "iid": 1,
+                                "services": [{"port": 23, "behavior": "telnet"}],
+                            }
+                        ],
+                    }
+                ],
+            }
+        ],
+    }
+
+
+def net(doc):
+    return doc["nets"][0]
+
+
+def subnet(doc):
+    return net(doc)["subnets"][0]
+
+
+def host(doc):
+    return subnet(doc)["hosts"][0]
+
+
+def wan_addresses(scenario):
+    """The CPE WAN address of every subnet, in file order."""
+    return [wan for _net, _sub, _net56, wan in scenario.iter_subnets()]
 
 
 class TestEui64:
@@ -128,14 +181,102 @@ class TestScenarioFile:
         save_scenario(tiny_scenario, str(path))
         loaded = load_scenario(str(path))
         assert scenario_to_dict(loaded) == scenario_to_dict(tiny_scenario)
-        # WAN counters are rebuilt identically on load.
-        assert loaded.wan_address(0, 0) == tiny_scenario.wan_address(0, 0)
+        # WAN addresses are derived identically on load.
+        assert wan_addresses(loaded) == wan_addresses(tiny_scenario)
 
     def test_from_dict_rejects_malformed(self):
         with pytest.raises(ScenarioError):
             scenario_from_dict({"rng_seed": 1})
         with pytest.raises(ScenarioError):
             scenario_from_dict({"rng_seed": 1, "nets": [{"bogus": True}]})
+        scenario_from_dict(minimal_doc())  # the base every case below breaks
+
+        def broken(change):
+            doc = minimal_doc()
+            change(doc)
+            return doc
+
+        cases = [
+            # a record that is not an object
+            5,
+            [],
+            broken(lambda d: d.update(nets=[5])),
+            broken(lambda d: d.update(nets=5)),
+            broken(lambda d: net(d).update(subnets=["x"])),
+            broken(lambda d: subnet(d).update(cpe=[])),
+            broken(lambda d: subnet(d).update(hosts=[None])),
+            broken(lambda d: subnet(d).update(stub_services=[7])),
+            broken(lambda d: host(d).update(services=[[23, "telnet"]])),
+            # a required key missing
+            broken(lambda d: d.pop("rng_seed")),
+            broken(lambda d: net(d).pop("asn")),
+            broken(lambda d: subnet(d).pop("cpe")),
+            broken(lambda d: subnet(d)["cpe"].pop("firewall")),
+            broken(lambda d: host(d).pop("iid")),
+            broken(lambda d: host(d)["services"][0].pop("port")),
+            # a text field of the wrong JSON type
+            broken(lambda d: d.update(wan_base=5)),
+            broken(lambda d: net(d).update(prefix48=5)),
+            broken(lambda d: net(d).update(as_name=5)),
+            broken(lambda d: net(d).update(country=None)),
+            broken(lambda d: subnet(d)["cpe"].update(wan_mode=1)),
+            broken(lambda d: subnet(d)["cpe"].update(wan_mac=5)),
+            broken(lambda d: host(d).update(iid_mode=["dhcp_low"])),
+            broken(lambda d: host(d)["services"][0].update(behavior=23)),
+        ]
+        for doc in cases:
+            try:
+                scenario_from_dict(doc)
+            except ScenarioError as exc:
+                assert str(exc).startswith("malformed scenario document: "), doc
+            else:
+                pytest.fail(f"accepted {doc}")
+
+    def test_omitted_keys_take_the_defaults(self):
+        spelled_out = minimal_doc()
+        spelled_out["wan_base"] = "3fff:64::"
+        net(spelled_out).update(
+            as_name="", country="zz", category="Internet Service Provider", connection="cable_dsl"
+        )
+        subnet(spelled_out).update(aliased=False, stub_services=[])
+        subnet(spelled_out)["cpe"].update(
+            initial_hop_limit=255, wan_mac=None, wan_iid=None, services=[]
+        )
+        host(spelled_out).update(extra_hops=0, initial_hop_limit=64)
+        host(spelled_out)["services"][0]["params"] = {}
+        spelled_out["nets"].append({"prefix48": "2001:db8:2::/48", "asn": 2, "subnets": []})
+        minimal = minimal_doc()
+        minimal["nets"].append({"prefix48": "2001:db8:2::/48", "asn": 2})
+        assert scenario_from_dict(minimal) == scenario_from_dict(spelled_out)
+
+    def test_saved_bytes_known_answer(self, tmp_path):
+        # SHA-256 of the file the hand-written encoder wrote for this scenario.
+        params = ScenarioParams(
+            n48=3,
+            subnets_per_48=6,
+            aliased_fraction=0.15,
+            slaac_fraction=0.4,
+            hosts_per_subnet=(1.0, 1.0),
+            host_service_probability={
+                "telnet": 0.5,
+                "ssh": 0.3,
+                "http": 0.3,
+                "hp_printer_http": 0.3,
+                "mqtt_broker": 0.3,
+                "lockdown": 0.3,
+            },
+            cpe_service_probability=0.5,
+            nonresidential_fraction=0.34,
+        )
+        path = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(params, 19), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "83ab10bf4692a26c4f3cb225e6f0b5d6bec0c14fbe9035a7970aded9b5e3b2a9"
+        )
+
+    def test_field_tables_cover_every_field(self):
+        for cls, table in _FIELD_TABLES.items():
+            assert list(table) == [f.name for f in dataclasses.fields(cls)], cls.__name__
 
 
 class TestTransportRules:
@@ -162,7 +303,7 @@ class TestTransportRules:
         (ev,) = t.poll(0)
         assert ev.icmp_type == ICMP6_DEST_UNREACH
         assert ev.icmp_code == 3
-        assert ev.source == tiny_scenario.wan_address(0, 0)
+        assert ev.source == wan_addresses(tiny_scenario)[0]
         assert ev.quoted_target == base | 9
         assert ev.hop_limit == 255 - 4  # CPE initial 255 at base distance
 
@@ -174,7 +315,7 @@ class TestTransportRules:
         (ev,) = t.poll(0)
         assert ev.icmp_type == ICMP6_DEST_UNREACH
         assert ev.icmp_code == 1
-        assert ev.source == tiny_scenario.wan_address(0, 1)
+        assert ev.source == wan_addresses(tiny_scenario)[1]
 
     def test_aliased_net_answers_everything(self, tiny_scenario):
         t = SimTransport(tiny_scenario)
@@ -228,10 +369,60 @@ class TestGroundTruth:
         assert gt.populated == {sub5, sub11, sub20}
         assert gt.internal == {sub5 | 1: 4, sub5 | 2: 5}
         assert gt.external == {
-            sub5: (tiny_scenario.wan_address(0, 0), 4),
-            sub11: (tiny_scenario.wan_address(0, 1), 6),
+            sub5: (wan_addresses(tiny_scenario)[0], 4),
+            sub11: (wan_addresses(tiny_scenario)[1], 6),
         }
         assert sorted(gt.deltas) == [0, 1]
+
+    def test_wan_numbering_counts_aliased_and_filtered_subnets(self):
+        first = make_net(
+            "2001:db8:1::", [make_subnet(1, aliased=True), make_subnet(2, hosts=[make_host(1)])]
+        )
+        second = make_net("2001:db8:2::", [make_subnet(3, hosts=[make_host(1)])])
+        scenario = make_scenario([first, second])
+        wans = wan_addresses(scenario)
+        assert [wan >> 64 for wan in wans] == [(scenario.wan_base >> 64) | n for n in (1, 2, 3)]
+        gt = ground_truth(scenario, seeds={second.prefix48})
+        assert gt.external == {second.prefix48 | (3 << SUBNET_SHIFT): (wans[2], 3)}
+
+    def test_expected_grab_outcomes(self):
+        host_services = [SimService(23, "telnet", {}), SimService(21, "silent", {})]
+        net = make_net(
+            "2001:db8:1::",
+            [
+                make_subnet(
+                    1,
+                    hosts=[make_host(1, services=host_services)],
+                    cpe_services=[SimService(7547, "http", {})],
+                ),
+                make_subnet(
+                    2,
+                    hosts=[make_host(1, services=[SimService(23, "telnet", {})])],
+                    firewall=FIREWALL_DENY,
+                ),
+                make_subnet(3, aliased=True, stub_services=[SimService(23, "telnet", {})]),
+            ],
+        )
+        scenario = make_scenario([net])
+        specs = [
+            ServiceSpec("telnet", 23, "tcp", "banner_read"),
+            ServiceSpec("ftp", 21, "tcp", "banner_read"),
+            ServiceSpec("cwmp", 7547, "tcp", "http_get"),
+        ]
+        open_wan, deny_wan, _alias_wan = wan_addresses(scenario)
+        host = net.prefix48 | (1 << SUBNET_SHIFT) | 1
+        assert expected_grab_outcomes(scenario, specs) == {
+            (open_wan, "telnet"): "refused",
+            (open_wan, "ftp"): "refused",
+            (open_wan, "cwmp"): "responded",
+            (host, "telnet"): "responded",
+            (host, "ftp"): "timeout",
+            (host, "cwmp"): "refused",
+            (deny_wan, "telnet"): "refused",
+            (deny_wan, "ftp"): "refused",
+            (deny_wan, "cwmp"): "refused",
+        }
+        assert expected_grab_outcomes(scenario, specs, seeds=set()) == {}
 
     def test_seed_restriction(self, tiny_scenario):
         gt = ground_truth(tiny_scenario, seeds=set())
@@ -345,7 +536,7 @@ class TestCompanionFiles:
 
     def test_asn_geo_covers_wan_space(self, tiny_scenario):
         text = asn_geo_lines(tiny_scenario)
-        wan = tiny_scenario.wan_address(0, 0)
+        wan = wan_addresses(tiny_scenario)[0]
         wan64 = format_address(wan & ~((1 << 64) - 1))
         assert f"{wan64}/64" in text
         assert f"{format_address(tiny_scenario.nets[0].prefix48)}/48" in text
