@@ -140,9 +140,11 @@ def _require(cfg: dict, key: str, what: str) -> str:
     return value
 
 
-def _require_operator_contact(cfg: dict) -> None:
+def _require_operator_contact(cfg: dict) -> str:
     """Live probing and grabbing need a reachable opt-out/contact URL."""
-    _require(cfg, "operator_contact_url", "live probing requires a reachable opt-out/contact URL")
+    return _require(
+        cfg, "operator_contact_url", "live probing requires a reachable opt-out/contact URL"
+    )
 
 
 def _outpath(cfg: dict, name: str) -> str:
@@ -228,8 +230,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
 
     mode = cfg["transport"]["mode"]
     if mode == "live":
-        _require_operator_contact(cfg)
-        transport = probe.LiveTransport()
+        transport = probe.LiveTransport(_require_operator_contact(cfg))
     else:
         transport = SimTransport(_sim_scenario(cfg))
 
@@ -284,8 +285,9 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
     classified = _read_stage(cfg, CLASSIFIED_FILE, classify_mod.read_classification)
     specs = _service_catalog(cfg)
     addresses = [format_address(c.address) for c in classified]
+    label = grab_mod.USER_AGENT
     if cfg["transport"]["mode"] == "live":
-        _require_operator_contact(cfg)
+        label = f"{grab_mod.USER_AGENT} (+{_require_operator_contact(cfg)})"
         connector = grab_mod.live_connector
     else:
         connector = SimServices(_sim_scenario(cfg)).connector()
@@ -295,6 +297,7 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
         connector=connector,
         parallelism=int(cfg["grab_parallelism"]),
         timeout=float(cfg["grab_timeout_s"]),
+        label=label,
     )
     with _write_stage(cfg, GRABS_FILE) as fh:
         grab_mod.write_grab_log(records, fh)

@@ -14,11 +14,12 @@ work identically - only the Host header bracketing cares about the family.
 from __future__ import annotations
 
 import base64
+import itertools
 import logging
 import socket
 import ssl
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 from .csvio import read_rows, write_rows
@@ -39,7 +40,7 @@ BANNER_CAP = 64 * 1024
 LOCKDOWN_REPLY_CAP = 1 << 20  # anything larger is hostile or broken
 DEFAULT_TIMEOUT_S = 5.0
 DEFAULT_PARALLELISM = 256
-USER_AGENT = "resiscan/0.1"
+USER_AGENT = "resiscan/0.1"  # default label: HTTP User-Agent and lockdown Label
 
 OUTCOME_RESPONDED = "responded"
 OUTCOME_REFUSED = "refused"
@@ -71,30 +72,42 @@ def live_connector(address: str, port: int, timeout: float = DEFAULT_TIMEOUT_S, 
     return socket.create_connection((address, port), timeout=timeout)
 
 
+class _NoResponse(Exception):
+    """The endpoint accepted the connection but gave no usable answer; args[0] says why.
+
+    Each probe kind below fills in the record when the endpoint responds and
+    raises this when it does not; grab() owns the socket and the outcome.
+    """
+
+
+class _TlsOnPlainPort(Exception):
+    """A plaintext web port answered with a TLS record."""
+
+
 def _read_until_close(sock, cap: int) -> bytes:
     """Read at most cap bytes; timeouts after the first byte end the read."""
     buf = b""
     while len(buf) < cap:
         try:
             data = sock.recv(min(8192, cap - len(buf)))
-        except (socket.timeout, TimeoutError):
+        except TimeoutError:
             if buf:
-                return buf
+                break
             raise
-        except ssl.SSLError:
-            return buf
-        except OSError:
-            return buf
+        except OSError:  # ssl.SSLError included: a broken stream ends the read
+            break
         if not data:
-            return buf
+            break
         buf += data
+    if not buf:
+        raise _NoResponse("connection_closed")
     return buf
 
 
-def _http_request(address: str) -> bytes:
+def _http_request(address: str, label: str) -> bytes:
     host = f"[{address}]" if ":" in address else address
     return (
-        f"GET / HTTP/1.1\r\nHost: {host}\r\nUser-Agent: {USER_AGENT}\r\n"
+        f"GET / HTTP/1.1\r\nHost: {host}\r\nUser-Agent: {label}\r\n"
         f"Accept: */*\r\nConnection: close\r\n\r\n"
     ).encode()
 
@@ -120,16 +133,9 @@ def parse_http_response(raw: bytes) -> tuple[int | None, dict[str, str], bytes]:
     return status, headers, body
 
 
-def _looks_like_tls(data: bytes) -> bool:
-    # TLS record layer: alert (0x15) or handshake (0x16) then version 3.x
-    return len(data) >= 3 and data[0] in (0x15, 0x16) and data[1] == 0x03
-
-
-def _tls_client_context() -> ssl.SSLContext:
-    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
-    ctx.check_hostname = False
-    ctx.verify_mode = ssl.CERT_NONE
-    return ctx
+_TLS_CONTEXT = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+_TLS_CONTEXT.check_hostname = False
+_TLS_CONTEXT.verify_mode = ssl.CERT_NONE
 
 
 def _peer_common_name(tls_sock) -> str | None:
@@ -144,68 +150,41 @@ def _peer_common_name(tls_sock) -> str | None:
     return str(attrs[0].value) if attrs else None
 
 
-def _grab_banner(sock, rec: GrabRecord, cap: int) -> None:
-    data = _read_until_close(sock, cap)
-    if not data:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "connection_closed"
-        return
-    rec.outcome = OUTCOME_RESPONDED
-    rec.banner = data
+def _grab_banner(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+    rec.banner = _read_until_close(sock, cap)
 
 
-def _grab_line(sock, rec: GrabRecord, request: bytes, cap: int) -> None:
-    sock.sendall(request)
-    _grab_banner(sock, rec, cap)
+def _grab_line(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+    sock.sendall(spec.request)
+    rec.banner = _read_until_close(sock, cap)
 
 
 def _finish_http(rec: GrabRecord, raw: bytes) -> None:
     rec.banner = raw
     status, headers, _body = parse_http_response(raw)
     if status is None:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "http_malformed"
-        return
-    rec.outcome = OUTCOME_RESPONDED
+        raise _NoResponse("http_malformed")
     rec.http_server_header = headers.get("server")
 
 
-def _grab_http(sock, rec: GrabRecord, address: str, cap: int, connector, port, timeout) -> None:
-    sock.sendall(_http_request(address))
+def _grab_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+    sock.sendall(_http_request(rec.address, label))
     raw = _read_until_close(sock, cap)
-    if not raw:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "connection_closed"
-        return
-    if _looks_like_tls(raw):
-        # Gateway wants TLS on a plaintext web port; one TLS retry, then done.
-        sock.close()
-        retry = connector(address, port, timeout)
-        try:
-            _grab_tls_http(retry, rec, address, cap)
-        finally:
-            retry.close()
-        if rec.outcome == OUTCOME_RESPONDED:
-            rec.detail = "tls_on_plain_port"
-        return
+    # TLS record layer: alert (0x15) or handshake (0x16) then version 3.x
+    if len(raw) >= 3 and raw[0] in (0x15, 0x16) and raw[1] == 0x03:
+        raise _TlsOnPlainPort
     _finish_http(rec, raw)
 
 
-def _grab_tls_http(sock, rec: GrabRecord, address: str, cap: int) -> None:
+def _grab_tls_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
     try:
-        tls = _tls_client_context().wrap_socket(sock)
-    except (ssl.SSLError, OSError):
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "tls_handshake"
-        return
-    rec.tls_subject_cn = _peer_common_name(tls)
-    tls.sendall(_http_request(address))
-    raw = _read_until_close(tls, cap)
-    if not raw:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "connection_closed"
-        return
-    _finish_http(rec, raw)
+        tls = _TLS_CONTEXT.wrap_socket(sock)
+    except OSError:  # ssl.SSLError and a handshake timeout included
+        raise _NoResponse("tls_handshake") from None
+    with tls:
+        rec.tls_subject_cn = _peer_common_name(tls)
+        tls.sendall(_http_request(rec.address, label))
+        _finish_http(rec, _read_until_close(tls, cap))
 
 
 def recv_exact(sock, n: int) -> bytes:
@@ -219,26 +198,26 @@ def recv_exact(sock, n: int) -> bytes:
     return buf
 
 
-def _grab_mqtt(sock, rec: GrabRecord) -> None:
+def _recv_all(sock, n: int) -> bytes:
+    data = recv_exact(sock, n)
+    if len(data) < n:
+        raise _NoResponse("connection_closed")
+    return data
+
+
+def _grab_mqtt(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
     # CONNECT, protocol level 4, clean session, no credentials, generated id.
     client_id = b"rs-probe"
     var = b"\x00\x04MQTT\x04\x02\x00\x3c" + struct.pack(">H", len(client_id)) + client_id
     sock.sendall(bytes([0x10, len(var)]) + var)
-    reply = recv_exact(sock, 4)
-    if len(reply) < 4:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "connection_closed"
-        return
+    reply = _recv_all(sock, 4)
     if reply[0] != 0x20 or reply[1] != 0x02:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "not_connack"
-        return
-    rec.outcome = OUTCOME_RESPONDED
+        raise _NoResponse("not_connack")
     rec.mqtt_return_code = reply[3]
     rec.banner = reply
 
 
-def _grab_lockdown(sock, rec: GrabRecord, label: str) -> None:
+def _grab_lockdown(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
     import plistlib
 
     request = plistlib.dumps(
@@ -246,44 +225,38 @@ def _grab_lockdown(sock, rec: GrabRecord, label: str) -> None:
         fmt=plistlib.FMT_XML,
     )
     sock.sendall(struct.pack(">I", len(request)) + request)
-    head = recv_exact(sock, 4)
-    if len(head) < 4:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "connection_closed"
-        return
-    (length,) = struct.unpack(">I", head)
+    (length,) = struct.unpack(">I", _recv_all(sock, 4))
     if length == 0 or length > LOCKDOWN_REPLY_CAP:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "bounds"
-        return
-    body = recv_exact(sock, length)
-    if len(body) < length:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "connection_closed"
-        return
+        raise _NoResponse("bounds")
+    body = _recv_all(sock, length)
     try:
         reply = plistlib.loads(body)
     except Exception:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "plist_malformed"
-        return
-    rec.outcome = OUTCOME_RESPONDED
+        raise _NoResponse("plist_malformed") from None
     rec.banner = body
     value = reply.get("Value") if isinstance(reply, dict) else None
     rec.lockdown_product_version = str(value) if value is not None else None
 
 
-def _grab_ntp(sock, rec: GrabRecord) -> None:
+def _grab_ntp(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
     query = bytearray(48)
     query[0] = 0x23  # v4 client
     sock.sendall(bytes(query))
     reply = sock.recv(512)
     if len(reply) < 48 or reply[0] & 0x07 != 4:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = "protocol"
-        return
-    rec.outcome = OUTCOME_RESPONDED
+        raise _NoResponse("protocol")
     rec.banner = bytes(reply)
+
+
+_PROBES = {
+    KIND_BANNER: _grab_banner,
+    KIND_LINE: _grab_line,
+    KIND_HTTP: _grab_http,
+    KIND_TLS_HTTP: _grab_tls_http,
+    KIND_MQTT: _grab_mqtt,
+    KIND_LOCKDOWN: _grab_lockdown,
+    KIND_NTP: _grab_ntp,
+}
 
 
 def grab(
@@ -296,42 +269,26 @@ def grab(
     label: str = USER_AGENT,
 ) -> GrabRecord:
     """Run one service check against one address."""
-    rec = GrabRecord(address=address, service=spec.name, outcome=OUTCOME_ERROR)
-    sock = None
+    rec = GrabRecord(address=address, service=spec.name, outcome=OUTCOME_RESPONDED)
     try:
-        sock = connector(address, spec.port, timeout, udp=spec.transport == "udp")
-        sock.settimeout(timeout)
-        if spec.probe_kind == KIND_BANNER:
-            _grab_banner(sock, rec, cap)
-        elif spec.probe_kind == KIND_HTTP:
-            _grab_http(sock, rec, address, cap, connector, spec.port, timeout)
-        elif spec.probe_kind == KIND_TLS_HTTP:
-            _grab_tls_http(sock, rec, address, cap)
-        elif spec.probe_kind == KIND_MQTT:
-            _grab_mqtt(sock, rec)
-        elif spec.probe_kind == KIND_LOCKDOWN:
-            _grab_lockdown(sock, rec, label)
-        elif spec.probe_kind == KIND_NTP:
-            _grab_ntp(sock, rec)
-        elif spec.probe_kind == KIND_LINE:
-            _grab_line(sock, rec, spec.request, cap)
+        try:
+            with connector(address, spec.port, timeout, udp=spec.transport == "udp") as sock:
+                sock.settimeout(timeout)
+                _PROBES[spec.probe_kind](sock, rec, spec, cap, label)
+        except _TlsOnPlainPort:
+            # Gateway wants TLS on a plaintext web port; one TLS retry, then done.
+            with connector(address, spec.port, timeout) as sock:
+                _grab_tls_http(sock, rec, spec, cap, label)
+            rec.detail = "tls_on_plain_port"
+    except _NoResponse as exc:
+        rec.outcome, rec.detail = OUTCOME_ERROR, exc.args[0]
     except ConnectionRefusedError:
         rec.outcome = OUTCOME_REFUSED
-        rec.detail = ""
-    except (socket.timeout, TimeoutError):
+    except TimeoutError:
         rec.outcome = OUTCOME_TIMEOUT
-        rec.detail = ""
     except OSError as exc:
-        rec.outcome = OUTCOME_ERROR
-        rec.detail = exc.__class__.__name__
-    finally:
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-    if len(rec.banner) > cap:
-        rec.banner = rec.banner[:cap]
+        rec.outcome, rec.detail = OUTCOME_ERROR, exc.__class__.__name__
+    rec.banner = rec.banner[:cap]
     return rec
 
 
@@ -347,26 +304,39 @@ def run_grab_campaign(
 ) -> list[GrabRecord]:
     """Grab every (address, service) pair exactly once; order-stable output.
 
-    Failures are per-pair: one hung or broken endpoint can't sink the
-    campaign, and results come back sorted by (address, service).
+    ``parallelism`` worker threads (at least one, at most one per pair) take
+    pairs one at a time from a shared iterator, so at most that many
+    connections are open and nothing is queued per pair. Failures are per-pair: one hung or broken
+    endpoint can't sink the campaign, and results come back sorted by
+    (address, service).
     """
     addresses = list(dict.fromkeys(addresses))
     specs = list(specs)
-    tasks = [(a, s) for a in addresses for s in specs]
-    if not tasks:
-        return []
-    workers = max(1, min(parallelism, len(tasks)))
+    records: list[GrabRecord | None] = [None] * (len(addresses) * len(specs))
+    pairs = enumerate(itertools.product(addresses, specs))
+    lock = threading.Lock()
 
-    def one(task):
-        a, s = task
-        try:
-            return grab(a, s, connector=connector, timeout=timeout, cap=cap, label=label)
-        except Exception as exc:  # noqa: BLE001 - isolate per-pair failures
-            log.warning("grab %s/%s failed: %s", a, s.name, exc)
-            return GrabRecord(address=a, service=s.name, outcome=OUTCOME_ERROR, detail=repr(exc))
+    def work() -> None:
+        while True:
+            with lock:
+                task = next(pairs, None)
+            if task is None:
+                return
+            i, (a, s) = task
+            try:
+                records[i] = grab(a, s, connector=connector, timeout=timeout, cap=cap, label=label)
+            except Exception as exc:  # noqa: BLE001 - isolate per-pair failures
+                log.warning("grab %s/%s failed: %s", a, s.name, exc)
+                records[i] = GrabRecord(
+                    address=a, service=s.name, outcome=OUTCOME_ERROR, detail=repr(exc)
+                )
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        records = list(pool.map(one, tasks))
+    n_workers = max(1, min(parallelism, len(records)))
+    workers = [threading.Thread(target=work) for _ in range(n_workers)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join()
     records.sort(key=lambda r: (r.address, r.service))
     return records
 

@@ -349,9 +349,14 @@ def parse_icmp6_packet(
 
 
 class LiveTransport:
-    """Raw-socket ICMPv6 transport (echo out, everything relevant in)."""
+    """Raw-socket ICMPv6 transport (echo out, everything relevant in).
 
-    def __init__(self) -> None:
+    Each echo payload carries the operator's contact URL after the token, so
+    a network operator who sees the probe can find out who sends it.
+    """
+
+    def __init__(self, contact_url: str) -> None:
+        self._contact = contact_url.encode()
         self._sock = socket.socket(socket.AF_INET6, socket.SOCK_RAW, socket.IPPROTO_ICMPV6)
         self._sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_UNICAST_HOPS, OUTGOING_HOP_LIMIT)
         self._sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_RECVHOPLIMIT, 1)
@@ -360,7 +365,7 @@ class LiveTransport:
         self._sock.setblocking(False)
 
     def send(self, dst: int, ident: int, seq: int, payload: bytes) -> None:
-        packet = build_echo_request(ident, seq, payload)
+        packet = build_echo_request(ident, seq, payload + self._contact)
         # The kernel needs parseable text, not canonical text: inet_ntop is
         # about 15x cheaper per probe than ipaddress formatting.
         dst_text = socket.inet_ntop(socket.AF_INET6, dst.to_bytes(16, "big"))

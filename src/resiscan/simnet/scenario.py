@@ -222,10 +222,20 @@ def derived_iid(rng_seed: int, tag: bytes, counter: int) -> int:
 # default; a field without one is required.
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError(f"expected text, got {value!r}")
-    return value
+def _exactly(kind: type, what: str):
+    """A decoder that passes only a value of exactly ``kind``, so no bool is an int."""
+
+    def decode(value):
+        if type(value) is not kind:
+            raise ScenarioError(f"expected {what}, got {value!r}")
+        return value
+
+    return decode
+
+
+_text = _exactly(str, "text")
+_int = _exactly(int, "an integer")
+_bool = _exactly(bool, "true or false")
 
 
 def _optional(decode):
@@ -261,27 +271,27 @@ def _decode(cls, doc):
 
 
 _FIELD_TABLES = {
-    SimService: {"port": int, "behavior": _text, "params": dict},
+    SimService: {"port": _int, "behavior": _text, "params": dict},
     SimHost: {
         "iid_mode": _text,
-        "iid": int,
-        "extra_hops": int,
-        "initial_hop_limit": int,
+        "iid": _int,
+        "extra_hops": _int,
+        "initial_hop_limit": _int,
         "services": _records(SimService),
     },
     SimCpe: {
         "wan_mode": _text,
         "firewall": _text,
-        "base_distance": int,
-        "initial_hop_limit": int,
+        "base_distance": _int,
+        "initial_hop_limit": _int,
         "wan_mac": _optional(_text),
-        "wan_iid": _optional(int),
+        "wan_iid": _optional(_int),
         "services": _records(SimService),
     },
     SimSubnet: {
-        "index": int,
+        "index": _int,
         "cpe": (_encode, lambda doc: _decode(SimCpe, doc)),
-        "aliased": bool,
+        "aliased": _bool,
         "hosts": _records(SimHost),
         "stub_services": _records(SimService),
     },
@@ -290,7 +300,7 @@ _FIELD_TABLES = {
             lambda prefix: f"{format_address(prefix)}/48",
             lambda text: parse_address(_text(text).split("/", 1)[0]),
         ),
-        "asn": int,
+        "asn": _int,
         "as_name": _text,
         "country": _text,
         "category": _text,
@@ -298,7 +308,7 @@ _FIELD_TABLES = {
         "subnets": _records(SimSubnet),
     },
     Scenario: {
-        "rng_seed": int,
+        "rng_seed": _int,
         "nets": _records(SimNet),
         "wan_base": (format_address, lambda text: parse_address(_text(text))),
     },

@@ -279,6 +279,8 @@ def h_lockdown(conn: _Conn, params: dict) -> None:
         if len(body) < length:
             return
         request = plistlib.loads(body)
+        if not isinstance(request, dict):
+            return
         mode = params.get("mode", "normal")
         if mode == "hostile_length":
             conn.sendall(struct.pack(">I", 0x7FFFFFFF) + b"\x00" * 16)

@@ -68,6 +68,11 @@ def read_lines(path):
         return fh.read().splitlines()
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 class TestPipelineStages:
     def test_every_stage_succeeds(self, pipeline):
         for stage, res in pipeline.results.items():
@@ -90,7 +95,7 @@ class TestPipelineStages:
         assert total > kept  # the generator mixed in non-residential space
         assert kept == expected_kept
         assert len(read_lines(os.path.join(pipeline.dir, "seeds.txt"))) == kept
-        stats = json.load(open(os.path.join(pipeline.dir, "seed_stats.json")))
+        stats = read_json(os.path.join(pipeline.dir, "seed_stats.json"))
         assert stats["input"] == total
         assert stats["after_category"] == by_as
         assert stats["after_connection"] == kept
@@ -147,7 +152,7 @@ class TestPipelineStages:
         external = {c.net56: (c.address, c.distance) for c in classified if c.label == "external"}
         assert external == gt.external
 
-        stats = json.load(open(os.path.join(pipeline.dir, "classify_stats.json")))
+        stats = read_json(os.path.join(pipeline.dir, "classify_stats.json"))
         assert stats["internal"] == len(gt.internal)
         assert set(stats["aliased_nets"]) == {
             f"{format_address(n)}/56" for n in gt.aliased
@@ -210,7 +215,7 @@ class TestPipelineStages:
         )
         with open(os.path.join(report_dir, "summary.csv")) as fh:
             summary = dict(list(csv.reader(fh))[1:])
-        stats = json.load(open(os.path.join(pipeline.dir, "classify_stats.json")))
+        stats = read_json(os.path.join(pipeline.dir, "classify_stats.json"))
         assert int(summary["internal_addresses"]) == stats["internal"]
         assert int(summary["external_addresses"]) == stats["external"]
         n_seeds = len(read_lines(os.path.join(pipeline.dir, "seeds.txt")))

@@ -2,7 +2,10 @@ import io
 import plistlib
 import socket
 import struct
+import sys
 import tempfile
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,28 @@ def spec_by_name(name):
 
 def do_grab(backend, address, spec, timeout=2.0, **kw):
     return grab(address, spec, connector=backend.connector(), timeout=timeout, **kw)
+
+
+def _scripted_connector(reply: bytes, peers: list):
+    """A connector whose peer writes ``reply`` and stops sending; a TLS retry gets it again."""
+    def connector(address, port, timeout, udp=False):
+        ours, peer = socket.socketpair(type=socket.SOCK_DGRAM if udp else socket.SOCK_STREAM)
+        peers.append(peer)
+        peer.sendall(reply)
+        if not udp:
+            peer.shutdown(socket.SHUT_WR)
+        return ours
+
+    return connector
+
+
+def _framed(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+LINE_SPEC = ServiceSpec("probe", 9999, "tcp", "line_protocol", b"HELO\n")
+LOCKDOWN_BODY = plistlib.dumps({"Key": "ProductVersion", "Value": "18.2"})
+NTP_REPLY = b"\x24" + bytes(47)
 
 
 class TestCatalog:
@@ -211,6 +236,12 @@ class TestHttpGrabs:
         assert data.count(b"GET / HTTP/1.1") == 1
         assert b"Connection: close" in data
         assert f"Host: [{V6}]".encode() in data
+        assert b"User-Agent: resiscan/0.1\r\n" in data
+
+    def test_label_is_the_user_agent(self, env):
+        label = "resiscan/0.1 (+https://scan.example/opt-out)"
+        do_grab(env, V6, spec_by_name("http"), label=label)
+        assert f"\r\nUser-Agent: {label}\r\n".encode() in env.transcripts_for(V6, 80)[-1].data
 
     def test_tls_endpoint(self, env):
         rec = do_grab(env, V6, spec_by_name("https"))
@@ -379,6 +410,19 @@ class TestBehaviorBytes:
         (transcript,) = backend.transcripts_for(V6, 9000)
         assert transcript.data == request_bytes
 
+    def test_lockdown_ignores_a_plist_that_is_not_a_dict(self):
+        ours, theirs = socket.socketpair()
+        try:
+            ours.sendall(_framed(plistlib.dumps(["x"])))
+            conn = sim_services._Conn(theirs, sim_services.Transcript(V6, 62078))
+            sim_services.h_lockdown(conn, {})  # returns without a reply instead of raising
+            theirs.shutdown(socket.SHUT_WR)
+            ours.settimeout(2.0)
+            assert ours.recv(4096) == b""
+        finally:
+            ours.close()
+            theirs.close()
+
 
 class TestTlsCertificates:
     def test_no_key_material_left_on_disk(self, tmp_path, monkeypatch):
@@ -398,6 +442,75 @@ class TestNtp:
         assert rec.outcome == OUTCOME_RESPONDED
         assert rec.banner[0] & 0x07 == 4
         assert len(rec.banner) == 48
+
+
+class TestOutcomePins:
+    """Outcome, detail and filled fields for each way a scripted peer can answer."""
+
+    @pytest.mark.parametrize(
+        "service, reply, outcome, detail, fields",
+        [
+            ("telnet", b"", OUTCOME_ERROR, "connection_closed", {}),
+            (LINE_SPEC, b"", OUTCOME_ERROR, "connection_closed", {}),
+            ("http", b"", OUTCOME_ERROR, "connection_closed", {}),
+            ("http", b"NOT HTTP", OUTCOME_ERROR, "http_malformed", {"banner": b"NOT HTTP"}),
+            ("https", b"NOT TLS", OUTCOME_ERROR, "tls_handshake", {}),
+            # a TLS record on a plaintext port: one TLS retry, which fails the same way
+            ("http", b"\x16\x03\x01\x00\x00", OUTCOME_ERROR, "tls_handshake", {}),
+            ("mqtt", b"\xde\xad\xbe\xef", OUTCOME_ERROR, "not_connack", {}),
+            ("mqtt", b"\x20\x02", OUTCOME_ERROR, "connection_closed", {}),
+            ("lockdown", b"\x00\x00", OUTCOME_ERROR, "connection_closed", {}),
+            ("lockdown", b"\x00\x00\x00\x00", OUTCOME_ERROR, "bounds", {}),
+            ("lockdown", b"\x00\x00\x00\x09<?x", OUTCOME_ERROR, "connection_closed", {}),
+            ("lockdown", _framed(b"not plist"), OUTCOME_ERROR, "plist_malformed", {}),
+            ("ntp", b"\x24" + bytes(10), OUTCOME_ERROR, "protocol", {}),
+            ("telnet", b"login: ", OUTCOME_RESPONDED, "", {"banner": b"login: "}),
+            (LINE_SPEC, b"220 ok\r\n", OUTCOME_RESPONDED, "", {"banner": b"220 ok\r\n"}),
+            (
+                "http", b"HTTP/1.1 200 OK\r\nServer: X\r\n\r\nhi", OUTCOME_RESPONDED, "",
+                {"banner": b"HTTP/1.1 200 OK\r\nServer: X\r\n\r\nhi", "http_server_header": "X"},
+            ),
+            (
+                "mqtt", b"\x20\x02\x00\x05", OUTCOME_RESPONDED, "",
+                {"banner": b"\x20\x02\x00\x05", "mqtt_return_code": 5},
+            ),
+            (
+                "lockdown", _framed(LOCKDOWN_BODY), OUTCOME_RESPONDED, "",
+                {"banner": LOCKDOWN_BODY, "lockdown_product_version": "18.2"},
+            ),
+            (
+                "lockdown", _framed(plistlib.dumps(["x"])), OUTCOME_RESPONDED, "",
+                {"banner": plistlib.dumps(["x"])},
+            ),
+            ("ntp", NTP_REPLY, OUTCOME_RESPONDED, "", {"banner": NTP_REPLY}),
+        ],
+        ids=[
+            "banner-empty", "line-empty", "http-empty", "http-malformed", "tls-handshake",
+            "http-tls-retry", "not-connack", "mqtt-short", "lockdown-short-head",
+            "lockdown-zero-length", "lockdown-short-body", "lockdown-bad-plist", "ntp-short",
+            "banner", "line", "http", "mqtt", "lockdown", "lockdown-not-dict", "ntp",
+        ],
+    )
+    def test_scripted_peer(self, service, reply, outcome, detail, fields):
+        spec = service if isinstance(service, ServiceSpec) else spec_by_name(service)
+        peers = []
+        try:
+            rec = grab(V6, spec, connector=_scripted_connector(reply, peers), timeout=2.0)
+        finally:
+            for peer in peers:
+                peer.close()
+        assert rec == GrabRecord(
+            address=V6, service=spec.name, outcome=outcome, detail=detail, **fields
+        )
+
+    def test_connector_error_names_its_class(self):
+        def connector(address, port, timeout, udp=False):
+            raise ConnectionResetError("reset by peer")
+
+        rec = grab(V6, spec_by_name("telnet"), connector=connector, timeout=2.0)
+        assert rec == GrabRecord(
+            address=V6, service="telnet", outcome=OUTCOME_ERROR, detail="ConnectionResetError"
+        )
 
 
 class TestAddressFamilies:
@@ -468,6 +581,75 @@ class TestCampaign:
         assert by_service["http"].outcome == OUTCOME_RESPONDED
         assert by_service["telnet"].outcome == OUTCOME_ERROR
         assert by_service["telnet"].detail == repr(RuntimeError("driver exploded"))
+
+    @staticmethod
+    def _refusing_connector(calls: list, delay_s: float = 0.0):
+        """Refuses every connect after ``delay_s``; records each call and the peak in flight."""
+        lock = threading.Lock()
+        state = {"in_flight": 0, "peak": 0}
+
+        def connector(address, port, timeout, udp=False):
+            with lock:
+                calls.append((address, port))
+                state["in_flight"] += 1
+                state["peak"] = max(state["peak"], state["in_flight"])
+            try:
+                time.sleep(delay_s)
+            finally:
+                with lock:
+                    state["in_flight"] -= 1
+            raise ConnectionRefusedError
+
+        return connector, state
+
+    def test_in_flight_bounded_by_parallelism(self):
+        calls = []
+        connector, state = self._refusing_connector(calls, delay_s=0.05)
+        addresses = [f"2001:db8:9::{i:x}" for i in range(1, 21)]
+        records = run_grab_campaign(
+            addresses, [spec_by_name("ssh")], connector=connector, parallelism=3
+        )
+        assert len(calls) == len(records) == 20
+        assert {r.outcome for r in records} == {OUTCOME_REFUSED}
+        assert 1 < state["peak"] <= 3
+
+    def test_zero_parallelism_still_grabs_every_pair(self):
+        calls = []
+        connector, state = self._refusing_connector(calls)
+        specs = [spec_by_name("ssh"), spec_by_name("http")]
+        records = run_grab_campaign([V6, V4], specs, connector=connector, parallelism=0)
+        assert sorted(calls) == sorted((a, s.port) for a in (V6, V4) for s in specs)
+        assert [(r.address, r.service) for r in records] == sorted(
+            (a, s.name) for a in (V6, V4) for s in specs
+        )
+        assert state["peak"] == 1
+
+    def test_every_pair_grabbed_once_under_contention(self):
+        # More workers than cores and a short switch interval, so a pair taken twice
+        # or lost between workers would show.
+        calls = []
+        connector, _state = self._refusing_connector(calls)
+        addresses = [f"2001:db8:9::{i:x}" for i in range(1, 151)]
+        specs = default_services()[:4]
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: result.extend(
+                    run_grab_campaign(addresses, specs, connector=connector, parallelism=32)
+                )
+            )
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        pairs = [(a, s.port) for a in addresses for s in specs]
+        assert sorted(calls) == sorted(pairs)
+        assert [(r.address, r.service) for r in result] == sorted(
+            (a, s.name) for a in addresses for s in specs
+        )
 
 
 class TestGrabLog:
@@ -554,18 +736,11 @@ class TestHostileBytes:
     @given(reply=_reply_bytes(), cap=st.integers(min_value=1, max_value=512))
     def test_grab_never_raises(self, kind, reply, cap):
         peers = []
-
-        def connector(address, port, timeout, udp=False):
-            # The peer writes the reply and stops sending; a TLS retry gets it again.
-            ours, peer = socket.socketpair(type=socket.SOCK_DGRAM if udp else socket.SOCK_STREAM)
-            peers.append(peer)
-            peer.sendall(reply)
-            if not udp:
-                peer.shutdown(socket.SHUT_WR)
-            return ours
-
         try:
-            rec = grab(V6, self.KINDS[kind], connector=connector, timeout=2.0, cap=cap)
+            rec = grab(
+                V6, self.KINDS[kind], connector=_scripted_connector(reply, peers),
+                timeout=2.0, cap=cap,
+            )
         finally:
             for peer in peers:
                 peer.close()

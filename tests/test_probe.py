@@ -34,6 +34,7 @@ from resiscan.simnet import SimTransport
 from resiscan.targetgen import build_plan
 
 SECRET = b"\x01\x02\x03\x04\x05\x06\x07\x08"
+CONTACT_URL = "https://scan.example/opt-out"
 
 
 class TestToken:
@@ -43,6 +44,8 @@ class TestToken:
         assert len(payload) == TOKEN_LEN
         assert 0 <= ident <= 0xFFFF and 0 <= seq <= 0xFFFF
         assert validate_token(ident, seq, payload, SECRET) == target
+        # A live probe carries the contact URL after the token; only the token is read.
+        assert validate_token(ident, seq, payload + CONTACT_URL.encode(), SECRET) == target
 
     def test_target_recoverable_from_payload_prefix(self):
         target = parse_address("2001:db8::9")
@@ -495,12 +498,17 @@ class TestLiveSend:
         def sendto(self, packet, address):
             self.sent.append((packet, address))
 
+    def _transport(self, contact_url: str = "") -> LiveTransport:
+        transport = LiveTransport.__new__(LiveTransport)
+        transport._sock = self._StubSocket()
+        transport._contact = contact_url.encode()
+        return transport
+
     @pytest.mark.parametrize(
         "text", ["2001:db8::1", "2001:db8:1:200:5f11:fc94:8c6f:1a58", "::ffff:192.0.2.1", "::1"]
     )
     def test_packet_unchanged_and_destination_parses_back(self, text):
-        transport = LiveTransport.__new__(LiveTransport)
-        transport._sock = self._StubSocket()
+        transport = self._transport()
         dst = parse_address(text)
         ident, seq, payload = encode_token(dst, SECRET)
         transport.send(dst, ident, seq, payload)
@@ -508,3 +516,12 @@ class TestLiveSend:
         assert packet == build_echo_request(ident, seq, payload)
         assert parse_address(host) == dst
         assert (port, flowinfo, scope) == (0, 0, 0)
+
+    def test_contact_url_follows_token(self):
+        transport = self._transport(CONTACT_URL)
+        dst = parse_address("2001:db8::1")
+        ident, seq, payload = encode_token(dst, SECRET)
+        transport.send(dst, ident, seq, payload)
+        [(packet, _address)] = transport._sock.sent
+        assert packet == build_echo_request(ident, seq, payload + CONTACT_URL.encode())
+        assert packet[8:] == payload + CONTACT_URL.encode()

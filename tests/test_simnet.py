@@ -223,6 +223,11 @@ class TestScenarioFile:
             broken(lambda d: subnet(d)["cpe"].update(wan_mac=5)),
             broken(lambda d: host(d).update(iid_mode=["dhcp_low"])),
             broken(lambda d: host(d)["services"][0].update(behavior=23)),
+            # a number or flag field of the wrong JSON type
+            broken(lambda d: subnet(d).update(aliased="false")),
+            broken(lambda d: host(d)["services"][0].update(port="80")),
+            broken(lambda d: subnet(d)["cpe"].update(base_distance=3.7)),
+            broken(lambda d: host(d).update(iid=True)),
         ]
         for doc in cases:
             try:
