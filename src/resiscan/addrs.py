@@ -72,11 +72,8 @@ class LongestPrefixMap:
 
     def lookup(self, address: int) -> object | None:
         for plen in self._lens_desc:
-            if plen == 0:
-                hit = self._by_len[0].get(0)
-            else:
-                mask = ((1 << plen) - 1) << (128 - plen)
-                hit = self._by_len[plen].get(address & mask)
+            mask = ((1 << plen) - 1) << (128 - plen)  # 0 for the default route
+            hit = self._by_len[plen].get(address & mask)
             if hit is not None:
                 return hit
         return None

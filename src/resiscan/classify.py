@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .addrs import IID_MASK, format_address, parse_address, prefix56_of
+from .addrs import IID_MASK, format_address, parse_address, prefix48_of, prefix56_of
 from .csvio import read_rows, write_rows
 from .probe import KIND_ECHO_REPLY, ResponseRecord
 from .targetgen import alias_target_for, probed_low_iid
@@ -103,33 +103,27 @@ def detect_aliased(records: Iterable[ResponseRecord]) -> bool:
 def classify_log(
     records: Iterable[ResponseRecord],
     *,
-    seeds: Iterable[int] | None = None,
-    rng_seed: int | None = None,
+    seeds: Iterable[int],
+    rng_seed: int,
 ) -> ClassifyResult:
     """Partition a response log into per-/56 classified addresses.
 
-    ``seeds`` and ``rng_seed`` reconstruct the full probed-target set so that
-    an error source colliding with some probed address is caught; without
-    them the probed set observed in the log is used. Each (net, address,
-    label) appears at most once; aliased nets contribute nothing.
+    ``seeds`` and ``rng_seed`` are the plan's: they reconstruct the full
+    probed-target set so that an error source colliding with any probed
+    address, logged or not, is caught. Each (net, address, label) appears at
+    most once; aliased nets contribute nothing.
     """
     by_net: dict[int, list[ResponseRecord]] = {}
     for rec in records:
         by_net.setdefault(prefix56_of(rec.probed_target), []).append(rec)
 
-    seed_set = set(seeds) if seeds is not None else None
+    seed_set = set(seeds)
 
     def was_probed(address: int) -> bool:
         # Low-IID probe shape under a probed seed, or the net's alias target.
-        if seed_set is not None:
-            if (address & ~((1 << 80) - 1)) in seed_set and probed_low_iid(address):
-                return True
-            if rng_seed is not None and (address & ~((1 << 80) - 1)) in seed_set:
-                return address == alias_target_for(prefix56_of(address), rng_seed)
-            return False
-        return address in logged_targets
-
-    logged_targets = {rec.probed_target for recs in by_net.values() for rec in recs}
+        return prefix48_of(address) in seed_set and (
+            probed_low_iid(address) is not None or address == alias_target_for(address, rng_seed)
+        )
 
     result = ClassifyResult()
     for net56, recs in sorted(by_net.items()):

@@ -228,22 +228,26 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     plan = targetgen.build_plan(seeds, cfg["rng_seed"])
     print(f"scan: {len(plan.seeds)} seeds, budget {plan.budget} probes")
 
+    rate = None
+    if cfg.get("rate_pps"):
+        rate = probe.RateLimiter(int(cfg["rate_pps"]))
+
     mode = cfg["transport"]["mode"]
     if mode == "live":
         transport = probe.LiveTransport(_require_operator_contact(cfg))
     else:
         transport = SimTransport(_sim_scenario(cfg))
-
-    rate = None
-    if cfg.get("rate_pps"):
-        rate = probe.RateLimiter(int(cfg["rate_pps"]))
-    log = probe.run_scan(
-        plan,
-        transport,
-        os.urandom(16),  # per-scan token key, never stored: replies cannot be forged
-        rate=rate,
-        quiescence_s=float(cfg["probe_timeout_s"]),
-    )
+    try:
+        log = probe.run_scan(
+            plan,
+            transport,
+            os.urandom(16),  # per-scan token key, never stored: replies cannot be forged
+            rate=rate,
+            quiescence_s=float(cfg["probe_timeout_s"]),
+        )
+    finally:
+        if mode == "live":
+            transport.close()  # the raw socket
     with _write_stage(cfg, RESPONSES_FILE) as fh:
         probe.write_response_log(sorted(log.records, key=lambda r: (r.probed_target, r.source)), fh)
     status = "complete" if log.complete else "ABORTED (partial log)"

@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .addrs import parse_address
 from .csvio import read_rows, table_rows, write_rows
 from .grab import OUTCOME_RESPONDED, GrabRecord
 
@@ -103,14 +102,13 @@ def dedupe_printers(records: Iterable[HpPrinterRecord]) -> list[HpPrinterRecord]
     return unique
 
 
-def extract_eui64(address: str | int) -> str | None:
+def extract_eui64(address: int) -> str | None:
     """Recover the MAC from an EUI-64 interface ID, or None.
 
     The IID must carry the ff:fe infix at bytes 4-5 (0-indexed 3 and 4);
     undoing the universal/local bit flip on the first byte yields the MAC.
     """
-    value = parse_address(address) if isinstance(address, str) else address
-    iid = (value & ((1 << 64) - 1)).to_bytes(8, "big")
+    iid = (address & ((1 << 64) - 1)).to_bytes(8, "big")
     if iid[3] != 0xFF or iid[4] != 0xFE:
         return None
     mac = bytes([iid[0] ^ 0x02, iid[1], iid[2], iid[5], iid[6], iid[7]])

@@ -299,7 +299,6 @@ def run_grab_campaign(
     connector=live_connector,
     parallelism: int = DEFAULT_PARALLELISM,
     timeout: float = DEFAULT_TIMEOUT_S,
-    cap: int = BANNER_CAP,
     label: str = USER_AGENT,
 ) -> list[GrabRecord]:
     """Grab every (address, service) pair exactly once; order-stable output.
@@ -324,7 +323,7 @@ def run_grab_campaign(
                 return
             i, (a, s) = task
             try:
-                records[i] = grab(a, s, connector=connector, timeout=timeout, cap=cap, label=label)
+                records[i] = grab(a, s, connector=connector, timeout=timeout, label=label)
             except Exception as exc:  # noqa: BLE001 - isolate per-pair failures
                 log.warning("grab %s/%s failed: %s", a, s.name, exc)
                 records[i] = GrabRecord(

@@ -118,17 +118,17 @@ def validate_token(ident: int, seq: int, payload: bytes, secret: bytes) -> int |
 class RateLimiter:
     """Absolute-schedule pacer: the i-th send happens no earlier than i/pps.
 
-    Credit from slow periods is capped at ``burst`` sends so a stall can
-    never be repaid with an unbounded packet burst; over any window of a
-    second or more the realized rate stays within a burst of the target.
+    Credit from slow periods is capped at ``burst`` sends (10 ms worth) so a
+    stall can never be repaid with an unbounded packet burst; over any window
+    of a second or more the realized rate stays within a burst of the target.
     """
 
-    def __init__(self, pps: int, burst: int | None = None):
+    def __init__(self, pps: int):
         if pps <= 0:
             raise ValueError("packets-per-second must be positive")
         self.pps = pps
         self.interval = 1.0 / pps
-        self.burst = burst if burst is not None else max(1, pps // 100)
+        self.burst = max(1, pps // 100)
         self._next = None
 
     def wait(self) -> None:

@@ -74,10 +74,9 @@ def _responded_services(grabs: Iterable[GrabRecord]) -> dict[str, set[str]]:
 def internal_only_exposures(
     classified: Iterable[ClassifiedAddress],
     grabs: Iterable[GrabRecord],
-    service: str | None = None,
 ) -> list[tuple[int, int, tuple[str, ...]]]:
     """(net56, internal address, responded services) for nets whose external
-    address answered no protocol at all; optionally require one service."""
+    address answered no protocol at all."""
     responded = _responded_services(grabs)
     out: list[tuple[int, int, tuple[str, ...]]] = []
     for net56, internal, external in split_by_net(classified):
@@ -86,8 +85,6 @@ def internal_only_exposures(
         for c in internal:
             services = responded.get(format_address(c.address), set())
             if not services:
-                continue
-            if service is not None and service not in services:
                 continue
             out.append((net56, c.address, tuple(sorted(services))))
     return out

@@ -271,7 +271,7 @@ def _decode(cls, doc):
 
 
 _FIELD_TABLES = {
-    SimService: {"port": _int, "behavior": _text, "params": dict},
+    SimService: {"port": _int, "behavior": _text, "params": _exactly(dict, "an object")},
     SimHost: {
         "iid_mode": _text,
         "iid": _int,
@@ -359,7 +359,6 @@ class ScenarioParams:
     deny_fraction: float = 0.2
     slaac_fraction: float = 0.0
     extra_hops_weights: dict[int, float] = field(default_factory=lambda: {0: 1.0})
-    base_distance_range: tuple[int, int] = (2, 12)
     host_profile_weights: dict[int, float] = field(
         default_factory=lambda: {64: 0.5, 128: 0.3, 255: 0.2}
     )
@@ -372,7 +371,6 @@ class ScenarioParams:
     host_service_probability: dict[str, float] = field(default_factory=dict)
     cpe_service_probability: float = 0.0
     nonresidential_fraction: float = 0.0
-    seed_base: str = "2001:db8::"
 
     def validate(self) -> None:
         if self.n48 < 1:
@@ -389,9 +387,6 @@ class ScenarioParams:
                 raise ScenarioError(f"{name} must be in [0, 1]")
         if self.aliased_fraction + self.deny_fraction > 1.0:
             raise ScenarioError("aliased and deny fractions exceed the subnet population")
-        lo, hi = self.base_distance_range
-        if not 1 <= lo <= hi <= 50:
-            raise ScenarioError("base_distance_range must sit inside 1..50")
         if not self.hosts_per_subnet or sum(self.hosts_per_subnet) <= 0:
             raise ScenarioError("hosts_per_subnet needs positive weight")
         if len(self.hosts_per_subnet) > 10:
@@ -419,6 +414,9 @@ def _quota_pool(n: int, weights: dict, rng: random.Random) -> list:
     rng.shuffle(pool)
     return pool
 
+
+_SEED_BASE = parse_address("2001:db8::")  # generated /48s count up from here
+_BASE_DISTANCE_RANGE = (2, 12)  # scanner-to-CPE hops, drawn uniformly per CPE
 
 # Default service fixtures attached by behavior name during generation.
 _GENERATED_SERVICE_PORTS = {
@@ -449,7 +447,6 @@ def generate_scenario(params: ScenarioParams, rng_seed: int) -> Scenario:
     """Build a scenario realizing the requested mixes; fully seed-determined."""
     params.validate()
     rng = random.Random(rng_seed)
-    base = parse_address(params.seed_base) & PREFIX48_MASK
     if params.n48 > (1 << 16):
         raise ScenarioError("n48 exceeds the generator's /32 seed region")
 
@@ -491,7 +488,7 @@ def generate_scenario(params: ScenarioParams, rng_seed: int) -> Scenario:
     mac_counter = 0
     slaac_counter = 0
     for i in range(params.n48):
-        prefix48 = base | (i << 80)
+        prefix48 = _SEED_BASE | (i << 80)
         subnet_indexes = sorted(rng.sample(range(256), params.subnets_per_48))
         subnets: list[SimSubnet] = []
         for idx in subnet_indexes:
@@ -516,7 +513,7 @@ def generate_scenario(params: ScenarioParams, rng_seed: int) -> Scenario:
             cpe = SimCpe(
                 wan_mode=wan_mode,
                 firewall=firewall,
-                base_distance=rng.randint(*params.base_distance_range),
+                base_distance=rng.randint(*_BASE_DISTANCE_RANGE),
                 initial_hop_limit=cpe_profile_pool.pop(),
                 wan_mac=wan_mac,
                 wan_iid=wan_iid,
@@ -549,8 +546,6 @@ def generate_scenario(params: ScenarioParams, rng_seed: int) -> Scenario:
                     else:
                         iid_mode, iid = IID_DHCP_LOW, next_dhcp
                         next_dhcp += 1
-                    if iid_mode == IID_DHCP_LOW and iid > 10:
-                        continue  # DHCPv6 pool exhausted; skip surplus host
                     hosts.append(
                         SimHost(
                             iid_mode=iid_mode,

@@ -333,7 +333,6 @@ class SimServices:
         self.transcripts: list[Transcript] = []
         self._lock = threading.Lock()
         self._endpoints: dict[tuple[_Host, int], SimService] = {}
-        self._deny_hosts: set[ipaddress.IPv6Address] = set()
         self._alias_stubs: dict[int, dict[int, SimService]] = {}
         for net, sub, net56, wan in scenario.iter_subnets():
             if sub.aliased:
@@ -341,13 +340,11 @@ class SimServices:
                 continue
             for svc in sub.cpe.services:
                 self._register(wan, svc)
-            allow = sub.cpe.firewall == FIREWALL_ALLOW
+            if sub.cpe.firewall != FIREWALL_ALLOW:
+                continue  # a default-deny CPE filters every host behind it
             for host in sub.hosts:
-                address = scenario.host_address(net, sub, host)
-                if not allow:
-                    self._deny_hosts.add(ipaddress.IPv6Address(address))
                 for svc in host.services:
-                    self._register(address, svc)
+                    self._register(scenario.host_address(net, sub, host), svc)
 
     def _register(self, address: int, svc: SimService) -> None:
         self._endpoints[(ipaddress.IPv6Address(address), svc.port)] = svc
@@ -362,8 +359,6 @@ class SimServices:
             host = _host(address)
         except ValueError:
             raise ConnectionRefusedError(f"{address}:{port} unparsable") from None
-        if host in self._deny_hosts:
-            raise ConnectionRefusedError(f"{address}:{port} filtered")
         svc = self._endpoints.get((host, port))
         if svc is None and host.version == 6:
             svc = self._alias_stubs.get(int(host) & PREFIX56_MASK, {}).get(port)

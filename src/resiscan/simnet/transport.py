@@ -59,49 +59,23 @@ class SimTransport:
         sub = by_index.get((dst >> SUBNET_SHIFT) & 0xFF)
         if sub is None:
             return
-        if sub.aliased:
-            ev = IcmpEvent(
-                source=dst,
-                icmp_type=ICMP6_ECHO_REPLY,
-                icmp_code=0,
-                hop_limit=sub.cpe_hop_limit,
-                ident=ident,
-                seq=seq,
-                payload=payload,
-                quoted_target=None,
-                timestamp_us=ts + _HOP_US,
-            )
-        else:
+        # An aliased /56 echoes from the probed address, an allowed host from
+        # itself; anything else gets an error quoting the probe from the CPE.
+        source, icmp_type, code, quoted = dst, ICMP6_ECHO_REPLY, 0, None
+        hop_limit, delay_us = sub.cpe_hop_limit, _HOP_US
+        if not sub.aliased:
             host = None
             if (dst >> 64) & 0xFF == 0:  # hosts live in the /56's first /64
                 host = sub.hosts.get(dst & IID_MASK)
             if host is not None and sub.allow:
                 initial, distance = host
-                ev = IcmpEvent(
-                    source=dst,
-                    icmp_type=ICMP6_ECHO_REPLY,
-                    icmp_code=0,
-                    hop_limit=initial - distance,
-                    ident=ident,
-                    seq=seq,
-                    payload=payload,
-                    quoted_target=None,
-                    timestamp_us=ts + distance * _HOP_US,
-                )
+                hop_limit, delay_us = initial - distance, distance * _HOP_US
             else:
                 code = CODE_ADDR_UNREACHABLE if sub.allow else CODE_ADMIN_PROHIBITED
-                ev = IcmpEvent(
-                    source=sub.wan,
-                    icmp_type=ICMP6_DEST_UNREACH,
-                    icmp_code=code,
-                    hop_limit=sub.cpe_hop_limit,
-                    ident=ident,
-                    seq=seq,
-                    payload=payload,
-                    quoted_target=dst,
-                    timestamp_us=ts + _HOP_US,
-                )
-        self._events.append(ev)
+                source, icmp_type, quoted = sub.wan, ICMP6_DEST_UNREACH, dst
+        self._events.append(
+            IcmpEvent(source, icmp_type, code, hop_limit, ident, seq, payload, quoted, ts + delay_us)
+        )
 
     def poll(self, max_wait: float) -> list[IcmpEvent]:
         # Replies are queued at send time, so there is never anything to wait for.

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -33,15 +34,24 @@ ALIAS_MIN_IID = 0x0B  # alias probes never collide with the ten low-IID targets
 KIND_LOW_IID = "low_iid"
 KIND_ALIAS = "alias_probe"
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 @dataclass(slots=True)  # not frozen: one is built per probe, and frozen init costs 3x
 class ProbeTarget:
     address: int
-    net56: int  # network address of the covering /56
-    kind: str
-    iid_n: int | None = None  # 1..10 for low_iid targets, None for alias probes
+
+    @property
+    def net56(self) -> int:
+        """Network address of the covering /56."""
+        return self.address & PREFIX56_MASK
+
+    @property
+    def iid_n(self) -> int | None:
+        """1..10 for low_iid targets, None for alias probes."""
+        return probed_low_iid(self.address)
+
+    @property
+    def kind(self) -> str:
+        return KIND_ALIAS if self.iid_n is None else KIND_LOW_IID
 
     @property
     def address_text(self) -> str:
@@ -58,14 +68,16 @@ def _alias_hash_state(rng_seed: int):
     return hashlib.blake2b(key=(rng_seed & ((1 << 64) - 1)).to_bytes(8, "big"), digest_size=9)
 
 
-def alias_probe_target(net56: int, rng_seed: int) -> ProbeTarget:
+def alias_target_for(net56: int, rng_seed: int) -> int:
     """The /56's single alias-check probe: a random address high in the IID space.
 
-    Both the /64 selector byte and the IID are drawn from a keyed hash of the
-    /56, so the same (rng_seed, net56) pair always yields the same address,
-    independent of where the probe lands in the plan. The IID is uniform over
-    [0x0b, 2^64), rejection-sampled so it can never shadow a low-IID target.
+    ``net56`` may be any address inside the /56. Both the /64 selector byte
+    and the IID are drawn from a keyed hash of the /56, so the same
+    (rng_seed, net56) pair always yields the same address, independent of
+    where the probe lands in the plan. The IID is uniform over [0x0b, 2^64),
+    rejection-sampled so it can never shadow a low-IID target.
     """
+    net56 &= PREFIX56_MASK
     keyed = _alias_hash_state(rng_seed)
     net_bytes = net56.to_bytes(16, "big")
     counter = 0
@@ -76,46 +88,24 @@ def alias_probe_target(net56: int, rng_seed: int) -> ProbeTarget:
         iid = int.from_bytes(digest[1:9], "big")
         if iid >= ALIAS_MIN_IID:
             selector = digest[0]
-            address = net56 | (selector << 64) | iid
-            return ProbeTarget(address, net56, KIND_ALIAS)
+            return net56 | (selector << 64) | iid
         counter += 1
 
 
-def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for anything below 3.3 * 10^24.
-    if n < 2:
+def _is_prime(n: int) -> bool:
+    # Trial division by odd d up to sqrt(n): ~42k steps for a prime near the
+    # paper's 7.04 B-probe budget, paid once per plan.
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0:
         return False
-    for p in _MR_BASES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def _next_prime(n: int) -> int:
     candidate = n + 1
-    if candidate <= 2:
-        return 2
-    if candidate % 2 == 0:
+    while not _is_prime(candidate):
         candidate += 1
-    while not _is_probable_prime(candidate):
-        candidate += 2
     return candidate
 
 
@@ -179,9 +169,8 @@ class ScanPlan:
         net56 = seed | ((rest // TARGETS_PER_56) << SUBNET_SHIFT)
         slot = rest % TARGETS_PER_56
         if slot < LOW_IIDS_PER_56:
-            n = slot + 1
-            return ProbeTarget(net56 | n, net56, KIND_LOW_IID, n)
-        return alias_probe_target(net56, self.rng_seed)
+            return ProbeTarget(net56 | (slot + 1))
+        return ProbeTarget(alias_target_for(net56, self.rng_seed))
 
     @property
     def cycle_len(self) -> int:
@@ -222,8 +211,7 @@ def build_plan(seeds, rng_seed: int) -> ScanPlan:
     ``seeds`` may be a SeedSet or any iterable of /48 network ints. Budget is
     always len(seeds) * 2816; nothing is materialized beyond the seed tuple.
     """
-    prefixes = tuple(seeds.prefixes) if hasattr(seeds, "prefixes") else tuple(seeds)
-    return ScanPlan(prefixes, rng_seed)
+    return ScanPlan(tuple(seeds), rng_seed)
 
 
 def probed_low_iid(address: int) -> int | None:
@@ -232,7 +220,3 @@ def probed_low_iid(address: int) -> int | None:
         return None
     iid = address & IID_MASK
     return iid if 1 <= iid <= LOW_IIDS_PER_56 else None
-
-
-def alias_target_for(net56: int, rng_seed: int) -> int:
-    return alias_probe_target(net56 & PREFIX56_MASK, rng_seed).address

@@ -382,6 +382,47 @@ class TestLiveModeGuards:
         assert res.code == 2
         assert "operator_contact_url" in res.err
 
+    @pytest.mark.parametrize(
+        "fault, code, closed",
+        [(None, 0, [True]), ("send", 1, [True]), ("poll", 1, [True]), ("rate", 1, [])],
+        ids=["complete", "aborted", "raising", "bad-rate"],
+    )
+    def test_scan_closes_the_live_socket(self, seeded_dir, monkeypatch, fault, code, closed):
+        transports = []
+
+        class FakeLiveTransport:
+            """Stands in for the raw socket; ``fault`` names the call that fails."""
+
+            def __init__(self, contact_url):
+                self.closed = False
+                transports.append(self)
+
+            def send(self, dst, ident, seq, payload):
+                if fault == "send":
+                    raise OSError("no buffer space available")
+
+            def poll(self, max_wait):
+                if fault == "poll":
+                    raise OSError("socket gone")
+                return []
+
+            def drained(self):
+                return False
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(probe_mod, "LiveTransport", FakeLiveTransport)
+        config = os.path.join(seeded_dir, "config.json")
+        settings = {"operator_contact_url": "https://example.org/optout", "probe_timeout_s": 0.01}
+        if fault == "rate":
+            settings["rate_pps"] = -1
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(settings, fh)
+        res = run_cli("--config", config, "--out", seeded_dir, "--transport", "live", "scan")
+        assert res.code == code, res.err
+        assert [t.closed for t in transports] == closed
+
     def test_grab_requires_contact_url(self, seeded_dir):
         with open(os.path.join(seeded_dir, "classified.csv"), "w") as fh:
             classify_mod.write_classification([], fh)

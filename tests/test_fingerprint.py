@@ -130,7 +130,7 @@ class TestHpHeader:
 
 class TestEui64:
     def test_known_vector(self):
-        address = "2001:db8:1:200:21b:2cff:feaa:bbcc"
+        address = parse_address("2001:db8:1:200:21b:2cff:feaa:bbcc")
         assert extract_eui64(address) == "00:1b:2c:aa:bb:cc"
 
     def test_known_vector_local_bit(self):
@@ -138,8 +138,8 @@ class TestEui64:
         assert extract_eui64(parse_address("2001:db8::6e55:c3ff:fe01:203")) == "6c:55:c3:01:02:03"
 
     def test_low_iid_not_extracted(self):
-        assert extract_eui64("2001:db8::1") is None
-        assert extract_eui64("2001:db8::a") is None
+        assert extract_eui64(parse_address("2001:db8::1")) is None
+        assert extract_eui64(parse_address("2001:db8::a")) is None
 
     def test_infix_position_is_exact(self):
         # ff:fe anywhere except bytes 3-4 of the IID must not match
@@ -198,7 +198,7 @@ class TestOui:
             load_oui_db(str(path))
 
     def test_extraction_feeds_lookup(self, db):
-        mac = extract_eui64("2001:db8::21b:2cff:feaa:bbcc")
+        mac = extract_eui64(parse_address("2001:db8::21b:2cff:feaa:bbcc"))
         assert oui_vendor(mac, db) == "ATRONIC AG"
 
 

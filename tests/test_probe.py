@@ -131,7 +131,7 @@ class TestRateLimiter:
         assert elapsed < 0.35
 
     def test_burst_credit_is_capped(self):
-        limiter = RateLimiter(1000, burst=5)
+        limiter = RateLimiter(500)  # burst: 5 sends
         limiter.wait()
         time.sleep(0.1)  # bank far more credit than the burst cap
         t0 = time.monotonic()

@@ -218,8 +218,6 @@ class TestInternalOnly:
         grabs = [hit("2001:db8:b:300::a", "telnet"), hit("2001:db8:b:300::a", "mqtt")]
         both = internal_only_exposures(classified, grabs)
         assert both == [(NET_B1, B1_INT, ("mqtt", "telnet"))]
-        assert internal_only_exposures(classified, grabs, service="telnet") == both
-        assert internal_only_exposures(classified, grabs, service="http") == []
 
     def test_net_without_external_counts(self):
         # No outside responder was ever seen: nothing to suppress on.

@@ -19,6 +19,7 @@ from resiscan.simnet import (
     Scenario,
     ScenarioError,
     ScenarioParams,
+    SimServices,
     SimTransport,
     expected_grab_outcomes,
     generate_scenario,
@@ -228,6 +229,11 @@ class TestScenarioFile:
             broken(lambda d: host(d)["services"][0].update(port="80")),
             broken(lambda d: subnet(d)["cpe"].update(base_distance=3.7)),
             broken(lambda d: host(d).update(iid=True)),
+            # service parameters that are not a JSON object
+            broken(lambda d: host(d)["services"][0].update(params=[["banner", "x"]])),
+            broken(lambda d: host(d)["services"][0].update(params=[])),
+            broken(lambda d: host(d)["services"][0].update(params="")),
+            broken(lambda d: host(d)["services"][0].update(params="ab")),
         ]
         for doc in cases:
             try:
@@ -321,6 +327,22 @@ class TestTransportRules:
         assert ev.icmp_type == ICMP6_DEST_UNREACH
         assert ev.icmp_code == 1
         assert ev.source == wan_addresses(tiny_scenario)[1]
+
+    def test_deny_firewall_refuses_connections(self):
+        # The same service answers behind an open CPE and is refused behind a closed one.
+        telnet = [SimService(23, "telnet", {})]
+        net = make_net(
+            "2001:db8:7::",
+            [
+                make_subnet(1, hosts=[make_host(1, services=telnet)]),
+                make_subnet(2, hosts=[make_host(1, services=telnet)], firewall=FIREWALL_DENY),
+            ],
+        )
+        backend = SimServices(make_scenario([net]))
+        with backend.connect("2001:db8:7:100::1", 23, timeout=2.0) as sock:
+            assert sock.recv(64)
+        with pytest.raises(ConnectionRefusedError):
+            backend.connect("2001:db8:7:200::1", 23)
 
     def test_aliased_net_answers_everything(self, tiny_scenario):
         t = SimTransport(tiny_scenario)
@@ -517,8 +539,6 @@ class TestGenerator:
             ScenarioParams(aliased_fraction=0.7, deny_fraction=0.7).validate()
         with pytest.raises(ScenarioError):
             ScenarioParams(hosts_per_subnet=tuple([1.0] * 11)).validate()
-        with pytest.raises(ScenarioError):
-            ScenarioParams(base_distance_range=(0, 5)).validate()
 
 
 class TestCompanionFiles:

@@ -17,10 +17,10 @@ from resiscan.targetgen import (
     TARGETS_PER_48,
     TARGETS_PER_56,
     PlanError,
+    ProbeTarget,
     ScanPlan,
-    _is_probable_prime,
+    _is_prime,
     _next_prime,
-    alias_probe_target,
     alias_target_for,
     build_plan,
     probed_low_iid,
@@ -49,14 +49,14 @@ def test_low_iid_targets_are_the_first_ten_addresses():
 class TestAliasProbe:
     def test_deterministic_per_net_and_seed(self):
         net56 = SEED48 | (7 << SUBNET_SHIFT)
-        a = alias_probe_target(net56, 99)
-        b = alias_probe_target(net56, 99)
+        a = alias_target_for(net56, 99)
+        b = alias_target_for(net56, 99)
         assert a == b
-        assert alias_probe_target(net56, 100).address != a.address
+        assert alias_target_for(net56, 100) != a
 
     def test_stays_inside_its_56(self):
         net56 = SEED48 | (0xFE << SUBNET_SHIFT)
-        t = alias_probe_target(net56, 5)
+        t = ProbeTarget(alias_target_for(net56, 5))
         assert prefix56_of(t.address) == net56
         assert t.net56 == net56
         assert t.kind == KIND_ALIAS
@@ -66,20 +66,19 @@ class TestAliasProbe:
     @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=2**32))
     def test_never_collides_with_low_iid_probes(self, sub, rng_seed):
         net56 = SEED48 | (sub << SUBNET_SHIFT)
-        t = alias_probe_target(net56, rng_seed)
-        iid = t.address & ((1 << 64) - 1)
+        address = alias_target_for(net56, rng_seed)
+        iid = address & ((1 << 64) - 1)
         assert iid >= ALIAS_MIN_IID
-        assert probed_low_iid(t.address) is None
+        assert probed_low_iid(address) is None
 
     def test_distinct_nets_get_distinct_targets(self):
         nets = [SEED48 | (i << SUBNET_SHIFT) for i in range(SUBNETS_PER_48)]
-        targets = {alias_probe_target(n, 3).address for n in nets}
+        targets = {alias_target_for(n, 3) for n in nets}
         assert len(targets) == 256
 
     def test_alias_target_for_matches(self):
+        # Any address inside the /56 names the same alias target.
         net56 = SEED48 | (9 << SUBNET_SHIFT)
-        assert alias_target_for(net56, 4) == alias_probe_target(net56, 4).address
-        # Also accepts a full address inside the /56.
         assert alias_target_for(net56 | 0x1234, 4) == alias_target_for(net56, 4)
 
 
@@ -92,7 +91,7 @@ def test_alias_probe_known_answers():
         ("2001:db8:ffff:ff00::", 0, "2001:db8:ffff:ffba:5491:3ad7:33cf:3132"),
     ]
     for net, rng_seed, expected in cases:
-        assert alias_probe_target(parse_address(net), rng_seed).address == parse_address(expected)
+        assert alias_target_for(parse_address(net), rng_seed) == parse_address(expected)
 
 
 def test_probed_low_iid_shapes():
@@ -110,9 +109,21 @@ class TestPrimes:
         assert _next_prime(2816) == 2819
         assert _next_prime(28160) == 28163
         for p in (2, 3, 5, 7, 97, 2819, 1_000_003):
-            assert _is_probable_prime(p)
+            assert _is_prime(p)
         for c in (0, 1, 4, 9, 91, 2817, 561, 41041, 25326001):  # incl. Carmichael numbers
-            assert not _is_probable_prime(c)
+            assert not _is_prime(c)
+
+    def test_plan_moduli_known_answers(self):
+        # Budgets of 1, 2, 64 and 200 seeds and the paper's 7.04 B probes.
+        cases = [
+            (2816, 2819),
+            (5632, 5639),
+            (180224, 180233),
+            (563200, 563219),
+            (7_040_000_000, 7_040_000_003),
+        ]
+        for budget, prime in cases:
+            assert _next_prime(budget) == prime
 
     def test_next_prime_agrees_with_sieve(self):
         limit = 3000
@@ -122,6 +133,7 @@ class TestPrimes:
             if sieve[i]:
                 for j in range(i * i, limit, i):
                     sieve[j] = False
+        assert [_is_prime(i) for i in range(limit)] == sieve
         primes = [i for i, is_p in enumerate(sieve) if is_p]
         random_points = random.Random(1).sample(range(limit - 200), 50)
         for n in random_points:
@@ -156,8 +168,7 @@ class TestScanPlan:
                 net56 = seed | (sub << SUBNET_SHIFT)
                 for n in range(1, 11):
                     expected[(net56 | n, "low", n)] += 1
-                alias = alias_probe_target(net56, rng_seed)
-                expected[(alias.address, "alias", None)] += 1
+                expected[(alias_target_for(net56, rng_seed), "alias", None)] += 1
         plan = build_plan(seeds, rng_seed)
         got = Counter()
         for t in plan:
