@@ -8,6 +8,9 @@ inspected, and resumed between stages:
 ``simnet-gen`` fabricates a simulated deployment (scenario plus companion
 seed/AS/connection/registry/OUI files) so the full pipeline can run
 end-to-end with no network access and fully reproducible output.
+
+Each ``cmd_*`` imports the modules of its own stage, so that a stage
+process loads only what it runs.
 """
 
 from __future__ import annotations
@@ -17,27 +20,8 @@ import json
 import os
 import sys
 
-from . import classify as classify_mod
-from . import fingerprint as fingerprint_mod
-from . import grab as grab_mod
-from . import probe, report, seedprep, services, targetgen
+from . import seedprep
 from .addrs import format_address
-from .csvio import write_rows
-from .simnet import (
-    ScenarioParams,
-    SimServices,
-    SimTransport,
-    generate_scenario,
-    load_scenario,
-    save_scenario,
-)
-from .simnet.scenario import (
-    as_map_lines,
-    asn_geo_lines,
-    connection_map_lines,
-    oui_lines,
-    seed_lines,
-)
 
 DEFAULT_CONFIG = {
     "seed_list": None,
@@ -172,10 +156,25 @@ def _load_filtered_seeds(cfg: dict) -> seedprep.SeedSet:
         return seedprep.parse_prefix_list(fh.read())
 
 
-def _service_catalog(cfg: dict) -> tuple[services.ServiceSpec, ...]:
+def _service_catalog(cfg: dict) -> tuple:
+    from . import services
+
     if cfg.get("services"):
         return services.load_services(cfg["services"])
     return services.default_services()
+
+
+# The stages reach the simulator through these two; perfbench's tracer wraps them.
+def SimTransport(scenario):
+    from . import simnet
+
+    return simnet.SimTransport(scenario)
+
+
+def load_scenario(path: str):
+    from . import simnet
+
+    return simnet.load_scenario(path)
 
 
 def _sim_scenario(cfg: dict):
@@ -213,6 +212,8 @@ def cmd_seed_filter(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_plan(cfg: dict, args: argparse.Namespace) -> int:
+    from . import targetgen
+
     seeds = _load_filtered_seeds(cfg)
     plan = targetgen.build_plan(seeds, cfg["rng_seed"])
     print(f"plan: {len(plan.seeds)} seeds, budget {plan.budget} probes")
@@ -224,6 +225,8 @@ def cmd_plan(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
+    from . import probe, targetgen
+
     seeds = _load_filtered_seeds(cfg)
     plan = targetgen.build_plan(seeds, cfg["rng_seed"])
     print(f"scan: {len(plan.seeds)} seeds, budget {plan.budget} probes")
@@ -251,24 +254,29 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     with _write_stage(cfg, RESPONSES_FILE) as fh:
         probe.write_response_log(sorted(log.records, key=lambda r: (r.probed_target, r.source)), fh)
     status = "complete" if log.complete else "ABORTED (partial log)"
+    skipped = "".join(
+        f"skipped {n} ({name}), " for name, n in sorted(log.send_errors.items())
+    )
     print(
         f"scan: sent {log.sent}, kept {len(log.records)} responses, "
-        f"dropped {log.spurious} spurious, {status}"
+        f"dropped {log.spurious} spurious, {skipped}{status}"
     )
     return 0 if log.complete else 1
 
 
 def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
+    from . import classify, probe
+
     seeds = _load_filtered_seeds(cfg)
     records = _read_stage(cfg, RESPONSES_FILE, probe.read_response_log)
-    result = classify_mod.classify_log(
+    result = classify.classify_log(
         records, seeds=seeds.prefixes, rng_seed=cfg["rng_seed"]
     )
     with _write_stage(cfg, CLASSIFIED_FILE) as fh:
-        classify_mod.write_classification(result.classified, fh)
+        classify.write_classification(result.classified, fh)
     stats = {
-        "internal": len(result.by_label(classify_mod.LABEL_INTERNAL)),
-        "external": len(result.by_label(classify_mod.LABEL_EXTERNAL)),
+        "internal": len(result.by_label(classify.LABEL_INTERNAL)),
+        "external": len(result.by_label(classify.LABEL_EXTERNAL)),
         "aliased_nets": sorted(f"{format_address(n)}/56" for n in result.aliased_nets),
         "missing_alias_nets": sorted(
             f"{format_address(n)}/56" for n in result.missing_alias_nets
@@ -286,16 +294,20 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
-    classified = _read_stage(cfg, CLASSIFIED_FILE, classify_mod.read_classification)
+    from . import classify, grab
+
+    classified = _read_stage(cfg, CLASSIFIED_FILE, classify.read_classification)
     specs = _service_catalog(cfg)
     addresses = [format_address(c.address) for c in classified]
-    label = grab_mod.USER_AGENT
+    label = grab.USER_AGENT
     if cfg["transport"]["mode"] == "live":
-        label = f"{grab_mod.USER_AGENT} (+{_require_operator_contact(cfg)})"
-        connector = grab_mod.live_connector
+        label = f"{grab.USER_AGENT} (+{_require_operator_contact(cfg)})"
+        connector = grab.live_connector
     else:
-        connector = SimServices(_sim_scenario(cfg)).connector()
-    records = grab_mod.run_grab_campaign(
+        from . import simnet
+
+        connector = simnet.SimServices(_sim_scenario(cfg)).connector()
+    records = grab.run_grab_campaign(
         addresses,
         specs,
         connector=connector,
@@ -304,20 +316,23 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
         label=label,
     )
     with _write_stage(cfg, GRABS_FILE) as fh:
-        grab_mod.write_grab_log(records, fh)
-    responded = sum(1 for r in records if r.outcome == grab_mod.OUTCOME_RESPONDED)
+        grab.write_grab_log(records, fh)
+    responded = sum(1 for r in records if r.outcome == grab.OUTCOME_RESPONDED)
     print(f"grab: {len(records)} attempts over {len(addresses)} addresses, {responded} responded")
     return 0
 
 
 def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
-    grabs = _read_stage(cfg, GRABS_FILE, grab_mod.read_grab_log)
-    hits = fingerprint_mod.fingerprint_records(grabs)
+    from . import classify, fingerprint, grab
+    from .csvio import write_rows
+
+    grabs = _read_stage(cfg, GRABS_FILE, grab.read_grab_log)
+    hits = fingerprint.fingerprint_records(grabs)
     with _write_stage(cfg, FINGERPRINTS_FILE) as fh:
-        fingerprint_mod.write_fingerprints(hits, fh)
+        fingerprint.write_fingerprints(hits, fh)
 
     printers = sorted(
-        fingerprint_mod.dedupe_printers(fingerprint_mod.collect_hp_printers(grabs)),
+        fingerprint.dedupe_printers(fingerprint.collect_hp_printers(grabs)),
         key=lambda p: (p.serial, p.address),
     )
     with _write_stage(cfg, HP_PRINTERS_FILE) as fh:
@@ -327,14 +342,14 @@ def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
             header=("address", "model", "serial", "build"),
         )
 
-    oui_db = fingerprint_mod.load_oui_db(cfg["oui_db"]) if cfg.get("oui_db") else {}
-    classified = _read_stage(cfg, CLASSIFIED_FILE, classify_mod.read_classification)
+    oui_db = fingerprint.load_oui_db(cfg["oui_db"]) if cfg.get("oui_db") else {}
+    classified = _read_stage(cfg, CLASSIFIED_FILE, classify.read_classification)
     rows = []
     for c in classified:
-        mac = fingerprint_mod.extract_eui64(c.address)
+        mac = fingerprint.extract_eui64(c.address)
         if mac is None:
             continue
-        vendor = fingerprint_mod.oui_vendor(mac, oui_db) or ""
+        vendor = fingerprint.oui_vendor(mac, oui_db) or ""
         rows.append((format_address(c.address), mac, vendor))
     with _write_stage(cfg, EUI64_FILE) as fh:
         write_rows(fh, sorted(set(rows)), header=("address", "mac", "vendor"))
@@ -346,12 +361,14 @@ def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_report(cfg: dict, args: argparse.Namespace) -> int:
+    from . import classify, fingerprint, grab, report
+
     geo_path = _require(cfg, "asn_geo", "prefix/ASN/name/country registry table")
-    classified = _read_stage(cfg, CLASSIFIED_FILE, classify_mod.read_classification)
-    grabs = _read_stage(cfg, GRABS_FILE, grab_mod.read_grab_log)
+    classified = _read_stage(cfg, CLASSIFIED_FILE, classify.read_classification)
+    grabs = _read_stage(cfg, GRABS_FILE, grab.read_grab_log)
     hits = []
     if os.path.exists(os.path.join(cfg["output_dir"], FINGERPRINTS_FILE)):
-        hits = _read_stage(cfg, FINGERPRINTS_FILE, fingerprint_mod.read_fingerprints)
+        hits = _read_stage(cfg, FINGERPRINTS_FILE, fingerprint.read_fingerprints)
     seed_total = None
     try:
         seed_total = len(_load_filtered_seeds(cfg))
@@ -372,7 +389,9 @@ def cmd_report(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_simnet_gen(cfg: dict, args: argparse.Namespace) -> int:
-    params = ScenarioParams(
+    from .simnet import scenario as sim
+
+    params = sim.ScenarioParams(
         n48=args.n48,
         subnets_per_48=args.subnets,
         hosts_per_subnet=(1.0, 2.0),
@@ -394,16 +413,16 @@ def cmd_simnet_gen(cfg: dict, args: argparse.Namespace) -> int:
         cpe_service_probability=0.5,
         nonresidential_fraction=args.nonresidential_fraction,
     )
-    scenario = generate_scenario(params, cfg["rng_seed"])
+    scenario = sim.generate_scenario(params, cfg["rng_seed"])
     outdir = cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
-    save_scenario(scenario, os.path.join(outdir, "scenario.json"))
+    sim.save_scenario(scenario, os.path.join(outdir, "scenario.json"))
     emitted = {
-        "seeds_all.txt": seed_lines(scenario),
-        "as_map.csv": as_map_lines(scenario),
-        "conn_map.csv": connection_map_lines(scenario),
-        "asn_geo.csv": asn_geo_lines(scenario),
-        "oui.csv": oui_lines(),
+        "seeds_all.txt": sim.seed_lines(scenario),
+        "as_map.csv": sim.as_map_lines(scenario),
+        "conn_map.csv": sim.connection_map_lines(scenario),
+        "asn_geo.csv": sim.asn_geo_lines(scenario),
+        "oui.csv": sim.oui_lines(),
     }
     for name, text in emitted.items():
         with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:

@@ -14,10 +14,10 @@ work identically - only the Host header bracketing cares about the family.
 from __future__ import annotations
 
 import base64
+import functools
 import itertools
 import logging
 import socket
-import ssl
 import struct
 import threading
 from dataclasses import dataclass
@@ -133,9 +133,15 @@ def parse_http_response(raw: bytes) -> tuple[int | None, dict[str, str], bytes]:
     return status, headers, body
 
 
-_TLS_CONTEXT = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
-_TLS_CONTEXT.check_hostname = False
-_TLS_CONTEXT.verify_mode = ssl.CERT_NONE
+@functools.cache
+def _tls_context():
+    """The client context of every TLS grab, built on first use: ``ssl`` loads late."""
+    import ssl
+
+    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    ctx.check_hostname = False
+    ctx.verify_mode = ssl.CERT_NONE
+    return ctx
 
 
 def _peer_common_name(tls_sock) -> str | None:
@@ -178,7 +184,7 @@ def _grab_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -
 
 def _grab_tls_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
     try:
-        tls = _TLS_CONTEXT.wrap_socket(sock)
+        tls = _tls_context().wrap_socket(sock)
     except OSError:  # ssl.SSLError and a handshake timeout included
         raise _NoResponse("tls_handshake") from None
     with tls:

@@ -19,6 +19,7 @@ empty while a live one waits out the quiet period.
 
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import logging
@@ -50,6 +51,10 @@ RECV_BATCH = 4096  # most packets one live poll reads, so a flood cannot stall s
 DEFAULT_QUIESCENCE_S = 8.0
 POLL_EVERY = 1024  # sends between non-blocking drains of the transport
 PROGRESS_EVERY = 100_000  # sends between progress callbacks
+# Send errors that concern one destination: count it and skip it.
+SKIP_ERRNOS = frozenset({errno.ENETUNREACH, errno.EHOSTUNREACH, errno.EADDRNOTAVAIL})
+SEND_TRIES = 8  # tries of one probe while the send buffer is full, then abort
+SEND_BACKOFF_S = 0.001  # first back-off after a full buffer; doubles per try
 
 
 @dataclass(slots=True)
@@ -162,6 +167,7 @@ class ScanLog:
     records: list[ResponseRecord] = field(default_factory=list)
     sent: int = 0
     spurious: int = 0
+    send_errors: dict[str, int] = field(default_factory=dict)  # skipped sends by errno name
     complete: bool = False
     send_duration_s: float = 0.0
 
@@ -188,6 +194,34 @@ def _record_from_event(ev: IcmpEvent, secret: bytes) -> ResponseRecord | None:
     )
 
 
+def _retry_send(exc: OSError, send, probe: tuple, errors: dict[str, int]) -> bool:
+    """Apply the send errno policy to a failed send of ``probe``.
+
+    A full send buffer (``ENOBUFS``, or ``EAGAIN`` from a non-blocking
+    socket) means the packet never left, so the same probe is tried again
+    after a short back-off, up to ``SEND_TRIES`` tries in all. An error that
+    concerns only the destination is counted in ``errors`` and the
+    destination skipped. True once the probe went out, False when it was
+    skipped; any other error, or a buffer still full, is raised.
+    """
+    tries = 1
+    while True:
+        if exc.errno in SKIP_ERRNOS:
+            name = errno.errorcode[exc.errno]
+            errors[name] = errors.get(name, 0) + 1
+            return False
+        full = isinstance(exc, BlockingIOError) or exc.errno == errno.ENOBUFS
+        if not full or tries == SEND_TRIES:
+            raise exc
+        time.sleep(SEND_BACKOFF_S * 2 ** (tries - 1))
+        tries += 1
+        try:
+            send(*probe)
+            return True
+        except OSError as again:
+            exc = again
+
+
 def run_scan(
     plan: Iterable,
     transport: Transport,
@@ -205,14 +239,21 @@ def run_scan(
     are counted and dropped instead of queued. After the send phase the
     loop keeps draining until the transport reports ``drained()`` or no
     event has arrived for ``quiescence_s``, counted from the later of the
-    last event and the end of sending. A transport send failure aborts the
-    campaign: what is already pending is drained and the partial log comes
-    back with ``complete=False``.
+    last event and the end of sending.
+
+    A failed send follows the errno policy of ``_retry_send``. Any other
+    transport failure, in either phase, aborts the campaign: what is
+    already pending is drained, unless the failure was a poll, and the
+    records validated so far come back with ``complete=False``.
     """
     scan = ScanLog()
+    polling = False  # true while a poll runs: one that raises is not retried
 
     def drain(max_wait: float) -> bool:
+        nonlocal polling
+        polling = True
         batch = transport.poll(max_wait)
+        polling = False
         for ev in batch:
             rec = _record_from_event(ev, secret)
             if rec is None:
@@ -226,32 +267,41 @@ def run_scan(
     sent = 0
     t0 = time.monotonic()
     try:
-        for target in plan:
-            if pace is not None:
-                pace()
-            address = target.address
-            ident, seq, payload = encode_token(address, secret)
-            send(address, ident, seq, payload)
-            sent += 1
-            if sent % POLL_EVERY == 0:
-                drain(0.0)
-            if progress is not None and sent % PROGRESS_EVERY == 0:
-                progress(sent)
-    except Exception as exc:  # noqa: BLE001 - any transport failure aborts
-        scan.sent = sent
-        scan.send_duration_s = time.monotonic() - t0
-        log.error("transport failure after %d sends: %s", sent, exc)
-        drain(0.0)
-        return scan
-    scan.sent = sent
-    scan.send_duration_s = time.monotonic() - t0
+        try:
+            for target in plan:
+                if pace is not None:
+                    pace()
+                address = target.address
+                ident, seq, payload = encode_token(address, secret)
+                try:
+                    send(address, ident, seq, payload)
+                except OSError as exc:
+                    probe = (address, ident, seq, payload)
+                    if not _retry_send(exc, send, probe, scan.send_errors):
+                        continue
+                sent += 1
+                if sent % POLL_EVERY == 0:
+                    drain(0.0)
+                if progress is not None and sent % PROGRESS_EVERY == 0:
+                    progress(sent)
+        finally:
+            scan.sent = sent
+            scan.send_duration_s = time.monotonic() - t0
 
-    quiet_since = time.monotonic()
-    while True:
-        if drain(max(0.0, quiet_since + quiescence_s - time.monotonic())):
-            quiet_since = time.monotonic()
-        if transport.drained() or time.monotonic() >= quiet_since + quiescence_s:
-            break
+        quiet_since = time.monotonic()
+        while True:
+            if drain(max(0.0, quiet_since + quiescence_s - time.monotonic())):
+                quiet_since = time.monotonic()
+            if transport.drained() or time.monotonic() >= quiet_since + quiescence_s:
+                break
+    except Exception as exc:  # noqa: BLE001 - any transport failure aborts
+        log.error("transport failure after %d sends: %s", sent, exc)
+        if not polling:
+            try:
+                drain(0.0)
+            except Exception:  # noqa: BLE001 - the transport is gone; keep what we have
+                pass
+        return scan
     scan.complete = True
     return scan
 

@@ -14,20 +14,20 @@ is how the tests enforce that grabs stay minimal.
 
 from __future__ import annotations
 
-import datetime
 import ipaddress
 import os
-import plistlib
 import socket
-import ssl
 import struct
-import tempfile
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..addrs import PREFIX56_MASK
 from ..grab import recv_exact
 from .scenario import FIREWALL_ALLOW, Scenario, SimService
+
+if TYPE_CHECKING:
+    import ssl  # loaded on the first TLS handshake
 
 TLS_ALERT_HANDSHAKE_FAILURE = b"\x15\x03\x01\x00\x02\x02\x28"
 TELNET_NEGOTIATION = b"\xff\xfd\x18\xff\xfd\x20\xff\xfd\x23\xff\xfd\x27"
@@ -97,6 +97,10 @@ class _CertStore:
             ctx = self._contexts.get(common_name)
             if ctx is not None:
                 return ctx
+            import datetime
+            import ssl
+            import tempfile
+
             from cryptography import x509
             from cryptography.hazmat.primitives import hashes, serialization
             from cryptography.hazmat.primitives.asymmetric import ec
@@ -237,7 +241,7 @@ def h_tls_http(conn: _Conn, params: dict) -> None:
     ctx = _certs.context_for(str(params.get("common_name", "simnet test")))
     try:
         conn.sock = ctx.wrap_socket(conn.sock, server_side=True)
-    except (ssl.SSLError, OSError):
+    except OSError:  # ssl.SSLError included
         return
     h_http(conn, params)
 
@@ -267,6 +271,8 @@ def h_mqtt_broker(conn: _Conn, params: dict) -> None:
 
 
 def h_lockdown(conn: _Conn, params: dict) -> None:
+    import plistlib
+
     conn.settimeout(5.0)
     try:
         raw_len = recv_exact(conn, 4)

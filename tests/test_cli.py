@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import filecmp
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resiscan import classify as classify_mod
+from resiscan import cli as cli_mod
 from resiscan import fingerprint as fingerprint_mod
 from resiscan import grab as grab_mod
 from resiscan import probe as probe_mod
@@ -434,6 +436,64 @@ class TestLiveModeGuards:
         res = run_cli("--out", seeded_dir, "scan")
         assert res.code == 2
         assert "transport.scenario" in res.err
+
+
+class TestScanFaults:
+    """The scan stage with a simulated transport that fails."""
+
+    @pytest.fixture()
+    def scan_dir(self, pipeline, tmp_path):
+        with open(os.path.join(pipeline.dir, "seeds.txt"), encoding="utf-8") as src:
+            (tmp_path / "seeds.txt").write_text(src.read())
+        return str(tmp_path)
+
+    def _scan(self, pipeline, scan_dir, monkeypatch, transport_cls):
+        real = cli_mod.SimTransport
+        monkeypatch.setattr(
+            cli_mod, "SimTransport", lambda scenario: transport_cls(real(scenario))
+        )
+        return run_cli("--config", pipeline.config, "--out", scan_dir, "scan")
+
+    def test_poll_failure_writes_the_partial_log(self, pipeline, scan_dir, monkeypatch):
+        class FailingPoll:
+            def __init__(self, inner):
+                self.inner, self.send, self.drained = inner, inner.send, inner.drained
+                self.polls = 0
+
+            def poll(self, max_wait):
+                self.polls += 1
+                if self.polls >= 3:  # while sending: 3,072 of 14,080 probes are out
+                    raise OSError("ENETDOWN")
+                return self.inner.poll(max_wait)
+
+        res = self._scan(pipeline, scan_dir, monkeypatch, FailingPoll)
+        assert res.code == 1
+        assert res.out.splitlines()[1].endswith("ABORTED (partial log)")
+        with open(os.path.join(scan_dir, "responses.csv"), encoding="utf-8") as fh:
+            partial = probe_mod.read_response_log(fh)
+        with open(os.path.join(pipeline.dir, "responses.csv"), encoding="utf-8") as fh:
+            full = probe_mod.read_response_log(fh)
+        assert 0 < len(partial) < len(full)
+
+    def test_skipped_destinations_are_counted_in_the_summary(
+        self, pipeline, scan_dir, monkeypatch
+    ):
+        class Unreachable:
+            def __init__(self, inner):
+                self.inner, self.poll, self.drained = inner, inner.poll, inner.drained
+                self.failures = 3
+
+            def send(self, dst, ident, seq, payload):
+                if self.failures:
+                    self.failures -= 1
+                    raise OSError(errno.EHOSTUNREACH, "No route to host")
+                self.inner.send(dst, ident, seq, payload)
+
+        res = self._scan(pipeline, scan_dir, monkeypatch, Unreachable)
+        assert res.code == 0, res.err
+        assert res.out.splitlines()[1].endswith(
+            "dropped 0 spurious, skipped 3 (EHOSTUNREACH), complete"
+        )
 
 
 class TestHostileFiles:

@@ -1,3 +1,4 @@
+import errno
 import io
 import random
 import socket
@@ -17,6 +18,7 @@ from resiscan.probe import (
     KIND_DEST_UNREACH,
     KIND_ECHO_REPLY,
     KIND_OTHER,
+    SEND_TRIES,
     TOKEN_LEN,
     IcmpEvent,
     LiveTransport,
@@ -246,6 +248,39 @@ class TestRunScan:
         assert len(expected) > 0
         assert log.records == expected
 
+    @pytest.mark.parametrize(
+        "failing_poll, sent, drained_before",
+        [(2, 2048, 1024), (3, 2816, 2048)],
+        ids=["while-sending", "in-quiescence"],
+    )
+    def test_poll_failure_returns_partial_log(
+        self, tiny_scenario, failing_poll, sent, drained_before
+    ):
+        class FailingPoll(SimTransport):
+            polls = 0
+
+            def poll(self, max_wait):
+                self.polls += 1
+                if self.polls >= failing_poll:
+                    raise OSError("ENETDOWN")
+                return super().poll(max_wait)
+
+        seeds = [tiny_scenario.nets[0].prefix48]
+        plan = build_plan(seeds, 3)
+        _, _, full = scan_scenario(tiny_scenario, seeds)
+        transport = FailingPoll(tiny_scenario)
+        t0 = time.monotonic()
+        log = run_scan(plan, transport, SECRET, quiescence_s=30)
+        assert time.monotonic() - t0 < 2.0
+        assert not log.complete
+        assert log.sent == sent
+        assert transport.polls == failing_poll  # never polled again after the failure
+        first = {t.address for _, t in zip(range(drained_before), plan)}
+        expected = [r for r in full.records if r.probed_target in first]
+        assert 0 < len(expected) < len(full.records)
+        assert log.records == expected
+
+
     def test_sim_scan_ends_without_waiting_out_quiescence(self, tiny_scenario):
         seeds = [tiny_scenario.nets[0].prefix48]
         _, _, short = scan_scenario(tiny_scenario, seeds)
@@ -304,6 +339,86 @@ class TestRunScan:
             plan, SimTransport(scenario), SECRET, quiescence_s=0.05, progress=calls.append
         )
         assert calls == [100_000]
+
+
+class FaultyTransport(SimTransport):
+    """Raises ``faults[dst]`` (a list of errors, first one next) on a send to dst."""
+
+    def __init__(self, scenario, faults):
+        super().__init__(scenario)
+        self.faults = faults
+        self.tries = 0
+
+    def send(self, dst, ident, seq, payload):
+        self.tries += 1
+        pending = self.faults.get(dst)
+        if pending:
+            raise pending.pop(0)
+        super().send(dst, ident, seq, payload)
+
+
+def _oserror(code):
+    return OSError(code, "injected")
+
+
+class TestSendErrnoPolicy:
+    @pytest.fixture()
+    def plan(self, tiny_scenario):
+        return build_plan([tiny_scenario.nets[0].prefix48], 3)
+
+    @pytest.fixture()
+    def full(self, tiny_scenario, plan):
+        return run_scan(plan, SimTransport(tiny_scenario), SECRET, quiescence_s=0.2)
+
+    @staticmethod
+    def _answered(log):
+        return {(r.probed_target, r.source, r.kind) for r in log.records}
+
+    def test_unreachable_destinations_counted_and_skipped(self, tiny_scenario, plan, full):
+        responsive = sorted({r.probed_target for r in full.records})
+        codes = [errno.ENETUNREACH, errno.EHOSTUNREACH, errno.EHOSTUNREACH, errno.EADDRNOTAVAIL]
+        faults = {dst: [_oserror(code)] for dst, code in zip(responsive, codes)}
+        transport = FaultyTransport(tiny_scenario, faults)
+        log = run_scan(plan, transport, SECRET, quiescence_s=0.2)
+        assert log.complete
+        assert log.send_errors == {"ENETUNREACH": 1, "EHOSTUNREACH": 2, "EADDRNOTAVAIL": 1}
+        assert log.sent == transport.sent == plan.budget - 4
+        skipped = set(responsive[:4])
+        assert self._answered(log) == {a for a in self._answered(full) if a[0] not in skipped}
+
+    def test_full_buffer_retries_the_same_probe(self, tiny_scenario, plan, full):
+        dst = next(iter(plan)).address
+        faults = {dst: [_oserror(errno.ENOBUFS), BlockingIOError(errno.EAGAIN, "full")]}
+        transport = FaultyTransport(tiny_scenario, faults)
+        log = run_scan(plan, transport, SECRET, quiescence_s=0.2)
+        assert log.complete
+        assert log.send_errors == {}
+        assert transport.tries == plan.budget + 2
+        assert log.sent == transport.sent == plan.budget  # each probe left once
+        assert log.records == full.records
+
+    def test_full_buffer_past_the_cap_aborts(self, tiny_scenario, plan):
+        dst = [t.address for t in plan][1500]
+        faults = {dst: [_oserror(errno.ENOBUFS) for _ in range(SEND_TRIES + 1)]}
+        transport = FaultyTransport(tiny_scenario, faults)
+        log = run_scan(plan, transport, SECRET, quiescence_s=30)
+        assert not log.complete
+        assert log.sent == 1500
+        assert transport.tries == 1500 + SEND_TRIES
+        assert len(faults[dst]) == 1
+
+    @pytest.mark.parametrize(
+        "code", [errno.EPERM, errno.EINVAL, None], ids=["EPERM", "EINVAL", "no-errno"]
+    )
+    def test_other_errors_abort_at_once(self, tiny_scenario, plan, code):
+        dst = [t.address for t in plan][100]
+        error = _oserror(code) if code is not None else OSError("socket gone")
+        transport = FaultyTransport(tiny_scenario, {dst: [error]})
+        log = run_scan(plan, transport, SECRET, quiescence_s=30)
+        assert not log.complete
+        assert log.sent == 100
+        assert transport.tries == 101
+        assert log.send_errors == {}
 
 
 class TestResponseLog:
