@@ -17,12 +17,13 @@ hops).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .addrs import IID_MASK, format_address, parse_address, prefix48_of, prefix56_of
 from .csvio import read_rows, write_rows
-from .probe import KIND_ECHO_REPLY, ResponseRecord
-from .targetgen import alias_target_for, probed_low_iid
+
+if TYPE_CHECKING:  # the stages that only read a classification never load these
+    from .probe import ResponseRecord
 
 LABEL_INTERNAL = "internal"
 LABEL_EXTERNAL = "external"
@@ -92,6 +93,9 @@ def detect_aliased(records: Iterable[ResponseRecord]) -> bool:
     ``records`` must already be restricted to one /56. Alias probes are
     recognizable by construction: their IID never falls in 1..10.
     """
+    from .probe import KIND_ECHO_REPLY
+    from .targetgen import probed_low_iid
+
     for rec in records:
         if probed_low_iid(rec.probed_target) is not None:
             continue
@@ -113,6 +117,9 @@ def classify_log(
     address, logged or not, is caught. Each (net, address, label) appears at
     most once; aliased nets contribute nothing.
     """
+    from .probe import KIND_ECHO_REPLY
+    from .targetgen import alias_target_for, probed_low_iid
+
     by_net: dict[int, list[ResponseRecord]] = {}
     for rec in records:
         by_net.setdefault(prefix56_of(rec.probed_target), []).append(rec)

@@ -1,11 +1,17 @@
 """Application-layer service grabbing for responsive addresses.
 
 One grab is one connection, one request at most, one bounded read, close.
-Banners are capped at 64 KiB, every socket operation sits under a single
-per-connection timeout, and nothing is ever retried except the one sanctioned
-case: a "web" port that answers plaintext HTTP with a TLS handshake record
-gets a second connection speaking TLS, because some gateways serve their
-admin UI that way on port 80.
+Banners are capped at 64 KiB. The connect, the TLS handshake and each send
+wait at most ``timeout``. Each read loop takes at most ``timeout`` in all,
+however the peer spaces its bytes, and a read that gets no first byte in
+that time is a timeout. A read that runs until the peer closes (banners,
+line protocols, HTTP) also ends once the peer has been quiet for
+``IDLE_READ_S`` after its last byte, because server-speaks-first peers
+(sshd, telnetd) send their banner and then wait for the client. Nothing is
+ever retried except the one sanctioned case: a "web" port that answers
+plaintext HTTP with a TLS handshake record gets a second connection
+speaking TLS, because some gateways serve their admin UI that way on
+port 80.
 
 Grabbers treat the address as an opaque endpoint string, so IPv4 targets
 work identically - only the Host header bracketing cares about the family.
@@ -20,6 +26,7 @@ import logging
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
 
 from .csvio import read_rows, write_rows
@@ -39,6 +46,9 @@ log = logging.getLogger(__name__)
 BANNER_CAP = 64 * 1024
 LOCKDOWN_REPLY_CAP = 1 << 20  # anything larger is hostile or broken
 DEFAULT_TIMEOUT_S = 5.0
+# After a peer's first byte, this much quiet ends the read. Live, a banner that
+# pauses longer is cut there.
+IDLE_READ_S = 0.25
 DEFAULT_PARALLELISM = 256
 USER_AGENT = "resiscan/0.1"  # default label: HTTP User-Agent and lockdown Label
 
@@ -84,10 +94,18 @@ class _TlsOnPlainPort(Exception):
     """A plaintext web port answered with a TLS record."""
 
 
-def _read_until_close(sock, cap: int) -> bytes:
-    """Read at most cap bytes; timeouts after the first byte end the read."""
+def _read_until_close(sock, cap: int, timeout: float) -> bytes:
+    """Read at most cap bytes, until the peer closes or goes quiet.
+
+    The first byte may take the whole ``timeout``. After it, a peer quiet for
+    ``IDLE_READ_S``, a broken stream or the end of ``timeout`` ends the read
+    with what arrived so far.
+    """
+    deadline = time.monotonic() + timeout
+    wait = timeout
     buf = b""
     while len(buf) < cap:
+        sock.settimeout(wait)
         try:
             data = sock.recv(min(8192, cap - len(buf)))
         except TimeoutError:
@@ -99,6 +117,9 @@ def _read_until_close(sock, cap: int) -> bytes:
         if not data:
             break
         buf += data
+        wait = min(IDLE_READ_S, deadline - time.monotonic())
+        if wait <= 0:
+            break
     if not buf:
         raise _NoResponse("connection_closed")
     return buf
@@ -156,13 +177,17 @@ def _peer_common_name(tls_sock) -> str | None:
     return str(attrs[0].value) if attrs else None
 
 
-def _grab_banner(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
-    rec.banner = _read_until_close(sock, cap)
+def _grab_banner(
+    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
+) -> None:
+    rec.banner = _read_until_close(sock, cap, timeout)
 
 
-def _grab_line(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_line(
+    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
+) -> None:
     sock.sendall(spec.request)
-    rec.banner = _read_until_close(sock, cap)
+    rec.banner = _read_until_close(sock, cap, timeout)
 
 
 def _finish_http(rec: GrabRecord, raw: bytes) -> None:
@@ -173,16 +198,20 @@ def _finish_http(rec: GrabRecord, raw: bytes) -> None:
     rec.http_server_header = headers.get("server")
 
 
-def _grab_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_http(
+    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
+) -> None:
     sock.sendall(_http_request(rec.address, label))
-    raw = _read_until_close(sock, cap)
+    raw = _read_until_close(sock, cap, timeout)
     # TLS record layer: alert (0x15) or handshake (0x16) then version 3.x
     if len(raw) >= 3 and raw[0] in (0x15, 0x16) and raw[1] == 0x03:
         raise _TlsOnPlainPort
     _finish_http(rec, raw)
 
 
-def _grab_tls_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_tls_http(
+    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
+) -> None:
     try:
         tls = _tls_context().wrap_socket(sock)
     except OSError:  # ssl.SSLError and a handshake timeout included
@@ -190,40 +219,42 @@ def _grab_tls_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: st
     with tls:
         rec.tls_subject_cn = _peer_common_name(tls)
         tls.sendall(_http_request(rec.address, label))
-        _finish_http(rec, _read_until_close(tls, cap))
+        _finish_http(rec, _read_until_close(tls, cap, timeout))
 
 
-def recv_exact(sock, n: int) -> bytes:
-    """``n`` bytes from ``sock``, or fewer if the peer stops sending first."""
+def _recv_all(sock, n: int, timeout: float) -> bytes:
+    """Exactly ``n`` bytes, read within ``timeout`` in all however the peer spaces them."""
+    deadline = time.monotonic() + timeout
     buf = b""
     while len(buf) < n:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError
+        sock.settimeout(left)
         data = sock.recv(n - len(buf))
         if not data:
-            return buf
+            raise _NoResponse("connection_closed")
         buf += data
     return buf
 
 
-def _recv_all(sock, n: int) -> bytes:
-    data = recv_exact(sock, n)
-    if len(data) < n:
-        raise _NoResponse("connection_closed")
-    return data
-
-
-def _grab_mqtt(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_mqtt(
+    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
+) -> None:
     # CONNECT, protocol level 4, clean session, no credentials, generated id.
     client_id = b"rs-probe"
     var = b"\x00\x04MQTT\x04\x02\x00\x3c" + struct.pack(">H", len(client_id)) + client_id
     sock.sendall(bytes([0x10, len(var)]) + var)
-    reply = _recv_all(sock, 4)
+    reply = _recv_all(sock, 4, timeout)
     if reply[0] != 0x20 or reply[1] != 0x02:
         raise _NoResponse("not_connack")
     rec.mqtt_return_code = reply[3]
     rec.banner = reply
 
 
-def _grab_lockdown(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_lockdown(
+    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
+) -> None:
     import plistlib
 
     request = plistlib.dumps(
@@ -231,10 +262,10 @@ def _grab_lockdown(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: st
         fmt=plistlib.FMT_XML,
     )
     sock.sendall(struct.pack(">I", len(request)) + request)
-    (length,) = struct.unpack(">I", _recv_all(sock, 4))
+    (length,) = struct.unpack(">I", _recv_all(sock, 4, timeout))
     if length == 0 or length > LOCKDOWN_REPLY_CAP:
         raise _NoResponse("bounds")
-    body = _recv_all(sock, length)
+    body = _recv_all(sock, length, timeout)
     try:
         reply = plistlib.loads(body)
     except Exception:
@@ -244,7 +275,9 @@ def _grab_lockdown(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: st
     rec.lockdown_product_version = str(value) if value is not None else None
 
 
-def _grab_ntp(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_ntp(
+    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
+) -> None:
     query = bytearray(48)
     query[0] = 0x23  # v4 client
     sock.sendall(bytes(query))
@@ -280,11 +313,11 @@ def grab(
         try:
             with connector(address, spec.port, timeout, udp=spec.transport == "udp") as sock:
                 sock.settimeout(timeout)
-                _PROBES[spec.probe_kind](sock, rec, spec, cap, label)
+                _PROBES[spec.probe_kind](sock, rec, spec, cap, label, timeout)
         except _TlsOnPlainPort:
             # Gateway wants TLS on a plaintext web port; one TLS retry, then done.
             with connector(address, spec.port, timeout) as sock:
-                _grab_tls_http(sock, rec, spec, cap, label)
+                _grab_tls_http(sock, rec, spec, cap, label, timeout)
             rec.detail = "tls_on_plain_port"
     except _NoResponse as exc:
         rec.outcome, rec.detail = OUTCOME_ERROR, exc.args[0]

@@ -14,7 +14,6 @@ is how the tests enforce that grabs stay minimal.
 
 from __future__ import annotations
 
-import ipaddress
 import os
 import socket
 import struct
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..addrs import PREFIX56_MASK
-from ..grab import recv_exact
 from .scenario import FIREWALL_ALLOW, Scenario, SimService
 
 if TYPE_CHECKING:
@@ -32,12 +30,13 @@ if TYPE_CHECKING:
 TLS_ALERT_HANDSHAKE_FAILURE = b"\x15\x03\x01\x00\x02\x02\x28"
 TELNET_NEGOTIATION = b"\xff\xfd\x18\xff\xfd\x20\xff\xfd\x23\xff\xfd\x27"
 
-_Host = ipaddress.IPv4Address | ipaddress.IPv6Address
+# Added to an IPv4 address's int to make its endpoint key: above every IPv6 int.
+_V4_KEY = 1 << 128
 
 
 @dataclass(slots=True)
 class Transcript:
-    address: _Host
+    address: int  # the endpoint key, see _key
     port: int
     chunks: list[bytes] = field(default_factory=list)
 
@@ -152,6 +151,17 @@ def _drain_until_close(conn: _Conn, limit: float = 5.0) -> None:
             pass
     except OSError:
         pass
+
+
+def recv_exact(conn: _Conn, n: int) -> bytes:
+    """``n`` bytes from ``conn``, or fewer if the client stops sending first."""
+    buf = b""
+    while len(buf) < n:
+        data = conn.recv(n - len(buf))
+        if not data:
+            return buf
+        buf += data
+    return buf
 
 
 def _read_http_request(conn: _Conn, limit: int = 16384) -> bytes:
@@ -338,7 +348,7 @@ class SimServices:
         self.scenario = scenario
         self.transcripts: list[Transcript] = []
         self._lock = threading.Lock()
-        self._endpoints: dict[tuple[_Host, int], SimService] = {}
+        self._endpoints: dict[tuple[int, int], SimService] = {}
         self._alias_stubs: dict[int, dict[int, SimService]] = {}
         for net, sub, net56, wan in scenario.iter_subnets():
             if sub.aliased:
@@ -353,21 +363,21 @@ class SimServices:
                     self._register(scenario.host_address(net, sub, host), svc)
 
     def _register(self, address: int, svc: SimService) -> None:
-        self._endpoints[(ipaddress.IPv6Address(address), svc.port)] = svc
+        self._endpoints[(address, svc.port)] = svc
 
     def add_endpoint(self, address: str, port: int, behavior: str, params: dict | None = None) -> None:
         """Register an extra endpoint directly (tests; either address family)."""
-        self._endpoints[(_host(address), port)] = SimService(port, behavior, params or {})
+        self._endpoints[(_key(address), port)] = SimService(port, behavior, params or {})
 
     def connect(self, address: str, port: int, timeout: float = 5.0, udp: bool = False):
         """Connector with live-socket semantics against the scenario."""
         try:
-            host = _host(address)
-        except ValueError:
+            key = _key(address)
+        except (OSError, ValueError):
             raise ConnectionRefusedError(f"{address}:{port} unparsable") from None
-        svc = self._endpoints.get((host, port))
-        if svc is None and host.version == 6:
-            svc = self._alias_stubs.get(int(host) & PREFIX56_MASK, {}).get(port)
+        svc = self._endpoints.get((key, port))
+        if svc is None and key < _V4_KEY:
+            svc = self._alias_stubs.get(key & PREFIX56_MASK, {}).get(port)
         if svc is None:
             raise ConnectionRefusedError(f"{address}:{port} closed")
         handler = BEHAVIORS.get(svc.behavior)
@@ -375,7 +385,7 @@ class SimServices:
             raise ConnectionRefusedError(f"{address}:{port} unknown behavior {svc.behavior!r}")
         kind = socket.SOCK_DGRAM if udp else socket.SOCK_STREAM
         client, server = socket.socketpair(socket.AF_UNIX, kind)
-        transcript = Transcript(host, port)
+        transcript = Transcript(key, port)
         with self._lock:
             self.transcripts.append(transcript)
         conn = _Conn(server, transcript)
@@ -390,9 +400,9 @@ class SimServices:
         return self.connect
 
     def transcripts_for(self, address: str, port: int | None = None) -> list[Transcript]:
-        host = _host(address)
+        key = _key(address)
         return [
-            t for t in self.transcripts if t.address == host and (port is None or t.port == port)
+            t for t in self.transcripts if t.address == key and (port is None or t.port == port)
         ]
 
 
@@ -405,6 +415,14 @@ def _run_handler(handler, conn: _Conn, params: dict) -> None:
         conn.close()
 
 
-def _host(address: str) -> _Host:
-    """Parse connector address text: IPv4, IPv6 in any form, or ``[IPv6]``."""
-    return ipaddress.ip_address(address.strip().strip("[]"))
+def _key(address: str) -> int:
+    """Endpoint key of connector address text: IPv4, IPv6 in any form, or ``[IPv6]``.
+
+    An IPv6 address keys as its 128-bit int, as the scenario stores it; an
+    IPv4 address as ``_V4_KEY`` plus its 32-bit int. Unparsable text raises
+    OSError, or ValueError if it holds a NUL.
+    """
+    text = address.strip().strip("[]")
+    if ":" in text:
+        return int.from_bytes(socket.inet_pton(socket.AF_INET6, text), "big")
+    return _V4_KEY + int.from_bytes(socket.inet_pton(socket.AF_INET, text), "big")

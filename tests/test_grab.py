@@ -22,6 +22,7 @@ from conftest import (
 from resiscan.grab import (
     _LOG_FIELDS,
     BANNER_CAP,
+    IDLE_READ_S,
     OUTCOME_ERROR,
     OUTCOME_REFUSED,
     OUTCOME_RESPONDED,
@@ -97,6 +98,42 @@ def _scripted_connector(reply: bytes, peers: list):
         return ours
 
     return connector
+
+
+def _paced_connector(script, peers: list):
+    """A connector whose peer sends each ``(delay_s, data)`` of ``script`` in turn,
+    then keeps its write side open until the client hangs up, as sshd does."""
+    def connector(address, port, timeout, udp=False):
+        ours, peer = socket.socketpair()
+
+        def speak():
+            try:
+                for delay, data in script:
+                    time.sleep(delay)
+                    peer.sendall(data)
+                peer.recv(1)
+            except OSError:  # the client hung up mid-script
+                pass
+
+        speaker = threading.Thread(target=speak)
+        speaker.start()
+        peers.append((peer, speaker))
+        return ours
+
+    return connector
+
+
+def _paced_grab(spec, script, **kw):
+    """(record, seconds) of one grab against a paced peer, the peer cleaned up."""
+    peers = []
+    t0 = time.monotonic()
+    try:
+        rec = grab(V6, spec, connector=_paced_connector(script, peers), **kw)
+        return rec, time.monotonic() - t0
+    finally:
+        for peer, speaker in peers:
+            speaker.join(timeout=10)
+            peer.close()
 
 
 def _framed(body: bytes) -> bytes:
@@ -217,6 +254,62 @@ class TestBannerGrabs:
         rec = do_grab(env, V6, spec_by_name("ftp"), timeout=0.5)
         assert rec.outcome == OUTCOME_ERROR
         assert rec.detail == "connection_closed"
+
+
+class TestReadDeadlines:
+    """A read ends when the peer goes quiet after its first byte, or at ``timeout`` in all."""
+
+    def test_quiet_peer_ends_read(self):
+        banner = b"SSH-2.0-OpenSSH_9.6\r\n"
+        rec, took = _paced_grab(spec_by_name("ssh"), [(0, banner)], timeout=5.0)
+        assert (rec.outcome, rec.banner) == (OUTCOME_RESPONDED, banner)
+        assert took < 1.0
+
+    def test_chunks_within_idle_deadline_kept(self):
+        script = [(0, b"220-first\r\n"), (0.05, b"220 second\r\n")]
+        rec, _took = _paced_grab(spec_by_name("ftp"), script, timeout=5.0)
+        assert rec.banner == b"220-first\r\n220 second\r\n"
+
+    def test_pause_past_idle_deadline_cuts_banner(self):
+        # The documented live trade-off: a banner that pauses this long is cut.
+        script = [(0, b"first"), (IDLE_READ_S + 0.2, b"second")]
+        rec, _took = _paced_grab(spec_by_name("ftp"), script, timeout=5.0)
+        assert (rec.outcome, rec.banner) == (OUTCOME_RESPONDED, b"first")
+
+    @pytest.mark.parametrize("interval", [0.3, 0.05])
+    def test_trickling_banner_ends_at_timeout(self, interval):
+        # Each byte comes within ``timeout`` of the one before, so a timeout per
+        # recv never fires; at 0.05 s apart they beat ``IDLE_READ_S`` as well.
+        script = [(interval, b"x")] * 40
+        rec, took = _paced_grab(spec_by_name("ssh"), script, timeout=0.5, cap=1000)
+        assert rec.outcome == OUTCOME_RESPONDED
+        assert 0 < len(rec.banner) < 40 and set(rec.banner) == {ord("x")}
+        assert took < 0.5 + 0.3
+
+    def test_trickling_framed_reply_times_out(self):
+        script = [(0, struct.pack(">I", 40))] + [(0.05, b"x")] * 40
+        rec, took = _paced_grab(spec_by_name("lockdown"), script, timeout=0.5)
+        assert rec.outcome == OUTCOME_TIMEOUT
+        assert took < 0.5 + 0.3
+
+    @pytest.mark.parametrize(
+        "service, banner",
+        [
+            ("ssh", b"SSH-2.0-dropbear_2022.83\r\n"),
+            ("telnet", TELNET_NEGOTIATION + b"router login: "),
+        ],
+    )
+    def test_sim_server_speaks_first_grab_is_quick(self, env, service, banner):
+        # The behaviour holds the connection for 1.0 s; the grab does not wait for it.
+        spec = spec_by_name(service)
+        before = len(env.transcripts_for(V6, spec.port))
+        t0 = time.monotonic()
+        rec = do_grab(env, V6, spec, timeout=5.0)
+        assert time.monotonic() - t0 < 0.5
+        assert (rec.outcome, rec.banner) == (OUTCOME_RESPONDED, banner)
+        transcripts = env.transcripts_for(V6, spec.port)
+        assert len(transcripts) == before + 1
+        assert transcripts[-1].data == b""
 
 
 class TestHttpGrabs:

@@ -30,8 +30,8 @@ NOT_LOADED = {
     "classify": SIMNET
     + ("resiscan.grab", "resiscan.fingerprint", "resiscan.report")
     + TLS,
-    "fingerprint": SIMNET + TLS,
-    "report": SIMNET + TLS,
+    "fingerprint": SIMNET + ("resiscan.probe", "resiscan.targetgen") + TLS,
+    "report": SIMNET + ("resiscan.probe", "resiscan.targetgen") + TLS,
     "scan": ("resiscan.classify", "resiscan.fingerprint", "resiscan.report") + TLS,
 }
 

@@ -385,6 +385,73 @@ class TestTransportRules:
         assert run() == run()
 
 
+class TestServiceLookup:
+    """Connector address text in any form reaches the endpoint registered for it."""
+
+    GREETING = {"text": "hello\r\n"}
+
+    @staticmethod
+    def backend():
+        telnet = [SimService(23, "telnet", {"banner": "x"})]
+        net = make_net("2001:db8:7::", [make_subnet(1, hosts=[make_host(1, services=telnet)])])
+        return SimServices(make_scenario([net]))
+
+    @staticmethod
+    def greeting(backend, address):
+        with backend.connect(address, 21, timeout=2.0) as sock:
+            return sock.recv(64)
+
+    @pytest.mark.parametrize(
+        "registered, asked",
+        [
+            ("192.0.2.17", "192.0.2.17"),
+            ("192.0.2.17", " 192.0.2.17 "),
+            ("2001:db8:9:100::1", "[2001:db8:9:100::1]"),
+            ("2001:db8:9:100::1", "2001:DB8:9:100::1"),
+            ("2001:db8:9:100::1", "2001:0db8:0009:0100:0000:0000:0000:0001"),
+            ("2001:DB8:9:100::1", "2001:db8:9:100::1"),
+        ],
+    )
+    def test_text_forms_reach_the_endpoint(self, registered, asked):
+        backend = self.backend()
+        backend.add_endpoint(registered, 21, "greeting", self.GREETING)
+        assert self.greeting(backend, asked) == b"hello\r\n"
+        assert len(backend.transcripts_for(registered, 21)) == 1
+
+    def test_scenario_hosts_reach_by_text(self):
+        backend = self.backend()
+        for text in ("2001:db8:7:100::1", "[2001:DB8:7:100:0:0:0:1]"):
+            with backend.connect(text, 23, timeout=2.0) as sock:
+                assert sock.recv(64).endswith(b"x")
+
+    def test_ipv4_and_ipv6_keys_do_not_collide(self):
+        # ::c000:211 and 192.0.2.17 share their low 32 bits.
+        backend = self.backend()
+        backend.add_endpoint("::c000:211", 21, "greeting", self.GREETING)
+        with pytest.raises(ConnectionRefusedError, match="closed"):
+            backend.connect("192.0.2.17", 21)
+        backend.add_endpoint("0.0.0.1", 21, "greeting", self.GREETING)
+        with pytest.raises(ConnectionRefusedError, match="closed"):
+            backend.connect("::1", 21)
+
+    @pytest.mark.parametrize(
+        "text", ["2001:db8::zz", "", "[]", "192.0.2", "192.0.2.017", "fe80::1%eth0", "::1\x00", "é"]
+    )
+    def test_unparsable_text_refused(self, text):
+        backend = self.backend()
+        with pytest.raises(ConnectionRefusedError, match="unparsable"):
+            backend.connect(text, 21)
+
+    def test_any_address_in_an_aliased_net_reaches_its_stub(self, tiny_scenario):
+        backend = SimServices(tiny_scenario)
+        base = tiny_scenario.nets[0].prefix48 | (0x20 << SUBNET_SHIFT)
+        for offset in (1, 0xDEAD, (0xFF << 64) | 0xFFFF_FFFF_FFFF_FFFF):
+            with backend.connect(format_address(base | offset), 23, timeout=2.0) as sock:
+                assert sock.recv(64).startswith(b"\xff\xfd")
+        with pytest.raises(ConnectionRefusedError, match="closed"):
+            backend.connect(format_address(base | 1), 22)  # no stub on this port
+
+
 class TestGroundTruth:
     def test_tiny_scenario_truth(self, tiny_scenario):
         gt = ground_truth(tiny_scenario)
