@@ -2,12 +2,12 @@
 
 One grab is one connection, one request at most, one bounded read, close.
 Banners are capped at 64 KiB. The connect, the TLS handshake and each send
-wait at most ``timeout``. Each read loop takes at most ``timeout`` in all,
-however the peer spaces its bytes, and a read that gets no first byte in
-that time is a timeout. A read that runs until the peer closes (banners,
-line protocols, HTTP) also ends once the peer has been quiet for
-``IDLE_READ_S`` after its last byte, because server-speaks-first peers
-(sshd, telnetd) send their banner and then wait for the client. Nothing is
+wait at most ``timeout``. The reads of one connection take at most
+``timeout`` in all, however the peer spaces its bytes, and a read that gets
+no first byte in that time is a timeout. A server-speaks-first banner read
+also ends once the peer has been quiet for ``IDLE_READ_S`` after its last
+byte, because such peers (sshd, telnetd) send their banner and then wait
+for the client; line, HTTP and TLS reads run until the peer closes. Nothing is
 ever retried except the one sanctioned case: a "web" port that answers
 plaintext HTTP with a TLS handshake record gets a second connection
 speaking TLS, because some gateways serve their admin UI that way on
@@ -46,8 +46,9 @@ log = logging.getLogger(__name__)
 BANNER_CAP = 64 * 1024
 LOCKDOWN_REPLY_CAP = 1 << 20  # anything larger is hostile or broken
 DEFAULT_TIMEOUT_S = 5.0
-# After a peer's first byte, this much quiet ends the read. Live, a banner that
-# pauses longer is cut there.
+# After the first byte of a server-speaks-first banner, this much quiet ends the
+# read. Chosen against the simulator, whose banners come in one write; how live
+# peers space their banner bytes is not measured here (see README).
 IDLE_READ_S = 0.25
 DEFAULT_PARALLELISM = 256
 USER_AGENT = "resiscan/0.1"  # default label: HTTP User-Agent and lockdown Label
@@ -94,18 +95,16 @@ class _TlsOnPlainPort(Exception):
     """A plaintext web port answered with a TLS record."""
 
 
-def _read_until_close(sock, cap: int, timeout: float) -> bytes:
-    """Read at most cap bytes, until the peer closes or goes quiet.
+def _read_until_close(sock, cap: int, idle: float | None = None) -> bytes:
+    """Read at most cap bytes until the peer closes, within the socket's timeout in all.
 
-    The first byte may take the whole ``timeout``. After it, a peer quiet for
-    ``IDLE_READ_S``, a broken stream or the end of ``timeout`` ends the read
-    with what arrived so far.
+    No byte in that time is a timeout. After the first byte, the end of the
+    budget or a broken stream ends the read with what arrived so far, and so
+    does a peer quiet for ``idle`` seconds when ``idle`` is given.
     """
-    deadline = time.monotonic() + timeout
-    wait = timeout
+    deadline = time.monotonic() + sock.gettimeout()
     buf = b""
     while len(buf) < cap:
-        sock.settimeout(wait)
         try:
             data = sock.recv(min(8192, cap - len(buf)))
         except TimeoutError:
@@ -117,9 +116,12 @@ def _read_until_close(sock, cap: int, timeout: float) -> bytes:
         if not data:
             break
         buf += data
-        wait = min(IDLE_READ_S, deadline - time.monotonic())
+        wait = deadline - time.monotonic()
+        if idle is not None:
+            wait = min(idle, wait)
         if wait <= 0:
             break
+        sock.settimeout(wait)
     if not buf:
         raise _NoResponse("connection_closed")
     return buf
@@ -177,17 +179,13 @@ def _peer_common_name(tls_sock) -> str | None:
     return str(attrs[0].value) if attrs else None
 
 
-def _grab_banner(
-    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
-) -> None:
-    rec.banner = _read_until_close(sock, cap, timeout)
+def _grab_banner(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+    rec.banner = _read_until_close(sock, cap, idle=IDLE_READ_S)
 
 
-def _grab_line(
-    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
-) -> None:
+def _grab_line(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
     sock.sendall(spec.request)
-    rec.banner = _read_until_close(sock, cap, timeout)
+    rec.banner = _read_until_close(sock, cap)
 
 
 def _finish_http(rec: GrabRecord, raw: bytes) -> None:
@@ -198,20 +196,16 @@ def _finish_http(rec: GrabRecord, raw: bytes) -> None:
     rec.http_server_header = headers.get("server")
 
 
-def _grab_http(
-    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
-) -> None:
+def _grab_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
     sock.sendall(_http_request(rec.address, label))
-    raw = _read_until_close(sock, cap, timeout)
+    raw = _read_until_close(sock, cap)
     # TLS record layer: alert (0x15) or handshake (0x16) then version 3.x
     if len(raw) >= 3 and raw[0] in (0x15, 0x16) and raw[1] == 0x03:
         raise _TlsOnPlainPort
     _finish_http(rec, raw)
 
 
-def _grab_tls_http(
-    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
-) -> None:
+def _grab_tls_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
     try:
         tls = _tls_context().wrap_socket(sock)
     except OSError:  # ssl.SSLError and a handshake timeout included
@@ -219,42 +213,41 @@ def _grab_tls_http(
     with tls:
         rec.tls_subject_cn = _peer_common_name(tls)
         tls.sendall(_http_request(rec.address, label))
-        _finish_http(rec, _read_until_close(tls, cap, timeout))
+        _finish_http(rec, _read_until_close(tls, cap))
 
 
-def _recv_all(sock, n: int, timeout: float) -> bytes:
-    """Exactly ``n`` bytes, read within ``timeout`` in all however the peer spaces them."""
-    deadline = time.monotonic() + timeout
+def _recv_all(sock, n: int) -> bytes:
+    """Exactly ``n`` bytes within the socket's timeout in all, however the peer spaces them.
+
+    The socket's timeout is left at what remains, so consecutive calls share one budget.
+    """
+    deadline = time.monotonic() + sock.gettimeout()
     buf = b""
     while len(buf) < n:
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise TimeoutError
-        sock.settimeout(left)
         data = sock.recv(n - len(buf))
         if not data:
             raise _NoResponse("connection_closed")
         buf += data
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError
+        sock.settimeout(left)
     return buf
 
 
-def _grab_mqtt(
-    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
-) -> None:
+def _grab_mqtt(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
     # CONNECT, protocol level 4, clean session, no credentials, generated id.
     client_id = b"rs-probe"
     var = b"\x00\x04MQTT\x04\x02\x00\x3c" + struct.pack(">H", len(client_id)) + client_id
     sock.sendall(bytes([0x10, len(var)]) + var)
-    reply = _recv_all(sock, 4, timeout)
+    reply = _recv_all(sock, 4)
     if reply[0] != 0x20 or reply[1] != 0x02:
         raise _NoResponse("not_connack")
     rec.mqtt_return_code = reply[3]
     rec.banner = reply
 
 
-def _grab_lockdown(
-    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
-) -> None:
+def _grab_lockdown(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
     import plistlib
 
     request = plistlib.dumps(
@@ -262,10 +255,10 @@ def _grab_lockdown(
         fmt=plistlib.FMT_XML,
     )
     sock.sendall(struct.pack(">I", len(request)) + request)
-    (length,) = struct.unpack(">I", _recv_all(sock, 4, timeout))
+    (length,) = struct.unpack(">I", _recv_all(sock, 4))
     if length == 0 or length > LOCKDOWN_REPLY_CAP:
         raise _NoResponse("bounds")
-    body = _recv_all(sock, length, timeout)
+    body = _recv_all(sock, length)
     try:
         reply = plistlib.loads(body)
     except Exception:
@@ -275,9 +268,7 @@ def _grab_lockdown(
     rec.lockdown_product_version = str(value) if value is not None else None
 
 
-def _grab_ntp(
-    sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str, timeout: float
-) -> None:
+def _grab_ntp(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
     query = bytearray(48)
     query[0] = 0x23  # v4 client
     sock.sendall(bytes(query))
@@ -313,11 +304,12 @@ def grab(
         try:
             with connector(address, spec.port, timeout, udp=spec.transport == "udp") as sock:
                 sock.settimeout(timeout)
-                _PROBES[spec.probe_kind](sock, rec, spec, cap, label, timeout)
+                _PROBES[spec.probe_kind](sock, rec, spec, cap, label)
         except _TlsOnPlainPort:
             # Gateway wants TLS on a plaintext web port; one TLS retry, then done.
             with connector(address, spec.port, timeout) as sock:
-                _grab_tls_http(sock, rec, spec, cap, label, timeout)
+                sock.settimeout(timeout)
+                _grab_tls_http(sock, rec, spec, cap, label)
             rec.detail = "tls_on_plain_port"
     except _NoResponse as exc:
         rec.outcome, rec.detail = OUTCOME_ERROR, exc.args[0]

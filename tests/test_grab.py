@@ -100,9 +100,10 @@ def _scripted_connector(reply: bytes, peers: list):
     return connector
 
 
-def _paced_connector(script, peers: list):
+def _paced_connector(script, peers: list, close: bool = False):
     """A connector whose peer sends each ``(delay_s, data)`` of ``script`` in turn,
-    then keeps its write side open until the client hangs up, as sshd does."""
+    then closes its write side if ``close``, else keeps it open until the client
+    hangs up, as sshd does."""
     def connector(address, port, timeout, udp=False):
         ours, peer = socket.socketpair()
 
@@ -111,6 +112,8 @@ def _paced_connector(script, peers: list):
                 for delay, data in script:
                     time.sleep(delay)
                     peer.sendall(data)
+                if close:
+                    peer.shutdown(socket.SHUT_WR)
                 peer.recv(1)
             except OSError:  # the client hung up mid-script
                 pass
@@ -123,12 +126,12 @@ def _paced_connector(script, peers: list):
     return connector
 
 
-def _paced_grab(spec, script, **kw):
+def _paced_grab(spec, script, close: bool = False, **kw):
     """(record, seconds) of one grab against a paced peer, the peer cleaned up."""
     peers = []
     t0 = time.monotonic()
     try:
-        rec = grab(V6, spec, connector=_paced_connector(script, peers), **kw)
+        rec = grab(V6, spec, connector=_paced_connector(script, peers, close), **kw)
         return rec, time.monotonic() - t0
     finally:
         for peer, speaker in peers:
@@ -291,6 +294,43 @@ class TestReadDeadlines:
         rec, took = _paced_grab(spec_by_name("lockdown"), script, timeout=0.5)
         assert rec.outcome == OUTCOME_TIMEOUT
         assert took < 0.5 + 0.3
+
+    def test_framed_reply_shares_one_budget(self):
+        # Length and body each come within ``timeout`` of the read before, but
+        # the whole reply does not come within ``timeout``.
+        body = b"<plist/>"
+        script = [(0.3, struct.pack(">I", len(body))), (0.3, body)]
+        rec, took = _paced_grab(spec_by_name("lockdown"), script, timeout=0.5)
+        assert rec.outcome == OUTCOME_TIMEOUT
+        assert took < 0.5 + 0.2
+
+    def test_trickling_http_reply_ends_at_timeout(self):
+        script = [(0.05, b"x")] * 40
+        rec, took = _paced_grab(spec_by_name("http"), script, timeout=0.5)
+        assert (rec.outcome, rec.detail) == (OUTCOME_ERROR, "http_malformed")
+        assert 0 < len(rec.banner) < 40
+        assert took < 0.5 + 0.3
+
+    def test_http_pause_past_idle_deadline_keeps_body(self):
+        # Only banner reads end on a quiet peer: a server that pauses between
+        # its headers and its body still gives the whole response.
+        head = b"HTTP/1.1 200 OK\r\nServer: slow\r\n"
+        body = b"\r\n<h1>built late</h1>"
+        script = [(0, head), (IDLE_READ_S + 0.2, body)]
+        rec, _took = _paced_grab(spec_by_name("http"), script, close=True, timeout=5.0)
+        assert (rec.outcome, rec.banner) == (OUTCOME_RESPONDED, head + body)
+        assert rec.http_server_header == "slow"
+
+    def test_peer_waiting_for_client_gives_same_bytes(self):
+        # A telnetd that sends its option negotiation and then waits for the
+        # client's answers: the idle cut returns what reading to the timeout would.
+        script = [(0, TELNET_NEGOTIATION)]
+        quick, took = _paced_grab(spec_by_name("telnet"), script, timeout=1.0)
+        # A line read with an empty request has no idle cut: it reads to the timeout.
+        to_timeout = ServiceSpec("telnet", 23, "tcp", "line_protocol")
+        slow, _ = _paced_grab(to_timeout, script, timeout=1.0)
+        assert quick.banner == slow.banner == TELNET_NEGOTIATION
+        assert took < 1.0
 
     @pytest.mark.parametrize(
         "service, banner",
