@@ -10,6 +10,8 @@ from __future__ import annotations
 import ipaddress
 import socket
 
+from .csvio import table_rows
+
 IID_MASK = (1 << 64) - 1
 SUBNET_SHIFT = 72  # /56 index byte occupies bits 72..79
 PREFIX48_MASK = ((1 << 48) - 1) << 80
@@ -35,6 +37,16 @@ def format_address(value: int) -> str:
     return socket.inet_ntop(socket.AF_INET6, value.to_bytes(16, "big"))
 
 
+def parse_prefix(text: str, length: int) -> int:
+    """The network of ``address/length`` text; any other length, or a bit
+    set below it, raises ValueError."""
+    address, _, plen = text.partition("/")
+    network = parse_address(address)
+    if plen != str(length) or network & ((1 << (128 - length)) - 1):
+        raise ValueError(f"{text!r} is not a /{length} network")
+    return network
+
+
 def prefix48_of(address: int) -> int:
     return address & PREFIX48_MASK
 
@@ -54,10 +66,19 @@ class LongestPrefixMap:
     def __init__(self) -> None:
         self._by_len: dict[int, dict[int, object]] = {}
         self._lens_desc: list[int] = []
-        self._size = 0
 
-    def __len__(self) -> int:
-        return self._size
+    @classmethod
+    def load(cls, path: str, what: str, width: int, value) -> LongestPrefixMap:
+        """A table of the ``prefix,...`` rows in ``path``: each row's stripped
+        fields after the prefix become ``value(*fields)``."""
+        table = cls()
+
+        def insert(row: list[str]) -> None:
+            prefix, *fields = (f.strip() for f in row)
+            table.insert(prefix, value(*fields))
+
+        table_rows(path, what, width, insert)
+        return table
 
     def insert(self, cidr: str, value: object) -> None:
         net = ipaddress.IPv6Network(cidr.strip())
@@ -65,10 +86,7 @@ class LongestPrefixMap:
         if bucket is None:
             bucket = self._by_len[net.prefixlen] = {}
             self._lens_desc = sorted(self._by_len, reverse=True)
-        key = int(net.network_address)
-        if key not in bucket:
-            self._size += 1
-        bucket[key] = value
+        bucket[int(net.network_address)] = value
 
     def lookup(self, address: int) -> object | None:
         for plen in self._lens_desc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from .addrs import IID_MASK, format_address, parse_address, prefix48_of, prefix56_of
+from .addrs import IID_MASK, format_address, parse_address, parse_prefix, prefix48_of, prefix56_of
 from .csvio import read_rows, write_rows
 
 if TYPE_CHECKING:  # the stages that only read a classification never load these
@@ -35,11 +35,9 @@ def infer_initial_hop_limit(received: int) -> int:
     """Initial hop limit implied by a received value (64/128/255 plateaus)."""
     if not 0 <= received <= 255:
         raise ValueError(f"hop limit out of range: {received}")
-    if received <= 64:
-        return 64
-    if received <= 128:
-        return 128
-    return 255
+    for plateau in _PLATEAUS:
+        if received <= plateau:
+            return plateau
 
 
 def hop_distance(received: int) -> tuple[int, int]:
@@ -216,13 +214,11 @@ def _classified_address(row: list[str]) -> ClassifiedAddress:
     net, address, label, initial, distance = row
     if label not in (LABEL_INTERNAL, LABEL_EXTERNAL):
         raise ValueError(f"bad label {label!r}")
-    return ClassifiedAddress(
-        net56=parse_address(net.split("/", 1)[0]),
-        address=parse_address(address),
-        label=label,
-        initial_hop_limit=int(initial),
-        distance=int(distance),
-    )
+    net56 = parse_prefix(net, 56)
+    value = parse_address(address)
+    if label == LABEL_INTERNAL and prefix56_of(value) != net56:
+        raise ValueError(f"internal address {address} outside {net}")
+    return ClassifiedAddress(net56, value, label, int(initial), int(distance))
 
 
 def read_classification(fh) -> list[ClassifiedAddress]:

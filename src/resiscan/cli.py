@@ -148,6 +148,12 @@ def _write_stage(cfg: dict, name: str):
     return open(_outpath(cfg, name), "w", encoding="utf-8", newline="")
 
 
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _load_filtered_seeds(cfg: dict) -> seedprep.SeedSet:
     path = os.path.join(cfg["output_dir"], SEEDS_FILE)
     if not os.path.exists(path):
@@ -201,9 +207,7 @@ def cmd_seed_filter(cfg: dict, args: argparse.Namespace) -> int:
             fh.write(f"{format_address(p48)}/48\n")
     stats = dict(seeds.provenance)
     stats.update(filtered.provenance)
-    with open(_outpath(cfg, SEED_STATS_FILE), "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(_outpath(cfg, SEED_STATS_FILE), stats)
     print(
         f"seed-filter: {stats['input']} in, {stats['after_category']} residential-AS, "
         f"{stats['after_connection']} kept"
@@ -283,9 +287,7 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
         ),
         "anomalous": len(result.anomalous),
     }
-    with open(_outpath(cfg, CLASSIFY_STATS_FILE), "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(_outpath(cfg, CLASSIFY_STATS_FILE), stats)
     print(
         f"classify: {stats['internal']} internal, {stats['external']} external, "
         f"{len(result.aliased_nets)} aliased /56s, {stats['anomalous']} anomalous"
@@ -395,12 +397,10 @@ def cmd_simnet_gen(cfg: dict, args: argparse.Namespace) -> int:
         n48=args.n48,
         subnets_per_48=args.subnets,
         hosts_per_subnet=(1.0, 2.0),
-        aliased_fraction=args.aliased_fraction,
-        deny_fraction=args.deny_fraction,
+        aliased_fraction=0.1,
+        deny_fraction=0.3,
         slaac_fraction=0.3,
         extra_hops_weights={0: 0.83, 1: 0.10, 2: 0.05, 3: 0.02},
-        host_profile_weights={64: 0.5, 128: 0.3, 255: 0.2},
-        cpe_profile_weights={64: 0.3, 255: 0.7},
         wan_mode_weights={"eui64": 0.4, "random_iid": 0.4, "low_iid": 0.2},
         host_service_probability={
             "telnet": 0.30,
@@ -411,7 +411,7 @@ def cmd_simnet_gen(cfg: dict, args: argparse.Namespace) -> int:
             "lockdown": 0.10,
         },
         cpe_service_probability=0.5,
-        nonresidential_fraction=args.nonresidential_fraction,
+        nonresidential_fraction=0.2,
     )
     scenario = sim.generate_scenario(params, cfg["rng_seed"])
     outdir = cfg["output_dir"]
@@ -440,9 +440,7 @@ def cmd_simnet_gen(cfg: dict, args: argparse.Namespace) -> int:
             "output_dir": outdir,
         }
     )
-    with open(os.path.join(outdir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "config.json"), config)
     n_hosts = sum(len(sub.hosts) for net in scenario.nets for sub in net.subnets)
     print(
         f"simnet-gen: {len(scenario.nets)} /48s, {n_hosts} hosts; "
@@ -478,9 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("simnet-gen", help="generate a simulated deployment for testing")
     p_gen.add_argument("--n48", type=int, default=6, help="number of /48 networks")
     p_gen.add_argument("--subnets", type=int, default=8, help="populated /56s per /48")
-    p_gen.add_argument("--aliased-fraction", type=float, default=0.1)
-    p_gen.add_argument("--deny-fraction", type=float, default=0.3)
-    p_gen.add_argument("--nonresidential-fraction", type=float, default=0.2)
     return parser
 
 

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .addrs import LongestPrefixMap, format_address, prefix48_of
 from .classify import LABEL_INTERNAL, ClassifiedAddress, pair_deltas, split_by_net
-from .csvio import table_rows, write_rows
+from .csvio import write_rows
 from .fingerprint import FingerprintHit
 from .grab import OUTCOME_RESPONDED, GrabRecord
 from .services import ServiceSpec, default_services
@@ -33,14 +33,9 @@ class AsnGeoRecord:
 
 def load_asn_geo(path: str) -> LongestPrefixMap:
     """Read ``prefix,asn,as_name,country`` registry rows into an LPM table."""
-    table = LongestPrefixMap()
-
-    def insert(row: list[str]) -> None:
-        prefix, asn, name, country = (f.strip() for f in row)
-        table.insert(prefix, AsnGeoRecord(int(asn), name, country))
-
-    table_rows(path, "asn/geo table", 4, insert)
-    return table
+    return LongestPrefixMap.load(
+        path, "asn/geo table", 4, lambda asn, name, country: AsnGeoRecord(int(asn), name, country)
+    )
 
 
 @dataclass(slots=True)

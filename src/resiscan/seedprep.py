@@ -12,7 +12,6 @@ import ipaddress
 from dataclasses import dataclass, field
 
 from .addrs import PREFIX48_MASK, LongestPrefixMap
-from .csvio import table_rows
 
 RESIDENTIAL_CATEGORY = "internet service provider"
 RESIDENTIAL_CONNECTIONS = frozenset({"cable_dsl", "dialup"})
@@ -37,12 +36,6 @@ class AsCategoryRecord:
     asn: int
     primary_category: str
     country: str
-
-
-@dataclass(frozen=True, slots=True)
-class ResidentialDecision:
-    residential: bool
-    reason: str | None = None
 
 
 @dataclass(slots=True)
@@ -109,35 +102,27 @@ def parse_prefix_list(text: str) -> SeedSet:
 
 def load_as_map(path: str) -> LongestPrefixMap:
     """Load ``prefix,asn,category,country`` rows into an LPM table."""
-    table = LongestPrefixMap()
+    return LongestPrefixMap.load(
+        path, "as map", 4, lambda asn, category, country: AsCategoryRecord(int(asn), category, country)
+    )
 
-    def insert(row: list[str]) -> None:
-        prefix, asn, category, country = (f.strip() for f in row)
-        table.insert(prefix, AsCategoryRecord(int(asn), category, country))
 
-    table_rows(path, "as map", 4, insert)
-    return table
+def _connection_type(text: str) -> str:
+    conn = text.casefold().replace("/", "_")
+    if conn not in CONNECTION_TYPES:
+        raise ValueError(f"unknown connection type {conn!r}")
+    return conn
 
 
 def load_connection_map(path: str) -> LongestPrefixMap:
     """Load ``prefix,connection_type`` rows into an LPM table."""
-    table = LongestPrefixMap()
-
-    def insert(row: list[str]) -> None:
-        prefix, conn = (f.strip() for f in row)
-        conn = conn.casefold().replace("/", "_")
-        if conn not in CONNECTION_TYPES:
-            raise ValueError(f"unknown connection type {conn!r} for {prefix}")
-        table.insert(prefix, conn)
-
-    table_rows(path, "connection map", 2, insert)
-    return table
+    return LongestPrefixMap.load(path, "connection map", 2, _connection_type)
 
 
 def classify_residential(
     prefix48: int, as_map: LongestPrefixMap, conn_map: LongestPrefixMap
-) -> ResidentialDecision:
-    """Decide whether one /48 is residential, with a rejection reason if not.
+) -> str | None:
+    """The reason one /48 is not residential, or None when it is.
 
     Pure lookup against the two snapshots: AS primary category must be
     "Internet Service Provider" (case-insensitive) and the longest matching
@@ -145,16 +130,16 @@ def classify_residential(
     """
     rec = as_map.lookup(prefix48)
     if rec is None:
-        return ResidentialDecision(False, REASON_NO_AS)
+        return REASON_NO_AS
     assert isinstance(rec, AsCategoryRecord)
     if rec.primary_category.strip().casefold() != RESIDENTIAL_CATEGORY:
-        return ResidentialDecision(False, REASON_CATEGORY)
+        return REASON_CATEGORY
     conn = conn_map.lookup(prefix48)
     if conn is None:
-        return ResidentialDecision(False, REASON_NO_CONNECTION)
+        return REASON_NO_CONNECTION
     if conn not in RESIDENTIAL_CONNECTIONS:
-        return ResidentialDecision(False, REASON_CONNECTION)
-    return ResidentialDecision(True)
+        return REASON_CONNECTION
+    return None
 
 
 def filter_seeds(
@@ -169,11 +154,11 @@ def filter_seeds(
     rejects = {REASON_NO_AS: 0, REASON_CATEGORY: 0, REASON_NO_CONNECTION: 0, REASON_CONNECTION: 0}
     survivors: list[int] = []
     for p48 in seeds.prefixes:
-        decision = classify_residential(p48, as_map, conn_map)
-        if decision.residential:
+        reason = classify_residential(p48, as_map, conn_map)
+        if reason is None:
             survivors.append(p48)
         else:
-            rejects[decision.reason] += 1
+            rejects[reason] += 1
     provenance = {
         "input": len(seeds.prefixes),
         "after_category": len(seeds.prefixes) - rejects[REASON_NO_AS] - rejects[REASON_CATEGORY],

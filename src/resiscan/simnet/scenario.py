@@ -18,12 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..addrs import (
-    PREFIX48_MASK,
-    SUBNET_SHIFT,
-    format_address,
-    parse_address,
-)
+from ..addrs import PREFIX48_MASK, SUBNET_SHIFT, format_address, parse_address, parse_prefix
 
 FIREWALL_DENY = "default_deny"
 FIREWALL_ALLOW = "default_allow"
@@ -298,7 +293,7 @@ _FIELD_TABLES = {
     SimNet: {
         "prefix48": (
             lambda prefix: f"{format_address(prefix)}/48",
-            lambda text: parse_address(_text(text).split("/", 1)[0]),
+            lambda text: parse_prefix(_text(text), 48),
         ),
         "asn": _int,
         "as_name": _text,

@@ -39,28 +39,6 @@ KIND_ALIAS = "alias_probe"
 class ProbeTarget:
     address: int
 
-    @property
-    def net56(self) -> int:
-        """Network address of the covering /56."""
-        return self.address & PREFIX56_MASK
-
-    @property
-    def iid_n(self) -> int | None:
-        """1..10 for low_iid targets, None for alias probes."""
-        return probed_low_iid(self.address)
-
-    @property
-    def kind(self) -> str:
-        return KIND_ALIAS if self.iid_n is None else KIND_LOW_IID
-
-    @property
-    def address_text(self) -> str:
-        return format_address(self.address)
-
-    @property
-    def kind_text(self) -> str:
-        return f"{KIND_LOW_IID}_{self.iid_n}" if self.kind == KIND_LOW_IID else KIND_ALIAS
-
 
 @functools.lru_cache(maxsize=8)
 def _alias_hash_state(rng_seed: int):
@@ -200,7 +178,10 @@ class ScanPlan:
         ``address,kind,prefix56`` lines; returns how many were written."""
         count = 0
         for t in itertools.islice(self, limit):
-            fh.write(f"{t.address_text},{t.kind_text},{format_address(t.net56)}/56\n")
+            n = probed_low_iid(t.address)
+            kind = KIND_ALIAS if n is None else f"{KIND_LOW_IID}_{n}"
+            net56 = format_address(t.address & PREFIX56_MASK)
+            fh.write(f"{format_address(t.address)},{kind},{net56}/56\n")
             count += 1
         return count
 

@@ -261,3 +261,23 @@ class TestClassificationFile:
             read_classification(io.StringIO("a,b,c\n"))
         with pytest.raises(ValueError, match="bad label"):
             read_classification(io.StringIO("2001:db8::/56,::1,sideways,64,0\n"))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "2001:db8::1/99,2001:db8::5,internal,64,3",  # not a /56
+            "2001:db8::/48,2001:db8::5,internal,64,3",
+            "2001:db8::/garbage,2001:db8::5,internal,64,3",
+            "2001:db8::,2001:db8::5,internal,64,3",
+            "2001:db8:0:1::/56,2001:db8::5,internal,64,3",  # bits below /56
+            "2001:db8::/56,2001:db8:0:100::5,internal,64,3",  # internal outside its /56
+        ],
+    )
+    def test_rejects_row_outside_its_56(self, row):
+        with pytest.raises(ValueError, match="classification line 1: "):
+            read_classification(io.StringIO(row + "\n"))
+
+    def test_external_address_may_lie_outside_its_56(self):
+        row = "2001:db8::/56,3fff:64::9,external,255,3\n"
+        (c,) = read_classification(io.StringIO(row))
+        assert (c.net56, c.address) == (parse_address("2001:db8::"), parse_address("3fff:64::9"))

@@ -542,10 +542,14 @@ class TestHostileFiles:
             (seedprep_mod.load_as_map, "2001:db8::/32,x64496,isp,de", "invalid literal"),
             (seedprep_mod.load_connection_map, "2001:db8::/129,cable_dsl", "netmask"),
             (report_mod.load_asn_geo, "2001:db8:zz::/48,64496,Net,de", "hex digits"),
+            (seedprep_mod.load_connection_map, "2001:db8::/32,fiber", "unknown connection type"),
+            (report_mod.load_asn_geo, "2001:db8::1/32,64496,Net,de", "has host bits set"),
             (fingerprint_mod.load_oui_db, "00:1b:2c,Gatework,extra", "expected 2 fields"),
             (services_mod.load_services, "ssh,22,tcp", "expected 4 or 5 fields, got 3"),
         ],
-        ids=["as_map", "conn_map", "asn_geo", "oui_db", "services"],
+        ids=[
+            "as_map", "conn_map", "asn_geo", "oui_db", "services", "conn_map_type", "asn_geo_host_bits"
+        ],
     )
     def test_reference_loaders_turn_csv_errors_into_value_error(
         self, tmp_path, loader, bad_row, error

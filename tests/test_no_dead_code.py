@@ -1,12 +1,12 @@
-"""Every module-level function and class in the package has a caller in it,
-and every module uses each name it imports.
+"""Every module-level function, class and constant in the package is read
+in it, and every module uses each name it imports.
 
 A name counts as used when some ``ast.Name`` or ``ast.Attribute`` in
-``src/`` refers to it from outside its own definition. Imports and
-``__all__`` are not uses: a name that is only exported or only tested is
-code that no pipeline stage runs. ``__init__.py`` files import to
-re-export, and ``from __future__`` imports are directives, so neither
-counts as an unused import.
+``src/`` reads it from outside the statements that define or assign it.
+Imports and ``__all__`` are not uses: a name that is only exported or only
+tested is code that no pipeline stage runs. Dunder names are exempt.
+``__init__.py`` files import to re-export, and ``from __future__`` imports
+are directives, so neither counts as an unused import.
 """
 
 from __future__ import annotations
@@ -25,7 +25,13 @@ TEST_HOOKS = {
 }
 
 
-def _referenced_name(node: ast.AST) -> str | None:
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+ASSIGNMENTS = (ast.Assign, ast.AnnAssign, ast.AugAssign)
+
+
+def _read_name(node: ast.AST) -> str | None:
+    if isinstance(getattr(node, "ctx", None), ast.Store):
+        return None
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
@@ -33,36 +39,49 @@ def _referenced_name(node: ast.AST) -> str | None:
     return None
 
 
-def _definitions_and_uses():
-    """(module, name) of each top-level def; the uses of each name, with the
-    (module, top-level def) they sit in."""
-    defined: list[tuple[str, str]] = []
-    uses: dict[str, set[tuple[str, str | None]]] = {}
+def _bound_names(top: ast.stmt) -> list[str]:
+    """The names a module-level def, class or assignment binds."""
+    if isinstance(top, DEFINITIONS):
+        return [top.name]
+    if not isinstance(top, ASSIGNMENTS):
+        return []
+    targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _unused(kinds: tuple[type, ...]) -> list[str]:
+    """``module:name`` of each module-level binding made by a statement of
+    one of ``kinds`` that nothing in ``src/`` reads outside the statements
+    binding that name."""
+    owners: dict[tuple[str, str], set[int]] = {}  # (module, name) -> binding statements
+    reads: dict[str, set[tuple[str, int]]] = {}  # name -> (module, statement) reading it
     for path in sorted(PACKAGE.rglob("*.py")):
         module = str(path.relative_to(PACKAGE))
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for top in tree.body:
-            owner = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((module, top.name))
-                owner = top.name
+            if isinstance(top, kinds):
+                for name in _bound_names(top):
+                    owners.setdefault((module, name), set()).add(top.lineno)
             for node in ast.walk(top):
-                name = _referenced_name(node)
+                name = _read_name(node)
                 if name is not None:
-                    uses.setdefault(name, set()).add((module, owner))
-    return defined, uses
+                    reads.setdefault(name, set()).add((module, top.lineno))
+    assert owners, f"no bindings found under {PACKAGE}"
+    return [
+        f"{module}:{name}"
+        for (module, name), lines in sorted(owners.items())
+        if not (name.startswith("__") and name.endswith("__"))
+        and f"{module}:{name}" not in TEST_HOOKS
+        and not (reads.get(name, set()) - {(module, line) for line in lines})
+    ]
 
 
 def test_every_top_level_definition_is_used_in_src():
-    defined, uses = _definitions_and_uses()
-    assert defined, f"no definitions found under {PACKAGE}"
-    unused = [
-        f"{module}:{name}"
-        for module, name in defined
-        if not (uses.get(name, set()) - {(module, name)})
-        and f"{module}:{name}" not in TEST_HOOKS
-    ]
-    assert unused == []
+    assert _unused(DEFINITIONS) == []
+
+
+def test_every_module_constant_is_read_in_src():
+    assert _unused(ASSIGNMENTS) == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -104,42 +104,40 @@ def maps(tmp_path):
 class TestClassifyResidential:
     def test_residential_cable(self, maps):
         as_map, conn_map = maps
-        d = classify_residential(p48("2001:db8:1::"), as_map, conn_map)
-        assert d.residential and d.reason is None
+        assert classify_residential(p48("2001:db8:1::"), as_map, conn_map) is None
 
     def test_residential_dialup(self, maps):
         as_map, conn_map = maps
-        assert classify_residential(p48("3fff:aaaa:1::"), as_map, conn_map).residential
+        assert classify_residential(p48("3fff:aaaa:1::"), as_map, conn_map) is None
 
     def test_unmapped_as(self, maps):
         as_map, conn_map = maps
-        d = classify_residential(p48("3fff:cccc::"), as_map, conn_map)
-        assert (d.residential, d.reason) == (False, REASON_NO_AS)
+        assert classify_residential(p48("3fff:cccc::"), as_map, conn_map) == REASON_NO_AS
 
     def test_wrong_category_longest_match_wins(self, maps):
         as_map, conn_map = maps
         # The /44 carve-out overrides the ISP /32 for this /48.
-        d = classify_residential(p48("2001:db8:f1::"), as_map, conn_map)
-        assert (d.residential, d.reason) == (False, REASON_CATEGORY)
+        reason = classify_residential(p48("2001:db8:f1::"), as_map, conn_map)
+        assert reason == REASON_CATEGORY
 
     def test_no_connection_mapping(self, maps):
         as_map, conn_map = maps
-        d = classify_residential(p48("3fff:bbbb::"), as_map, conn_map)
+        reason = classify_residential(p48("3fff:bbbb::"), as_map, conn_map)
         # Category fails before the connection lookup is consulted.
-        assert d.reason == REASON_CATEGORY
+        assert reason == REASON_CATEGORY
 
     def test_cellular_carveout_rejected(self, maps):
         as_map, conn_map = maps
-        d = classify_residential(p48("2001:db8:e::"), as_map, conn_map)
-        assert (d.residential, d.reason) == (False, REASON_CONNECTION)
+        reason = classify_residential(p48("2001:db8:e::"), as_map, conn_map)
+        assert reason == REASON_CONNECTION
 
     def test_missing_connection_row(self, tmp_path, maps):
         as_map, _ = maps
         empty = tmp_path / "empty_conn.csv"
         empty.write_text("")
         conn_map = load_connection_map(str(empty))
-        d = classify_residential(p48("2001:db8:1::"), as_map, conn_map)
-        assert (d.residential, d.reason) == (False, REASON_NO_CONNECTION)
+        reason = classify_residential(p48("2001:db8:1::"), as_map, conn_map)
+        assert reason == REASON_NO_CONNECTION
 
 
 def test_connection_map_rejects_unknown_type(tmp_path):
@@ -228,7 +226,7 @@ class TestFilterSeeds:
         )
         shuffled = SeedSet(prefixes=tuple(pool[i] for i in order))
         kept = filter_seeds(shuffled, _AS_MAP, _CONN_MAP)
-        expected = {p for p in pool if classify_residential(p, _AS_MAP, _CONN_MAP).residential}
+        expected = {p for p in pool if classify_residential(p, _AS_MAP, _CONN_MAP) is None}
         assert set(kept.prefixes) == expected
         assert len(kept.prefixes) == len(expected)
 

@@ -243,6 +243,15 @@ class TestScenarioFile:
             else:
                 pytest.fail(f"accepted {doc}")
 
+    @pytest.mark.parametrize(
+        "prefix48", ["2001:db8:4100::/32", "2001:db8:1::/garbage", "2001:db8:1::", "2001:db8:1::/49"]
+    )
+    def test_prefix48_must_be_a_48(self, prefix48):
+        doc = minimal_doc()
+        net(doc)["prefix48"] = prefix48
+        with pytest.raises(ScenarioError, match="malformed scenario document: .*prefix48"):
+            scenario_from_dict(doc)
+
     def test_omitted_keys_take_the_defaults(self):
         spelled_out = minimal_doc()
         spelled_out["wan_base"] = "3fff:64::"

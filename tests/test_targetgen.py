@@ -10,8 +10,6 @@ from resiscan.addrs import SUBNET_SHIFT, format_address, parse_address, prefix56
 from resiscan.seedprep import parse_prefix_list
 from resiscan.targetgen import (
     ALIAS_MIN_IID,
-    KIND_ALIAS,
-    KIND_LOW_IID,
     LOW_IIDS_PER_56,
     SUBNETS_PER_48,
     TARGETS_PER_48,
@@ -40,10 +38,8 @@ def test_low_iid_targets_are_the_first_ten_addresses():
     plan = ScanPlan((SEED48,), 1)
     targets = [plan.target_at(i) for i in range(LOW_IIDS_PER_56)]
     assert [t.address - SEED48 for t in targets] == list(range(1, 11))
-    assert [t.iid_n for t in targets] == list(range(1, 11))
-    assert {t.net56 for t in targets} == {SEED48}
-    assert {t.kind for t in targets} == {KIND_LOW_IID}
-    assert targets[2].kind_text == "low_iid_3"
+    assert [probed_low_iid(t.address) for t in targets] == list(range(1, 11))
+    assert {prefix56_of(t.address) for t in targets} == {SEED48}
 
 
 class TestAliasProbe:
@@ -58,10 +54,7 @@ class TestAliasProbe:
         net56 = SEED48 | (0xFE << SUBNET_SHIFT)
         t = ProbeTarget(alias_target_for(net56, 5))
         assert prefix56_of(t.address) == net56
-        assert t.net56 == net56
-        assert t.kind == KIND_ALIAS
-        assert t.kind_text == "alias_probe"
-        assert t.iid_n is None
+        assert probed_low_iid(t.address) is None
 
     @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=2**32))
     def test_never_collides_with_low_iid_probes(self, sub, rng_seed):
@@ -172,7 +165,8 @@ class TestScanPlan:
         plan = build_plan(seeds, rng_seed)
         got = Counter()
         for t in plan:
-            got[(t.address, "low" if t.kind == KIND_LOW_IID else "alias", t.iid_n)] += 1
+            n = probed_low_iid(t.address)
+            got[(t.address, "alias" if n is None else "low", n)] += 1
         assert got == expected
         assert sum(got.values()) == plan.budget
 
@@ -220,16 +214,16 @@ class TestScanPlan:
         seeds = [parse_address("2001:db8:1::"), parse_address("2001:db8:2::")]
         plan = build_plan(seeds, 2)
         t0 = plan.target_at(0)
-        assert t0.address == seeds[0] | 1 and t0.iid_n == 1
+        assert t0.address == seeds[0] | 1 and probed_low_iid(t0.address) == 1
         t10 = plan.target_at(10)
-        assert t10.kind == KIND_ALIAS and t10.net56 == seeds[0]
+        assert probed_low_iid(t10.address) is None and prefix56_of(t10.address) == seeds[0]
         # First slot of the second seed's first /56.
         t = plan.target_at(TARGETS_PER_48)
         assert t.address == seeds[1] | 1
         # Last slot overall: alias probe of the last /56 of the last seed.
         t_last = plan.target_at(plan.budget - 1)
-        assert t_last.kind == KIND_ALIAS
-        assert t_last.net56 == seeds[1] | (255 << SUBNET_SHIFT)
+        assert probed_low_iid(t_last.address) is None
+        assert prefix56_of(t_last.address) == seeds[1] | (255 << SUBNET_SHIFT)
 
     def test_first_targets_known_answer(self):
         # Fixed order and addresses: no change to the plan code may move them.
@@ -253,11 +247,15 @@ class TestScanPlan:
         lines = out.read_text().splitlines()
         assert n == len(lines) == 100
         first = [t for _, t in zip(range(100), plan)]
-        assert [line.split(",")[0] for line in lines] == [t.address_text for t in first]
-        addr, kind, net = lines[0].split(",")
-        assert parse_address(addr)  # parses
-        assert kind == "alias_probe" or kind.startswith("low_iid_")
-        assert net.endswith("/56")
+        assert [line.split(",")[0] for line in lines] == [format_address(t.address) for t in first]
+        kinds = set()
+        for line, t in zip(lines, first):
+            addr, kind, net = line.split(",")
+            n = probed_low_iid(t.address)
+            assert kind == ("alias_probe" if n is None else f"low_iid_{n}")
+            assert net == f"{format_address(prefix56_of(t.address))}/56"
+            kinds.add(kind)
+        assert "alias_probe" in kinds and "low_iid_3" in kinds
 
     @settings(max_examples=20)
     @given(st.integers(min_value=0, max_value=2**31))
