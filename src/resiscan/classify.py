@@ -81,26 +81,6 @@ class ClassifyResult:
     missing_alias_nets: set[int] = field(default_factory=set)  # no alias outcome seen
     anomalous: list[ResponseRecord] = field(default_factory=list)
 
-    def by_label(self, label: str) -> list[ClassifiedAddress]:
-        return [c for c in self.classified if c.label == label]
-
-
-def detect_aliased(records: Iterable[ResponseRecord]) -> bool:
-    """True iff the net's alias probe answered with an echo reply from itself.
-
-    ``records`` must already be restricted to one /56. Alias probes are
-    recognizable by construction: their IID never falls in 1..10.
-    """
-    from .probe import KIND_ECHO_REPLY
-    from .targetgen import probed_low_iid
-
-    for rec in records:
-        if probed_low_iid(rec.probed_target) is not None:
-            continue
-        if rec.kind == KIND_ECHO_REPLY and rec.source == rec.probed_target:
-            return True
-    return False
-
 
 def classify_log(
     records: Iterable[ResponseRecord],
@@ -113,7 +93,9 @@ def classify_log(
     ``seeds`` and ``rng_seed`` are the plan's: they reconstruct the full
     probed-target set so that an error source colliding with any probed
     address, logged or not, is caught. Each (net, address, label) appears at
-    most once; aliased nets contribute nothing.
+    most once; aliased nets contribute nothing. A net is aliased when its
+    alias probe, recognizable because its IID never falls in 1..10, drew an
+    echo reply from itself.
     """
     from .probe import KIND_ECHO_REPLY
     from .targetgen import alias_target_for, probed_low_iid
@@ -132,10 +114,10 @@ def classify_log(
 
     result = ClassifyResult()
     for net56, recs in sorted(by_net.items()):
-        saw_alias_outcome = any(probed_low_iid(r.probed_target) is None for r in recs)
-        if not saw_alias_outcome:
+        alias_recs = [r for r in recs if probed_low_iid(r.probed_target) is None]
+        if not alias_recs:
             result.missing_alias_nets.add(net56)
-        elif detect_aliased(recs):
+        elif any(r.kind == KIND_ECHO_REPLY and r.source == r.probed_target for r in alias_recs):
             result.aliased_nets.add(net56)
             continue
         seen: set[tuple[int, str]] = set()

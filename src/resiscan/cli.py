@@ -16,6 +16,7 @@ process loads only what it runs.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import sys
@@ -89,32 +90,27 @@ def load_config(path: str | None) -> dict:
                 raise ConfigError(f"unknown config key: {key!r}")
             _check_type(key, value, *CONFIG_TYPES[key])
             if key == "transport":
+                for name in value:
+                    if name not in DEFAULT_CONFIG["transport"]:
+                        raise ConfigError(f"unknown config key: 'transport.{name}'")
                 cfg["transport"].update(value)
             else:
                 cfg[key] = value
-    mode = cfg["transport"].get("mode")
+    mode = cfg["transport"]["mode"]
     if mode not in ("sim", "live"):
         raise ConfigError(f"transport.mode must be 'sim' or 'live', got {mode!r}")
-    _check_type("transport.scenario", cfg["transport"].get("scenario"), *_OPTIONAL_TEXT)
+    _check_type("transport.scenario", cfg["transport"]["scenario"], *_OPTIONAL_TEXT)
+    for key in ("probe_timeout_s", "grab_timeout_s", "grab_parallelism"):
+        if not 0 < cfg[key] < float("inf"):  # NaN fails too
+            raise ConfigError(
+                f"config value {key!r} must be positive and finite, got {json.dumps(cfg[key])}"
+            )
     return cfg
 
 
 def _check_type(key: str, value, types: tuple, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"config value {key!r} must be {what}, got {json.dumps(value)}")
-
-
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "seed", None) is not None:
-        cfg["rng_seed"] = args.seed
-    if getattr(args, "rate", None) is not None:
-        cfg["rate_pps"] = args.rate
-    if getattr(args, "transport", None) is not None:
-        cfg["transport"]["mode"] = args.transport
-    if getattr(args, "scenario", None) is not None:
-        cfg["transport"]["scenario"] = args.scenario
-    if getattr(args, "out", None) is not None:
-        cfg["output_dir"] = args.out
 
 
 def _require(cfg: dict, key: str, what: str) -> str:
@@ -236,7 +232,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     print(f"scan: {len(plan.seeds)} seeds, budget {plan.budget} probes")
 
     rate = None
-    if cfg.get("rate_pps"):
+    if cfg["rate_pps"] is not None:
         rate = probe.RateLimiter(int(cfg["rate_pps"]))
 
     mode = cfg["transport"]["mode"]
@@ -278,9 +274,10 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
     )
     with _write_stage(cfg, CLASSIFIED_FILE) as fh:
         classify.write_classification(result.classified, fh)
+    labels = collections.Counter(c.label for c in result.classified)
     stats = {
-        "internal": len(result.by_label(classify.LABEL_INTERNAL)),
-        "external": len(result.by_label(classify.LABEL_EXTERNAL)),
+        "internal": labels[classify.LABEL_INTERNAL],
+        "external": labels[classify.LABEL_EXTERNAL],
         "aliased_nets": sorted(f"{format_address(n)}/56" for n in result.aliased_nets),
         "missing_alias_nets": sorted(
             f"{format_address(n)}/56" for n in result.missing_alias_nets
@@ -459,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="override rng_seed")
-    parser.add_argument("--rate", type=int, help="override probe rate (pps)")
-    parser.add_argument("--transport", choices=["sim", "live"], help="override transport mode")
-    parser.add_argument("--scenario", help="override sim scenario file")
     parser.add_argument("--out", help="override output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -495,7 +489,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        _apply_overrides(cfg, args)
+        if args.seed is not None:
+            cfg["rng_seed"] = args.seed
+        if args.out is not None:
+            cfg["output_dir"] = args.out
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

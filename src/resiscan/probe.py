@@ -343,13 +343,16 @@ def _response_record(row: list[str]) -> ResponseRecord:
         itype, icode = int(t), int(c)
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    hops = int(hop_limit)
+    if not 0 <= hops <= 255:
+        raise ValueError(f"hop limit out of range: {hops}")
     return ResponseRecord(
         probed_target=parse_address(target),
         source=parse_address(source),
         kind=kind,
         icmp_type=itype,
         icmp_code=icode,
-        hop_limit=int(hop_limit),
+        hop_limit=hops,
         timestamp_us=int(ts),
     )
 

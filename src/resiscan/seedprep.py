@@ -31,13 +31,6 @@ class SeedParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True, slots=True)
-class AsCategoryRecord:
-    asn: int
-    primary_category: str
-    country: str
-
-
 @dataclass(slots=True)
 class SeedSet:
     """Ordered, duplicate-free /48 seed prefixes plus provenance counters."""
@@ -100,11 +93,15 @@ def parse_prefix_list(text: str) -> SeedSet:
     )
 
 
+def _as_category(asn: str, category: str, country: str) -> str:
+    int(asn)  # a row whose ASN is not an integer is malformed
+    return category
+
+
 def load_as_map(path: str) -> LongestPrefixMap:
-    """Load ``prefix,asn,category,country`` rows into an LPM table."""
-    return LongestPrefixMap.load(
-        path, "as map", 4, lambda asn, category, country: AsCategoryRecord(int(asn), category, country)
-    )
+    """Load ``prefix,asn,category,country`` rows into an LPM table of the
+    AS primary categories, the one field the filter reads."""
+    return LongestPrefixMap.load(path, "as map", 4, _as_category)
 
 
 def _connection_type(text: str) -> str:
@@ -128,11 +125,10 @@ def classify_residential(
     "Internet Service Provider" (case-insensitive) and the longest matching
     connection-type entry must be cable_dsl or dialup.
     """
-    rec = as_map.lookup(prefix48)
-    if rec is None:
+    category = as_map.lookup(prefix48)
+    if category is None:
         return REASON_NO_AS
-    assert isinstance(rec, AsCategoryRecord)
-    if rec.primary_category.strip().casefold() != RESIDENTIAL_CATEGORY:
+    if category.strip().casefold() != RESIDENTIAL_CATEGORY:
         return REASON_CATEGORY
     conn = conn_map.lookup(prefix48)
     if conn is None:

@@ -95,11 +95,7 @@ class SimNet:
 class Scenario:
     rng_seed: int
     nets: list[SimNet]
-    wan_base: int = 0
-
-    def __post_init__(self) -> None:
-        if self.wan_base == 0:
-            self.wan_base = parse_address(DEFAULT_WAN_BASE)
+    wan_base: int = parse_address(DEFAULT_WAN_BASE)
 
     def net56(self, net: SimNet, sub: SimSubnet) -> int:
         return net.prefix48 | (sub.index << SUBNET_SHIFT)
@@ -410,6 +406,11 @@ def _quota_pool(n: int, weights: dict, rng: random.Random) -> list:
     return pool
 
 
+def _share(n: int, fraction: float, rng: random.Random) -> list[bool]:
+    """``n`` shuffled flags, ``fraction`` of them true by quota."""
+    return _quota_pool(n, {True: fraction, False: 1 - fraction}, rng)
+
+
 _SEED_BASE = parse_address("2001:db8::")  # generated /48s count up from here
 _BASE_DISTANCE_RANGE = (2, 12)  # scanner-to-CPE hops, drawn uniformly per CPE
 
@@ -446,18 +447,12 @@ def generate_scenario(params: ScenarioParams, rng_seed: int) -> Scenario:
         raise ScenarioError("n48 exceeds the generator's /32 seed region")
 
     n_sub = params.n48 * params.subnets_per_48
-    aliased_pool = _quota_pool(
-        n_sub,
-        {True: params.aliased_fraction, False: 1 - params.aliased_fraction},
-        rng,
-    )
+    aliased_pool = _share(n_sub, params.aliased_fraction, rng)
     # Firewall quota applies to the non-aliased population.
     n_plain = sum(1 for a in aliased_pool if not a)
     deny_frac = params.deny_fraction / (1 - params.aliased_fraction or 1.0)
     deny_frac = min(deny_frac, 1.0)
-    deny_pool = _quota_pool(
-        n_plain, {True: deny_frac, False: 1 - deny_frac}, rng
-    )
+    deny_pool = _share(n_plain, deny_frac, rng)
     hosts_pool = _quota_pool(
         n_sub,
         {i + 1: w for i, w in enumerate(params.hosts_per_subnet)},
@@ -465,19 +460,11 @@ def generate_scenario(params: ScenarioParams, rng_seed: int) -> Scenario:
     )
     n_hosts = sum(hosts_pool)
     extra_pool = _quota_pool(n_hosts, params.extra_hops_weights, rng)
-    slaac_pool = _quota_pool(
-        n_hosts,
-        {True: params.slaac_fraction, False: 1 - params.slaac_fraction},
-        rng,
-    )
+    slaac_pool = _share(n_hosts, params.slaac_fraction, rng)
     host_profile_pool = _quota_pool(n_hosts, params.host_profile_weights, rng)
     cpe_profile_pool = _quota_pool(n_sub, params.cpe_profile_weights, rng)
     wan_mode_pool = _quota_pool(n_sub, params.wan_mode_weights, rng)
-    nonres_pool = _quota_pool(
-        params.n48,
-        {True: params.nonresidential_fraction, False: 1 - params.nonresidential_fraction},
-        rng,
-    )
+    nonres_pool = _share(params.n48, params.nonresidential_fraction, rng)
 
     nets: list[SimNet] = []
     mac_counter = 0

@@ -14,6 +14,7 @@ is how the tests enforce that grabs stay minimal.
 
 from __future__ import annotations
 
+import functools
 import os
 import socket
 import struct
@@ -32,6 +33,10 @@ TELNET_NEGOTIATION = b"\xff\xfd\x18\xff\xfd\x20\xff\xfd\x23\xff\xfd\x27"
 
 # Added to an IPv4 address's int to make its endpoint key: above every IPv6 int.
 _V4_KEY = 1 << 128
+
+# How long a behavior waits on each read or write of its client, unless it
+# sets a hold time of its own.
+_SERVE_TIMEOUT_S = 5.0
 
 
 @dataclass(slots=True)
@@ -73,9 +78,7 @@ class _Conn:
         try:
             if self.sock.type == socket.SOCK_STREAM:
                 self.sock.shutdown(socket.SHUT_WR)
-                self.settimeout(1.0)
-                while self.recv(4096):
-                    pass
+                _drain_until_close(self, 1.0)
         except OSError:
             pass
         try:
@@ -84,59 +87,50 @@ class _Conn:
             pass
 
 
-class _CertStore:
-    """Self-signed certificate cache, one per requested common name."""
+@functools.cache
+def _server_context(common_name: str) -> ssl.SSLContext:
+    """The server context for one common name, with a self-signed certificate.
 
-    def __init__(self) -> None:
-        self._contexts: dict[str, ssl.SSLContext] = {}
-        self._lock = threading.Lock()
+    The cache's dict is safe under the GIL. Two first uses of one name at the
+    same moment may each build a context; either one is valid.
+    """
+    import datetime
+    import ssl
+    import tempfile
 
-    def context_for(self, common_name: str) -> ssl.SSLContext:
-        with self._lock:
-            ctx = self._contexts.get(common_name)
-            if ctx is not None:
-                return ctx
-            import datetime
-            import ssl
-            import tempfile
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
 
-            from cryptography import x509
-            from cryptography.hazmat.primitives import hashes, serialization
-            from cryptography.hazmat.primitives.asymmetric import ec
-            from cryptography.x509.oid import NameOID
-
-            key = ec.generate_private_key(ec.SECP256R1())
-            name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, common_name)])
-            cert = (
-                x509.CertificateBuilder()
-                .subject_name(name)
-                .issuer_name(name)
-                .public_key(key.public_key())
-                .serial_number(x509.random_serial_number())
-                .not_valid_before(datetime.datetime(2020, 1, 1))
-                .not_valid_after(datetime.datetime(2045, 1, 1))
-                .sign(key, hashes.SHA256())
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, common_name)])
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(datetime.datetime(2020, 1, 1))
+        .not_valid_after(datetime.datetime(2045, 1, 1))
+        .sign(key, hashes.SHA256())
+    )
+    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    # The ssl module loads a certificate and key only from files.
+    with tempfile.TemporaryDirectory(prefix="simnet-tls-") as tmp:
+        crt, pem = os.path.join(tmp, "cert.pem"), os.path.join(tmp, "key.pem")
+        with open(crt, "wb") as fh:
+            fh.write(cert.public_bytes(serialization.Encoding.PEM))
+        with open(pem, "wb") as fh:
+            fh.write(
+                key.private_bytes(
+                    serialization.Encoding.PEM,
+                    serialization.PrivateFormat.PKCS8,
+                    serialization.NoEncryption(),
+                )
             )
-            ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            # The ssl module loads a certificate and key only from files.
-            with tempfile.TemporaryDirectory(prefix="simnet-tls-") as tmp:
-                crt, pem = os.path.join(tmp, "cert.pem"), os.path.join(tmp, "key.pem")
-                with open(crt, "wb") as fh:
-                    fh.write(cert.public_bytes(serialization.Encoding.PEM))
-                with open(pem, "wb") as fh:
-                    fh.write(
-                        key.private_bytes(
-                            serialization.Encoding.PEM,
-                            serialization.PrivateFormat.PKCS8,
-                            serialization.NoEncryption(),
-                        )
-                    )
-                ctx.load_cert_chain(crt, pem)
-            self._contexts[common_name] = ctx
-            return ctx
-
-
-_certs = _CertStore()
+        ctx.load_cert_chain(crt, pem)
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +138,7 @@ _certs = _CertStore()
 # _run_handler closes the connection when the behavior returns.
 
 
-def _drain_until_close(conn: _Conn, limit: float = 5.0) -> None:
+def _drain_until_close(conn: _Conn, limit: float) -> None:
     conn.settimeout(limit)
     try:
         while conn.recv(4096):
@@ -166,7 +160,6 @@ def recv_exact(conn: _Conn, n: int) -> bytes:
 
 def _read_http_request(conn: _Conn, limit: int = 16384) -> bytes:
     buf = b""
-    conn.settimeout(5.0)
     try:
         while b"\r\n\r\n" not in buf and len(buf) < limit:
             data = conn.recv(4096)
@@ -240,7 +233,6 @@ def _fixed_page(server: str, body: str):
 
 def h_tls_http(conn: _Conn, params: dict) -> None:
     """HTTPS endpoint; a plaintext client gets a TLS alert and nothing else."""
-    conn.settimeout(5.0)
     first = conn.sock.recv(1, socket.MSG_PEEK)
     if not first:
         return
@@ -248,7 +240,7 @@ def h_tls_http(conn: _Conn, params: dict) -> None:
         _read_http_request(conn)
         conn.sendall(TLS_ALERT_HANDSHAKE_FAILURE)
         return
-    ctx = _certs.context_for(str(params.get("common_name", "simnet test")))
+    ctx = _server_context(str(params.get("common_name", "simnet test")))
     try:
         conn.sock = ctx.wrap_socket(conn.sock, server_side=True)
     except OSError:  # ssl.SSLError included
@@ -259,7 +251,6 @@ def h_tls_http(conn: _Conn, params: dict) -> None:
 def h_mqtt_broker(conn: _Conn, params: dict) -> None:
     if params.get("close_immediately"):
         return
-    conn.settimeout(5.0)
     head = conn.recv(1)
     if not head or head[0] >> 4 != 1:  # only CONNECT is acceptable first
         return
@@ -283,7 +274,6 @@ def h_mqtt_broker(conn: _Conn, params: dict) -> None:
 def h_lockdown(conn: _Conn, params: dict) -> None:
     import plistlib
 
-    conn.settimeout(5.0)
     try:
         raw_len = recv_exact(conn, 4)
         if len(raw_len) < 4:
@@ -311,7 +301,6 @@ def h_lockdown(conn: _Conn, params: dict) -> None:
 
 
 def h_ntp(conn: _Conn, params: dict) -> None:
-    conn.settimeout(5.0)
     query = conn.recv(512)
     if len(query) < 48 or query[0] & 0x07 != 3:  # client mode only
         return
@@ -355,15 +344,12 @@ class SimServices:
                 self._alias_stubs[net56] = {s.port: s for s in sub.stub_services}
                 continue
             for svc in sub.cpe.services:
-                self._register(wan, svc)
+                self._endpoints[(wan, svc.port)] = svc
             if sub.cpe.firewall != FIREWALL_ALLOW:
                 continue  # a default-deny CPE filters every host behind it
             for host in sub.hosts:
                 for svc in host.services:
-                    self._register(scenario.host_address(net, sub, host), svc)
-
-    def _register(self, address: int, svc: SimService) -> None:
-        self._endpoints[(address, svc.port)] = svc
+                    self._endpoints[(scenario.host_address(net, sub, host), svc.port)] = svc
 
     def add_endpoint(self, address: str, port: int, behavior: str, params: dict | None = None) -> None:
         """Register an extra endpoint directly (tests; either address family)."""
@@ -385,6 +371,7 @@ class SimServices:
             raise ConnectionRefusedError(f"{address}:{port} unknown behavior {svc.behavior!r}")
         kind = socket.SOCK_DGRAM if udp else socket.SOCK_STREAM
         client, server = socket.socketpair(socket.AF_UNIX, kind)
+        server.settimeout(_SERVE_TIMEOUT_S)
         transcript = Transcript(key, port)
         with self._lock:
             self.transcripts.append(transcript)

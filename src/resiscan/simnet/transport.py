@@ -17,6 +17,8 @@ Reply rules per probed address:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..addrs import IID_MASK, PREFIX48_MASK, SUBNET_SHIFT
 from ..probe import ICMP6_DEST_UNREACH, ICMP6_ECHO_REPLY, IcmpEvent
 from .scenario import FIREWALL_ALLOW, Scenario
@@ -90,12 +92,10 @@ class SimTransport:
         self._events.append(event)
 
 
+@dataclass(slots=True)
 class _SubnetView:
-    __slots__ = ("aliased", "allow", "wan", "cpe_hop_limit", "hosts")
-
-    def __init__(self, aliased: bool, allow: bool, wan: int, cpe_hop_limit: int, hosts: dict):
-        self.aliased = aliased
-        self.allow = allow
-        self.wan = wan
-        self.cpe_hop_limit = cpe_hop_limit
-        self.hosts = hosts
+    aliased: bool
+    allow: bool
+    wan: int
+    cpe_hop_limit: int
+    hosts: dict

@@ -135,9 +135,6 @@ class ScanPlan:
         self._generator = _find_generator(self._modulus, rng)
         self._start = rng.randrange(1, self._modulus)
 
-    def __len__(self) -> int:
-        return self.budget
-
     def target_at(self, index: int) -> ProbeTarget:
         """Decode plan index -> concrete probe target (no permutation applied)."""
         if not 0 <= index < self.budget:

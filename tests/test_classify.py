@@ -10,7 +10,6 @@ from resiscan.classify import (
     LABEL_INTERNAL,
     ClassifiedAddress,
     classify_log,
-    detect_aliased,
     hop_distance,
     infer_initial_hop_limit,
     pair_deltas,
@@ -78,21 +77,27 @@ class TestHopLimitInference:
             infer_initial_hop_limit(-1)
 
 
+def aliased(records) -> bool:
+    return classify_log(records, **PLAN).aliased_nets == {NET56}
+
+
 class TestDetectAliased:
+    """A /56 is aliased when its alias probe draws an echo from itself."""
+
     def test_alias_echo_from_itself_triggers(self):
         alias_addr = NET56 | (0x55 << 64) | 0xDEADBEEF
-        assert detect_aliased([reply(alias_addr)])
+        assert aliased([reply(alias_addr)])
 
     def test_low_iid_echo_does_not_trigger(self):
-        assert not detect_aliased([reply(NET56 | n) for n in range(1, 11)])
+        assert not aliased([reply(NET56 | n) for n in range(1, 11)])
 
     def test_alias_error_does_not_trigger(self):
         alias_addr = NET56 | 0xDEADBEEF
-        assert not detect_aliased([reply(alias_addr, source=WAN, kind=KIND_DEST_UNREACH, code=3)])
+        assert not aliased([reply(alias_addr, source=WAN, kind=KIND_DEST_UNREACH, code=3)])
 
     def test_alias_echo_from_other_source_does_not_trigger(self):
         alias_addr = NET56 | 0xDEADBEEF
-        assert not detect_aliased([reply(alias_addr, source=alias_addr + 1)])
+        assert not aliased([reply(alias_addr, source=alias_addr + 1)])
 
 
 class TestClassifyLog:
@@ -103,8 +108,8 @@ class TestClassifyLog:
             reply(NET56 | 0xABCDEF, source=WAN, kind=KIND_DEST_UNREACH, code=3, hop=252),
         ]
         result = classify_log(records, **PLAN)
-        internal = result.by_label(LABEL_INTERNAL)
-        external = result.by_label(LABEL_EXTERNAL)
+        internal = [c for c in result.classified if c.label == LABEL_INTERNAL]
+        external = [c for c in result.classified if c.label == LABEL_EXTERNAL]
         assert [c.address for c in internal] == [NET56 | 1]
         assert internal[0].distance == 4
         assert internal[0].initial_hop_limit == 64
@@ -128,7 +133,7 @@ class TestClassifyLog:
         result = classify_log([reply(NET56 | 1)], **PLAN)
         assert result.missing_alias_nets == {NET56}
         # Still classified: a missing alias outcome flags, not discards.
-        assert len(result.by_label(LABEL_INTERNAL)) == 1
+        assert len([c for c in result.classified if c.label == LABEL_INTERNAL]) == 1
 
     def test_echo_from_wrong_source_is_anomalous(self):
         rec = reply(NET56 | 2, source=NET56 | 9)
@@ -136,7 +141,7 @@ class TestClassifyLog:
             [rec, reply(NET56 | 0xBEEF, source=WAN, kind=KIND_DEST_UNREACH)], **PLAN
         )
         assert result.anomalous == [rec]
-        assert result.by_label(LABEL_INTERNAL) == []
+        assert [c for c in result.classified if c.label == LABEL_INTERNAL] == []
 
     def test_error_from_probed_source_is_anomalous(self):
         # The "gateway" claims to be one of our probed low-IID targets.
@@ -166,7 +171,7 @@ class TestClassifyLog:
     def test_other_error_types_classify_external(self):
         rec = reply(NET56 | 6, source=WAN, kind=KIND_OTHER, itype=3, code=0, hop=61)
         result = classify_log([rec], **PLAN)
-        ext = result.by_label(LABEL_EXTERNAL)
+        ext = [c for c in result.classified if c.label == LABEL_EXTERNAL]
         assert [c.address for c in ext] == [WAN]
         assert ext[0].initial_hop_limit == 64
 
@@ -177,7 +182,8 @@ class TestClassifyLog:
 
     def test_internal_dedupe_keeps_first_record(self):
         records = [reply(NET56 | 1, hop=60, ts=1), reply(NET56 | 1, hop=50, ts=2)]
-        internal = classify_log(records, **PLAN).by_label(LABEL_INTERNAL)
+        result = classify_log(records, **PLAN)
+        internal = [c for c in result.classified if c.label == LABEL_INTERNAL]
         assert len(internal) == 1
         assert internal[0].distance == 4  # from the hop=60 record
 

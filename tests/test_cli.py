@@ -320,6 +320,28 @@ class TestConfigHandling:
         assert res.code == 2
         assert res.err.startswith("config error:") and key in res.err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"transport": {"mdoe": "live"}}', "unknown config key: 'transport.mdoe'"),
+            ('{"probe_timeout_s": -5}', "'probe_timeout_s' must be positive and finite, got -5"),
+            ('{"probe_timeout_s": 1e999}', "'probe_timeout_s' must be positive and finite"),
+            ('{"grab_timeout_s": 0}', "'grab_timeout_s' must be positive and finite, got 0"),
+            ('{"grab_timeout_s": -1}', "'grab_timeout_s' must be positive and finite, got -1"),
+            ('{"grab_timeout_s": NaN}', "'grab_timeout_s' must be positive and finite, got NaN"),
+            ('{"grab_parallelism": 0}', "'grab_parallelism' must be positive and finite, got 0"),
+            ('{"grab_parallelism": -3}', "'grab_parallelism' must be positive and finite, got -3"),
+        ],
+    )
+    def test_value_no_stage_can_use_rejected(self, tmp_path, text, message):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(str(p))
+        res = run_cli("--config", str(p), "scan")
+        assert res.code == 2
+        assert res.err.startswith("config error:") and message in res.err
+
     def test_cli_exit_codes(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{not json")
@@ -373,6 +395,16 @@ class TestConfigHandling:
         assert res.err.startswith("error:")
 
 
+def write_config(directory: str, settings: dict) -> str:
+    path = os.path.join(directory, "config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(settings, fh)
+    return path
+
+
+LIVE = {"transport": {"mode": "live"}}
+
+
 class TestLiveModeGuards:
     @pytest.fixture()
     def seeded_dir(self, tmp_path):
@@ -380,20 +412,27 @@ class TestLiveModeGuards:
         return str(tmp_path)
 
     def test_scan_requires_contact_url(self, seeded_dir):
-        res = run_cli("--out", seeded_dir, "--transport", "live", "scan")
+        res = run_cli("--config", write_config(seeded_dir, LIVE), "--out", seeded_dir, "scan")
         assert res.code == 2
         assert "operator_contact_url" in res.err
 
     @pytest.mark.parametrize(
         "fault, code, closed",
-        [(None, 0, [True]), ("send", 1, [True]), ("poll", 1, [True]), ("rate", 1, [])],
-        ids=["complete", "aborted", "raising", "bad-rate"],
+        [
+            (None, 0, [True]),
+            ("send", 1, [True]),
+            ("poll", 1, [True]),
+            (-1, 1, []),
+            (0, 1, []),  # 0 is no rate, not an unlimited one
+        ],
+        ids=["complete", "aborted", "raising", "bad-rate", "zero-rate"],
     )
     def test_scan_closes_the_live_socket(self, seeded_dir, monkeypatch, fault, code, closed):
         transports = []
 
         class FakeLiveTransport:
-            """Stands in for the raw socket; ``fault`` names the call that fails."""
+            """Stands in for the raw socket; ``fault`` names the call that fails,
+            or is the ``rate_pps`` to refuse."""
 
             def __init__(self, contact_url):
                 self.closed = False
@@ -415,20 +454,19 @@ class TestLiveModeGuards:
                 self.closed = True
 
         monkeypatch.setattr(probe_mod, "LiveTransport", FakeLiveTransport)
-        config = os.path.join(seeded_dir, "config.json")
-        settings = {"operator_contact_url": "https://example.org/optout", "probe_timeout_s": 0.01}
-        if fault == "rate":
-            settings["rate_pps"] = -1
-        with open(config, "w", encoding="utf-8") as fh:
-            json.dump(settings, fh)
-        res = run_cli("--config", config, "--out", seeded_dir, "--transport", "live", "scan")
+        settings = {
+            **LIVE, "operator_contact_url": "https://example.org/optout", "probe_timeout_s": 0.01
+        }
+        if isinstance(fault, int):
+            settings["rate_pps"] = fault
+        res = run_cli("--config", write_config(seeded_dir, settings), "--out", seeded_dir, "scan")
         assert res.code == code, res.err
         assert [t.closed for t in transports] == closed
 
     def test_grab_requires_contact_url(self, seeded_dir):
         with open(os.path.join(seeded_dir, "classified.csv"), "w") as fh:
             classify_mod.write_classification([], fh)
-        res = run_cli("--out", seeded_dir, "--transport", "live", "grab")
+        res = run_cli("--config", write_config(seeded_dir, LIVE), "--out", seeded_dir, "grab")
         assert res.code == 2
         assert "operator_contact_url" in res.err
 

@@ -561,7 +561,7 @@ class TestTlsCertificates:
     def test_no_key_material_left_on_disk(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         # An empty certificate cache, so this grab makes a fresh certificate.
-        monkeypatch.setattr(sim_services, "_certs", sim_services._CertStore())
+        sim_services._server_context.cache_clear()
         backend = SimServices(make_scenario([make_net("2001:db8:5::", [make_subnet(1)])]))
         backend.add_endpoint(V6, 443, "tls_http", {"common_name": "no-leftovers.example"})
         rec = do_grab(backend, V6, spec_by_name("https"))

@@ -1,12 +1,15 @@
 """Every module-level function, class and constant in the package is read
-in it, and every module uses each name it imports.
+in it, every method and property of its classes is read in it, and every
+module uses each name it imports.
 
 A name counts as used when some ``ast.Name`` or ``ast.Attribute`` in
 ``src/`` reads it from outside the statements that define or assign it.
 Imports and ``__all__`` are not uses: a name that is only exported or only
 tested is code that no pipeline stage runs. Dunder names are exempt.
 ``__init__.py`` files import to re-export, and ``from __future__`` imports
-are directives, so neither counts as an unused import.
+are directives, so neither counts as an unused import. A method counts as
+used when an ``ast.Attribute`` in ``src/`` reads its name outside the
+method's own definition.
 """
 
 from __future__ import annotations
@@ -17,11 +20,23 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "resiscan"
 
 # Test hooks: public names that exist for the tests and the benchmark to
-# call, each documented as such where it is defined.
+# call, each with the reason it exists.
 TEST_HOOKS = {
-    # The simulator's grab-outcome oracle, which the tests and the campaign
-    # benchmark check every grab against.
-    "simnet/scenario.py:expected_grab_outcomes",
+    "simnet/scenario.py:expected_grab_outcomes": (
+        "the simulator's grab-outcome oracle, which the tests and the campaign"
+        " benchmark check every grab against"
+    ),
+    "simnet/transport.py:SimTransport.inject": (
+        "feeds forged or stray replies into a simulated scan"
+    ),
+    "simnet/services.py:SimServices.add_endpoint": (
+        "adds an endpoint no scenario holds, IPv4 included, for grab tests and"
+        " the benchmark's micro-measurements"
+    ),
+    "simnet/services.py:SimServices.transcripts_for": (
+        "the bytes a client sent one endpoint, which the tests check grabs are minimal by"
+    ),
+    "simnet/services.py:Transcript.data": "one transcript's bytes, for the same tests",
 }
 
 
@@ -82,6 +97,37 @@ def test_every_top_level_definition_is_used_in_src():
 
 def test_every_module_constant_is_read_in_src():
     assert _unused(ASSIGNMENTS) == []
+
+
+def _unused_methods() -> list[str]:
+    """``module:Class.name`` of each method or property that no attribute
+    read in ``src/`` names outside the method's own lines."""
+    methods: dict[tuple[str, str], tuple[str, int, int]] = {}  # -> (name, first, last line)
+    reads: dict[str, set[tuple[str, int]]] = {}  # name -> (module, line) reading it
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = str(path.relative_to(PACKAGE))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        methods[(module, f"{node.name}.{item.name}")] = (
+                            item.name, item.lineno, item.end_lineno
+                        )
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                reads.setdefault(node.attr, set()).add((module, node.lineno))
+    assert methods, f"no methods found under {PACKAGE}"
+    return [
+        f"{module}:{qualname}"
+        for (module, qualname), (name, first, last) in sorted(methods.items())
+        if not (name.startswith("__") and name.endswith("__"))
+        and f"{module}:{qualname}" not in TEST_HOOKS
+        and all(m == module and first <= line <= last for m, line in reads.get(name, ()))
+    ]
+
+
+def test_every_method_is_used_in_src():
+    assert _unused_methods() == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

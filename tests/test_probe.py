@@ -476,6 +476,13 @@ class TestResponseLog:
         with pytest.raises(ValueError, match="unknown kind"):
             read_response_log(io.StringIO("::1,::1,mystery,,64,0\n"))
 
+    @pytest.mark.parametrize("hop_limit", [256, 300, -1])
+    def test_hop_limit_outside_a_byte_raises_with_lineno(self, hop_limit):
+        text = f"# header\n::1,::1,echo_reply,,64,0\n::2,::2,echo_reply,,{hop_limit},0\n"
+        message = f"^response log line 3: hop limit out of range: {hop_limit}$"
+        with pytest.raises(ValueError, match=message):
+            read_response_log(io.StringIO(text))
+
 
 class TestPacketCodec:
     def test_echo_reply_parses(self):

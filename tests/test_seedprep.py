@@ -156,12 +156,11 @@ def test_as_map_rejects_short_rows(tmp_path):
 
 def _inline_maps():
     from resiscan.addrs import LongestPrefixMap
-    from resiscan.seedprep import AsCategoryRecord
 
     as_map = LongestPrefixMap()
-    as_map.insert("2001:db8::/32", AsCategoryRecord(64500, "Internet Service Provider", "de"))
-    as_map.insert("2001:db8:f0::/44", AsCategoryRecord(64501, "Content Delivery", "de"))
-    as_map.insert("3fff:bbbb::/32", AsCategoryRecord(64503, "Education", "us"))
+    as_map.insert("2001:db8::/32", "Internet Service Provider")
+    as_map.insert("2001:db8:f0::/44", "Content Delivery")
+    as_map.insert("3fff:bbbb::/32", "Education")
     conn_map = LongestPrefixMap()
     conn_map.insert("2001:db8::/32", "cable_dsl")
     return as_map, conn_map
