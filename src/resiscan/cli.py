@@ -105,6 +105,10 @@ def load_config(path: str | None) -> dict:
             raise ConfigError(
                 f"config value {key!r} must be positive and finite, got {json.dumps(cfg[key])}"
             )
+    # The rate limiter refuses a rate below 1/s; a rate no number can hold fails here.
+    rate = cfg["rate_pps"]
+    if rate is not None and not -float("inf") < rate < float("inf"):  # NaN fails too
+        raise ConfigError(f"config value 'rate_pps' must be finite, got {json.dumps(rate)}")
     return cfg
 
 

@@ -167,16 +167,76 @@ def _tls_context():
     return ctx
 
 
+# The string types a common name may take, by DER tag, and how each decodes.
+# A T61String is read as UTF-8, as common X.509 parsers read it; text that does
+# not decode leaves the name unread.
+_NAME_CODECS = {
+    0x0C: "utf-8",  # UTF8String
+    0x12: "ascii",  # NumericString
+    0x13: "ascii",  # PrintableString
+    0x14: "utf-8",  # T61String
+    0x16: "ascii",  # IA5String
+    0x1A: "ascii",  # VisibleString
+    0x1C: "utf-32-be",  # UniversalString
+    0x1E: "utf-16-be",  # BMPString
+}
+_OID_COMMON_NAME = b"\x55\x04\x03"  # 2.5.4.3
+
+
+def _der_parts(der: bytes, start: int, end: int) -> list[tuple[int, int, int]]:
+    """(tag, start, end) of each DER element in der[start:end], contents only.
+
+    Raises ValueError on an element that runs past ``end`` or a length of
+    more than 4 bytes.
+    """
+    parts = []
+    while start < end:
+        if end - start < 2:
+            raise ValueError("truncated element")
+        tag, n = der[start], der[start + 1]
+        start += 2
+        if n & 0x80:
+            width = n & 0x7F
+            if not 0 < width <= 4:
+                raise ValueError("unsupported length")
+            n = int.from_bytes(der[start : start + width], "big")
+            start += width
+        if n > end - start:
+            raise ValueError("element overruns its parent")
+        parts.append((tag, start, start + n))
+        start += n
+    return parts
+
+
+def _subject_common_name(der: bytes) -> str | None:
+    """The first common name in an X.509 certificate's subject; None if it has
+    none or the certificate is malformed. The bytes come from the peer."""
+    try:
+        ((tag, start, end),) = _der_parts(der, 0, len(der))
+        (tbs_tag, start, end), _signature_alg, _signature = _der_parts(der, start, end)
+        fields = _der_parts(der, start, end)
+        if fields and fields[0][0] == 0xA0:  # explicit [0] version, absent in v1
+            fields = fields[1:]
+        _serial, _alg, _issuer, _validity, (subject_tag, start, end), _key, *_ = fields
+        if (tag, tbs_tag, subject_tag) != (0x30, 0x30, 0x30):
+            return None
+        for rdn_tag, rdn_start, rdn_end in _der_parts(der, start, end):
+            for atv_tag, atv_start, atv_end in _der_parts(der, rdn_start, rdn_end):
+                (oid_tag, oid_start, oid_end), (value_tag, value_start, value_end) = _der_parts(
+                    der, atv_start, atv_end
+                )
+                if (rdn_tag, atv_tag, oid_tag) != (0x31, 0x30, 0x06):
+                    return None
+                if der[oid_start:oid_end] == _OID_COMMON_NAME:
+                    return der[value_start:value_end].decode(_NAME_CODECS[value_tag])
+    except (ValueError, KeyError):  # UnicodeDecodeError is a ValueError
+        return None
+    return None
+
+
 def _peer_common_name(tls_sock) -> str | None:
     der = tls_sock.getpeercert(binary_form=True)
-    if not der:
-        return None
-    from cryptography import x509
-    from cryptography.x509.oid import NameOID
-
-    cert = x509.load_der_x509_certificate(der)
-    attrs = cert.subject.get_attributes_for_oid(NameOID.COMMON_NAME)
-    return str(attrs[0].value) if attrs else None
+    return _subject_common_name(der) if der else None
 
 
 def _grab_banner(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:

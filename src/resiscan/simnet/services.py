@@ -4,9 +4,10 @@ Each configured service is reachable through a connector with the same shape
 as the live one: ``connect(address, port, timeout, udp=False) -> socket``.
 A connection hands the caller one end of a socketpair while a short-lived
 thread speaks the service behavior on the other end, so grabbers exercise
-real socket I/O (including genuine TLS handshakes with generated
-certificates) without touching the network. Firewalls apply to connections
-exactly as they do to probes: services behind a default-deny CPE refuse.
+real socket I/O (including genuine TLS handshakes, with certificates signed
+by a fixed test key) without touching the network. Firewalls apply to
+connections exactly as they do to probes: services behind a default-deny CPE
+refuse.
 
 Every byte a behavior reads from a client is recorded in a transcript, which
 is how the tests enforce that grabs stay minimal.
@@ -87,48 +88,98 @@ class _Conn:
             pass
 
 
+# The simulator's RSA-2048 test key, as its two primes. It is public by design
+# and signs only simulated endpoints' certificates: live mode never builds a
+# SimServices. It is 2048 bits because OpenSSL's default security level 2
+# refuses smaller RSA keys, and fixed because a per-run key would need a
+# pure-Python prime search, like the one 37e3959 took out of targetgen; the
+# cost of one is unmeasured.
+_TEST_KEY_P = int(
+    "e026924d0c3347c1a5cd477fd22220469e2bc88602ca652306f8d3a994d8cf42"
+    "85f7f22cf4a256e9b975e029b0b027bba5ab009b221488635d8d6f91234bd434"
+    "cf95d9c464a5ab11114b8e97ee4e3fae71547f8120130de366192d651698c353"
+    "0a7dcd4a788345580514e04d06a028c0ef1beeb41e3ded53939aa116ed589cdb",
+    16,
+)
+_TEST_KEY_Q = int(
+    "e002358d3e2e58af570c70a7b208b0d46185ec6d033c0537959fac54ea984ad6"
+    "1aca90370694ba3f72bf126a969a6900bca53b9071b34c6ad1577db1856e3be7"
+    "4185279c7c414ecd6c5da72501dd2ce7de551d47a212b317f67b7245eb93ab14"
+    "e2954c2758cca79b6c2b13f1a2ea0c6e37aefef5b178fadd34fcbf92a13b6bb9",
+    16,
+)
+# sha256WithRSAEncryption and rsaEncryption, each with its NULL parameters.
+_SHA256_WITH_RSA = bytes.fromhex("300d06092a864886f70d01010b0500")
+_RSA_ENCRYPTION = bytes.fromhex("300d06092a864886f70d0101010500")
+# The DER DigestInfo that precedes a SHA-256 digest in a PKCS#1 v1.5 signature.
+_SHA256_DIGEST_INFO = bytes.fromhex("3031300d060960864801650304020105000420")
+
+# Taken around each _server_context call, so that each name's context is built once.
+_server_context_lock = threading.Lock()
+
+
+def _der(tag: int, *parts: bytes) -> bytes:
+    """One DER element: ``tag``, the definite length of ``parts`` joined, then them."""
+    body = b"".join(parts)
+    n = len(body)
+    if n < 0x80:
+        return bytes([tag, n]) + body
+    width = (n.bit_length() + 7) // 8
+    return bytes([tag, 0x80 | width]) + n.to_bytes(width, "big") + body
+
+
+def _der_uint(value: int) -> bytes:
+    return _der(0x02, value.to_bytes(value.bit_length() // 8 + 1, "big"))
+
+
+def _self_signed(common_name: str) -> tuple[bytes, bytes]:
+    """(certificate, PKCS#1 private key), both DER: an X.509 v1 certificate for
+    ``common_name``, valid 2020 to 2045 and signed by the test key with
+    PKCS#1 v1.5 over SHA-256."""
+    import hashlib
+
+    p, q, e = _TEST_KEY_P, _TEST_KEY_Q, 65537
+    n = p * q
+    d = pow(e, -1, (p - 1) * (q - 1))
+    cn = _der(0x30, _der(0x06, b"\x55\x04\x03"), _der(0x0C, common_name.encode()))
+    name = _der(0x30, _der(0x31, cn))
+    tbs = _der(
+        0x30,
+        _der_uint(1),  # serial number
+        _SHA256_WITH_RSA,
+        name,  # issuer
+        _der(0x30, _der(0x17, b"200101000000Z"), _der(0x17, b"450101000000Z")),
+        name,  # subject
+        _der(0x30, _RSA_ENCRYPTION, _der(0x03, b"\0" + _der(0x30, _der_uint(n), _der_uint(e)))),
+    )
+    size = (n.bit_length() + 7) // 8
+    digest_info = _SHA256_DIGEST_INFO + hashlib.sha256(tbs).digest()
+    padding = b"\xff" * (size - 3 - len(digest_info))
+    m = int.from_bytes(b"\0\1" + padding + b"\0" + digest_info, "big")
+    # m ** d mod n by the Chinese remainder theorem: two half-size powers, about 3x faster.
+    dp, dq, q_inv = d % (p - 1), d % (q - 1), pow(q, -1, p)
+    s_q = pow(m, dq, q)
+    s = s_q + q * (q_inv * (pow(m, dp, p) - s_q) % p)
+    cert = _der(0x30, tbs, _SHA256_WITH_RSA, _der(0x03, b"\0" + s.to_bytes(size, "big")))
+    return cert, _der(0x30, *map(_der_uint, (0, n, e, d, p, q, dp, dq, q_inv)))
+
+
 @functools.cache
 def _server_context(common_name: str) -> ssl.SSLContext:
-    """The server context for one common name, with a self-signed certificate.
-
-    The cache's dict is safe under the GIL. Two first uses of one name at the
-    same moment may each build a context; either one is valid.
-    """
-    import datetime
+    """The server context for one common name, with a certificate from _self_signed."""
+    import base64
     import ssl
     import tempfile
 
-    from cryptography import x509
-    from cryptography.hazmat.primitives import hashes, serialization
-    from cryptography.hazmat.primitives.asymmetric import ec
-    from cryptography.x509.oid import NameOID
-
-    key = ec.generate_private_key(ec.SECP256R1())
-    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, common_name)])
-    cert = (
-        x509.CertificateBuilder()
-        .subject_name(name)
-        .issuer_name(name)
-        .public_key(key.public_key())
-        .serial_number(x509.random_serial_number())
-        .not_valid_before(datetime.datetime(2020, 1, 1))
-        .not_valid_after(datetime.datetime(2045, 1, 1))
-        .sign(key, hashes.SHA256())
-    )
+    cert, key = _self_signed(common_name)
     ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     # The ssl module loads a certificate and key only from files.
     with tempfile.TemporaryDirectory(prefix="simnet-tls-") as tmp:
         crt, pem = os.path.join(tmp, "cert.pem"), os.path.join(tmp, "key.pem")
-        with open(crt, "wb") as fh:
-            fh.write(cert.public_bytes(serialization.Encoding.PEM))
-        with open(pem, "wb") as fh:
-            fh.write(
-                key.private_bytes(
-                    serialization.Encoding.PEM,
-                    serialization.PrivateFormat.PKCS8,
-                    serialization.NoEncryption(),
-                )
-            )
+        for path, label, der in ((crt, "CERTIFICATE", cert), (pem, "RSA PRIVATE KEY", key)):
+            text = base64.encodebytes(der).decode()
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(f"-----BEGIN {label}-----\n{text}-----END {label}-----\n")
         ctx.load_cert_chain(crt, pem)
     return ctx
 
@@ -240,7 +291,8 @@ def h_tls_http(conn: _Conn, params: dict) -> None:
         _read_http_request(conn)
         conn.sendall(TLS_ALERT_HANDSHAKE_FAILURE)
         return
-    ctx = _server_context(str(params.get("common_name", "simnet test")))
+    with _server_context_lock:
+        ctx = _server_context(str(params.get("common_name", "simnet test")))
     try:
         conn.sock = ctx.wrap_socket(conn.sock, server_side=True)
     except OSError:  # ssl.SSLError included

@@ -331,6 +331,9 @@ class TestConfigHandling:
             ('{"grab_timeout_s": NaN}', "'grab_timeout_s' must be positive and finite, got NaN"),
             ('{"grab_parallelism": 0}', "'grab_parallelism' must be positive and finite, got 0"),
             ('{"grab_parallelism": -3}', "'grab_parallelism' must be positive and finite, got -3"),
+            ('{"rate_pps": 1e999}', "'rate_pps' must be finite, got Infinity"),
+            ('{"rate_pps": -1e999}', "'rate_pps' must be finite, got -Infinity"),
+            ('{"rate_pps": NaN}', "'rate_pps' must be finite, got NaN"),
         ],
     )
     def test_value_no_stage_can_use_rejected(self, tmp_path, text, message):

@@ -1,3 +1,4 @@
+import functools
 import io
 import plistlib
 import socket
@@ -28,6 +29,7 @@ from resiscan.grab import (
     OUTCOME_RESPONDED,
     OUTCOME_TIMEOUT,
     GrabRecord,
+    _subject_common_name,
     grab,
     parse_http_response,
     read_grab_log,
@@ -567,6 +569,148 @@ class TestTlsCertificates:
         rec = do_grab(backend, V6, spec_by_name("https"))
         assert rec.tls_subject_cn == "no-leftovers.example"
         assert list(tmp_path.iterdir()) == []
+
+    def test_one_context_build_per_name(self, monkeypatch):
+        builds = []
+        build = sim_services._server_context.__wrapped__
+
+        @functools.cache
+        def slow_build(common_name):
+            builds.append(common_name)
+            time.sleep(0.2)  # wide enough for every grab to reach the cache first
+            return build(common_name)
+
+        monkeypatch.setattr(sim_services, "_server_context", slow_build)
+        backend = SimServices(make_scenario([make_net("2001:db8:5::", [make_subnet(1)])]))
+        addresses = [f"2001:db8:5:100::{i + 1:x}" for i in range(8)]
+        for address in addresses:
+            backend.add_endpoint(address, 443, "tls_http", {"common_name": "once.example"})
+        records = run_grab_campaign(
+            addresses, [spec_by_name("https")], connector=backend.connector(), parallelism=8,
+            timeout=5.0,
+        )
+        assert [r.tls_subject_cn for r in records] == ["once.example"] * 8
+        assert builds == ["once.example"]
+
+    def test_unparsable_subject_still_responds(self, monkeypatch):
+        # The common name becomes a T61String of Latin-1 bytes, in the issuer and
+        # the subject alike: OpenSSL serves it, the cryptography package refuses it.
+        real = sim_services._self_signed
+
+        def latin1_t61(common_name):
+            cert, key = real(common_name)
+            return cert.replace(b"\x0c\x0ccafe.example", b"\x14\x0ccaf\xe9.example"), key
+
+        monkeypatch.setattr(sim_services, "_self_signed", latin1_t61)
+        monkeypatch.setattr(
+            sim_services, "_server_context", functools.cache(sim_services._server_context.__wrapped__)
+        )
+        backend = SimServices(make_scenario([make_net("2001:db8:5::", [make_subnet(1)])]))
+        backend.add_endpoint(V6, 443, "tls_http", {"common_name": "cafe.example", "server": "x"})
+        rec = do_grab(backend, V6, spec_by_name("https"))
+        assert (rec.outcome, rec.tls_subject_cn, rec.http_server_header) == (
+            OUTCOME_RESPONDED, None, "x"
+        )
+
+
+SIM_CERT = sim_services._self_signed("walk.example")[0]
+
+
+def _reference_common_name(der: bytes) -> str | None:
+    """The subject's first common name as the ``cryptography`` package reads it."""
+    from cryptography import x509
+    from cryptography.x509.oid import NameOID
+
+    attrs = x509.load_der_x509_certificate(der).subject.get_attributes_for_oid(NameOID.COMMON_NAME)
+    return str(attrs[0].value) if attrs else None
+
+
+def _subject_cases():
+    """(id, subject) pairs; each subject a list of RDNs, each RDN a list of
+    (attribute, value, string type) with attribute "CN" or "O"."""
+    yield "utf8", [[("CN", "gw.example", "UTF8String")]]
+    yield "utf8-non-ascii", [[("CN", "Zürich – 東京 ✓", "UTF8String")]]
+    yield "numeric", [[("CN", "0123 456", "NumericString")]]
+    yield "printable", [[("CN", "Printable Name 1", "PrintableString")]]
+    yield "visible", [[("CN", "visible_name!", "VisibleString")]]
+    yield "ia5", [[("CN", "ia5@example", "IA5String")]]
+    yield "t61", [[("CN", "café ÿ", "T61String")]]
+    yield "bmp", [[("CN", "Ωmega ✓ 東京", "BMPString")]]
+    yield "universal", [[("CN", "astral \U0001d518 ✓", "UniversalString")]]
+    yield "no-cn", [[("O", "Org Only", "UTF8String")]]
+    yield "first-of-two", [[("CN", "first", "UTF8String")], [("CN", "second", "UTF8String")]]
+    yield "after-org", [[("O", "Org", "UTF8String")], [("CN", "after", "UTF8String")]]
+    yield "multi-valued-rdn", [[("O", "Org", "UTF8String"), ("CN", "inside", "UTF8String")]]
+
+
+class TestSubjectCommonName:
+    """The grab client's DER walk over a certificate the peer sent."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=600),
+            st.integers(0, len(SIM_CERT)).map(lambda n: SIM_CERT[:n]),
+            st.tuples(st.integers(0, len(SIM_CERT) - 1), st.integers(0, 255)).map(
+                lambda t: SIM_CERT[: t[0]] + bytes([t[1]]) + SIM_CERT[t[0] + 1 :]
+            ),
+        )
+    )
+    def test_never_raises(self, der):
+        assert isinstance(_subject_common_name(der), (str, type(None)))
+
+    @pytest.mark.parametrize("case", list(_subject_cases()), ids=lambda c: c[0])
+    def test_agrees_with_cryptography_v3(self, case):
+        pytest.importorskip("cryptography")
+        import datetime
+
+        from cryptography import x509
+        from cryptography.hazmat.primitives import hashes, serialization
+        from cryptography.hazmat.primitives.asymmetric import ec
+        from cryptography.x509.name import _ASN1Type
+        from cryptography.x509.oid import NameOID
+
+        oids = {"CN": NameOID.COMMON_NAME, "O": NameOID.ORGANIZATION_NAME}
+        subject = x509.Name(
+            [
+                x509.RelativeDistinguishedName(
+                    [x509.NameAttribute(oids[a], v, _type=_ASN1Type[t]) for a, v, t in rdn]
+                )
+                for rdn in case[1]
+            ]
+        )
+        key = ec.generate_private_key(ec.SECP256R1())
+        der = (
+            x509.CertificateBuilder()
+            .subject_name(subject)
+            .issuer_name(subject)
+            .public_key(key.public_key())
+            .serial_number(1)
+            .not_valid_before(datetime.datetime(2020, 1, 1))
+            .not_valid_after(datetime.datetime(2045, 1, 1))
+            .sign(key, hashes.SHA256())
+            .public_bytes(serialization.Encoding.DER)
+        )
+        expected = next((v for rdn in case[1] for a, v, _ in rdn if a == "CN"), None)
+        assert _reference_common_name(der) == expected
+        assert _subject_common_name(der) == expected
+
+    def test_agrees_with_cryptography_v1(self):
+        pytest.importorskip("cryptography")
+        assert _reference_common_name(SIM_CERT) == "walk.example"
+        assert _subject_common_name(SIM_CERT) == "walk.example"
+
+    @pytest.mark.parametrize(
+        "element",
+        [b"\x0c\x0c" + b"\xc3" * 12, b"\x14\x0cwalk.ex\xe9mple", b"\x16\x0cwalk.ex\xe9mple"],
+        ids=["utf8-invalid", "t61-latin1", "ia5-non-ascii"],
+    )
+    def test_none_where_cryptography_raises(self, element):
+        pytest.importorskip("cryptography")
+        der = SIM_CERT.replace(b"\x0c\x0cwalk.example", element)
+        with pytest.raises(ValueError):
+            _reference_common_name(der)
+        assert _subject_common_name(der) is None
 
 
 class TestNtp:

@@ -7,6 +7,7 @@ loaded, so a site hook that preloads ``ssl`` cannot fail it.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -33,7 +34,10 @@ NOT_LOADED = {
     "fingerprint": SIMNET + ("resiscan.probe", "resiscan.targetgen") + TLS,
     "report": SIMNET + ("resiscan.probe", "resiscan.targetgen") + TLS,
     "scan": ("resiscan.classify", "resiscan.fingerprint", "resiscan.report") + TLS,
+    # The deployment below has a TLS endpoint, so this grab makes and reads a certificate.
+    "grab": ("cryptography",),
 }
+TLS_CN = "imports.example"
 
 # Prints the modules that importing the CLI, and running it on argv if any
 # is given, added to the interpreter's own.
@@ -70,10 +74,20 @@ def added(tmp_path_factory):
     """The modules each case added, stages run in pipeline order."""
     out = str(tmp_path_factory.mktemp("imports"))
     _added_modules(["--out", out, "simnet-gen", "--n48", "2", "--subnets", "2"])
+    scenario = os.path.join(out, "scenario.json")
+    with open(scenario, encoding="utf-8") as fh:
+        deployment = json.load(fh)
+    deployment["nets"][0]["subnets"][0]["cpe"]["services"].append(
+        {"behavior": "tls_http", "params": {"common_name": TLS_CN}, "port": 443}
+    )
+    with open(scenario, "w", encoding="utf-8") as fh:
+        json.dump(deployment, fh)
     config = os.path.join(out, "config.json")
     found = {"import": _added_modules([])}
     for stage in ("seed-filter", "scan", "classify", "grab", "fingerprint", "report"):
         found[stage] = _added_modules(["--config", config, stage])
+    with open(os.path.join(out, "grabs.csv"), encoding="utf-8") as fh:
+        found["grab common names"] = {row["tls_subject_cn"] for row in csv.DictReader(fh)}
     return found
 
 
@@ -91,3 +105,4 @@ def test_sim_stages_load_the_simulator(added):
     assert "resiscan.simnet" in added["scan"]
     assert "resiscan.simnet" in added["grab"]
     assert "resiscan.cli" in added["import"]
+    assert TLS_CN in added["grab common names"]
