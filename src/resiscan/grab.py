@@ -396,9 +396,10 @@ def run_grab_campaign(
 
     ``parallelism`` worker threads (at least one, at most one per pair) take
     pairs one at a time from a shared iterator, so at most that many
-    connections are open and nothing is queued per pair. Failures are per-pair: one hung or broken
-    endpoint can't sink the campaign, and results come back sorted by
-    (address, service).
+    connections are open and nothing is queued per pair. If a worker cannot
+    be started, the ones that did start do the work, or the calling thread if
+    none did. Failures are per-pair: one hung or broken endpoint can't sink
+    the campaign, and results come back sorted by (address, service).
     """
     addresses = list(dict.fromkeys(addresses))
     specs = list(specs)
@@ -422,9 +423,17 @@ def run_grab_campaign(
                 )
 
     n_workers = max(1, min(parallelism, len(records)))
-    workers = [threading.Thread(target=work) for _ in range(n_workers)]
-    for t in workers:
-        t.start()
+    workers = []
+    for _ in range(n_workers):
+        t = threading.Thread(target=work)
+        try:
+            t.start()
+        except RuntimeError as exc:  # "can't start new thread"
+            log.warning("grab: %s; %d of %d workers started", exc, len(workers), n_workers)
+            break
+        workers.append(t)
+    if not workers:
+        work()
     for t in workers:
         t.join()
     records.sort(key=lambda r: (r.address, r.service))

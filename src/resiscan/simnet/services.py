@@ -448,7 +448,7 @@ class SimServices:
 def _run_handler(handler, conn: _Conn, params: dict) -> None:
     try:
         handler(conn, params)
-    except OSError:
+    except Exception:  # noqa: BLE001 - a broken behavior only closes its connection
         pass
     finally:
         conn.close()

@@ -620,6 +620,17 @@ class TestHostileFiles:
         assert res.code == 1
         assert res.err.startswith("error: malformed scenario document: nets: SimNet")
 
+    @pytest.mark.parametrize(
+        "exc", [RuntimeError("can't start new thread"), MemoryError("out of memory")]
+    )
+    def test_resource_exhaustion_fails_stage_with_message(self, exc, tmp_path, monkeypatch):
+        def exhausted(cfg, args):
+            raise exc
+
+        monkeypatch.setitem(cli_mod.COMMANDS, "grab", exhausted)
+        res = run_cli("--out", str(tmp_path), "grab")
+        assert (res.code, res.err) == (1, f"error: {exc}\n")
+
     def test_oversized_field_fails_stage_with_message(self, tmp_path):
         gen = run_cli("--out", str(tmp_path), "simnet-gen")
         assert gen.code == 0, gen.err

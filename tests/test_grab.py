@@ -592,6 +592,20 @@ class TestTlsCertificates:
         assert [r.tls_subject_cn for r in records] == ["once.example"] * 8
         assert builds == ["once.example"]
 
+    def test_failing_behavior_closes_quietly(self, monkeypatch):
+        # A lone surrogate cannot be encoded into the certificate, so the
+        # handler raises UnicodeEncodeError: the thread must not die with it.
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        backend = SimServices(make_scenario([make_net("2001:db8:5::", [make_subnet(1)])]))
+        backend.add_endpoint(V6, 443, "tls_http", {"common_name": "\ud800"})
+        before = set(threading.enumerate())
+        rec = do_grab(backend, V6, spec_by_name("https"))
+        for handler in set(threading.enumerate()) - before:
+            handler.join(timeout=5.0)
+        assert (rec.outcome, rec.detail) == (OUTCOME_ERROR, "tls_handshake")
+        assert hooked == []
+
     def test_unparsable_subject_still_responds(self, monkeypatch):
         # The common name becomes a T61String of Latin-1 bytes, in the issuer and
         # the subject alike: OpenSSL serves it, the cryptography package refuses it.
@@ -900,6 +914,29 @@ class TestCampaign:
             (a, s.name) for a in (V6, V4) for s in specs
         )
         assert state["peak"] == 1
+
+    @pytest.mark.parametrize("started", [0, 2])
+    def test_thread_exhaustion_keeps_every_pair(self, started, monkeypatch, caplog):
+        # A refusing connector starts no thread, so only the campaign's own
+        # worker starts meet the patched limit; no real thread is exhausted.
+        connector, _state = self._refusing_connector([])
+        addresses = [f"2001:db8:9::{i:x}" for i in range(1, 11)]
+        specs = default_services()[:3]
+        expected = run_grab_campaign(addresses, specs, connector=connector, parallelism=8)
+        real_start = threading.Thread.start
+        starts = []
+
+        def limited_start(thread):
+            if len(starts) == started:
+                raise RuntimeError("can't start new thread")
+            starts.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", limited_start)
+        with caplog.at_level("WARNING", logger="resiscan.grab"):
+            records = run_grab_campaign(addresses, specs, connector=connector, parallelism=8)
+        assert records == expected
+        assert f"{started} of 8 workers started" in caplog.text
 
     def test_every_pair_grabbed_once_under_contention(self):
         # More workers than cores and a short switch interval, so a pair taken twice

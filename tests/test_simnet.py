@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -270,7 +271,9 @@ class TestScenarioFile:
         assert scenario_from_dict(minimal) == scenario_from_dict(spelled_out)
 
     def test_saved_bytes_known_answer(self, tmp_path):
-        # SHA-256 of the file the hand-written encoder wrote for this scenario.
+        # The document pin is the SHA-256 of the indented file the hand-written
+        # encoder first wrote for this scenario; the bytes pin is the compact
+        # one-line file save_scenario writes now.
         params = ScenarioParams(
             n48=3,
             subnets_per_48=6,
@@ -290,8 +293,14 @@ class TestScenarioFile:
         )
         path = tmp_path / "scenario.json"
         save_scenario(generate_scenario(params, 19), str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        raw = path.read_bytes()
+        indented = json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(indented.encode()).hexdigest() == (
             "83ab10bf4692a26c4f3cb225e6f0b5d6bec0c14fbe9035a7970aded9b5e3b2a9"
+        )
+        assert raw.count(b"\n") == 1 and raw.endswith(b"\n")
+        assert hashlib.sha256(raw).hexdigest() == (
+            "c7d3092ab77a1996593649f40765362851ea99b4e3505307d7e02b470ce7fe4c"
         )
 
     def test_field_tables_cover_every_field(self):
