@@ -64,8 +64,6 @@ class PairDelta:
     """Distance gap between one internal device and one external responder."""
 
     net56: int
-    internal_address: int
-    external_address: int
     internal_distance: int
     external_distance: int
 
@@ -168,7 +166,7 @@ def split_by_net(
 def pair_deltas(classified: Iterable[ClassifiedAddress]) -> list[PairDelta]:
     """Internal-vs-external distance deltas, one per pair within each /56."""
     return [
-        PairDelta(net56, i.address, e.address, i.distance, e.distance)
+        PairDelta(net56, i.distance, e.distance)
         for net56, internal, external in split_by_net(classified)
         for i in internal
         for e in external

@@ -12,9 +12,6 @@ ever retried except the one sanctioned case: a "web" port that answers
 plaintext HTTP with a TLS handshake record gets a second connection
 speaking TLS, because some gateways serve their admin UI that way on
 port 80.
-
-Grabbers treat the address as an opaque endpoint string, so IPv4 targets
-work identically - only the Host header bracketing cares about the family.
 """
 
 from __future__ import annotations
@@ -73,10 +70,9 @@ class GrabRecord:
 
 
 def live_connector(address: str, port: int, timeout: float = DEFAULT_TIMEOUT_S, udp: bool = False):
-    """Real-socket connector; family chosen by the address text."""
+    """Real-socket connector for IPv6 address text."""
     if udp:
-        family = socket.AF_INET6 if ":" in address else socket.AF_INET
-        sock = socket.socket(family, socket.SOCK_DGRAM)
+        sock = socket.socket(socket.AF_INET6, socket.SOCK_DGRAM)
         sock.settimeout(timeout)
         sock.connect((address, port))
         return sock
@@ -128,9 +124,8 @@ def _read_until_close(sock, cap: int, idle: float | None = None) -> bytes:
 
 
 def _http_request(address: str, label: str) -> bytes:
-    host = f"[{address}]" if ":" in address else address
     return (
-        f"GET / HTTP/1.1\r\nHost: {host}\r\nUser-Agent: {label}\r\n"
+        f"GET / HTTP/1.1\r\nHost: [{address}]\r\nUser-Agent: {label}\r\n"
         f"Accept: */*\r\nConnection: close\r\n\r\n"
     ).encode()
 
@@ -276,22 +271,19 @@ def _grab_tls_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: st
         _finish_http(rec, _read_until_close(tls, cap))
 
 
-def _recv_all(sock, n: int) -> bytes:
-    """Exactly ``n`` bytes within the socket's timeout in all, however the peer spaces them.
-
-    The socket's timeout is left at what remains, so consecutive calls share one budget.
-    """
-    deadline = time.monotonic() + sock.gettimeout()
+def _recv_all(sock, n: int, deadline: float) -> bytes:
+    """Exactly ``n`` bytes by ``deadline``, a ``time.monotonic()`` value, however
+    the peer spaces them."""
     buf = b""
     while len(buf) < n:
-        data = sock.recv(n - len(buf))
-        if not data:
-            raise _NoResponse("connection_closed")
-        buf += data
         left = deadline - time.monotonic()
         if left <= 0:
             raise TimeoutError
         sock.settimeout(left)
+        data = sock.recv(n - len(buf))
+        if not data:
+            raise _NoResponse("connection_closed")
+        buf += data
     return buf
 
 
@@ -300,7 +292,7 @@ def _grab_mqtt(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -
     client_id = b"rs-probe"
     var = b"\x00\x04MQTT\x04\x02\x00\x3c" + struct.pack(">H", len(client_id)) + client_id
     sock.sendall(bytes([0x10, len(var)]) + var)
-    reply = _recv_all(sock, 4)
+    reply = _recv_all(sock, 4, time.monotonic() + sock.gettimeout())
     if reply[0] != 0x20 or reply[1] != 0x02:
         raise _NoResponse("not_connack")
     rec.mqtt_return_code = reply[3]
@@ -315,10 +307,11 @@ def _grab_lockdown(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: st
         fmt=plistlib.FMT_XML,
     )
     sock.sendall(struct.pack(">I", len(request)) + request)
-    (length,) = struct.unpack(">I", _recv_all(sock, 4))
+    deadline = time.monotonic() + sock.gettimeout()
+    (length,) = struct.unpack(">I", _recv_all(sock, 4, deadline))
     if length == 0 or length > LOCKDOWN_REPLY_CAP:
         raise _NoResponse("bounds")
-    body = _recv_all(sock, length)
+    body = _recv_all(sock, length, deadline)
     try:
         reply = plistlib.loads(body)
     except Exception:

@@ -131,7 +131,6 @@ class RateLimiter:
     def __init__(self, pps: int):
         if pps <= 0:
             raise ValueError("packets-per-second must be positive")
-        self.pps = pps
         self.interval = 1.0 / pps
         self.burst = max(1, pps // 100)
         self._next = None

@@ -24,11 +24,10 @@ REASON_CONNECTION = "connection_type"
 
 
 class SeedParseError(ValueError):
-    """Malformed seed-list line; carries the 1-based line number."""
+    """Malformed seed-list line; the message starts with its 1-based line number."""
 
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 @dataclass(slots=True)

@@ -4,10 +4,10 @@ Each configured service is reachable through a connector with the same shape
 as the live one: ``connect(address, port, timeout, udp=False) -> socket``.
 A connection hands the caller one end of a socketpair while a short-lived
 thread speaks the service behavior on the other end, so grabbers exercise
-real socket I/O (including genuine TLS handshakes, with certificates signed
-by a fixed test key) without touching the network. Firewalls apply to
-connections exactly as they do to probes: services behind a default-deny CPE
-refuse.
+real socket I/O (including genuine TLS handshakes, over certificates for a
+fixed test key, unsigned because the grab client never checks a signature)
+without touching the network. Firewalls apply to connections exactly as they
+do to probes: services behind a default-deny CPE refuse.
 
 Every byte a behavior reads from a client is recorded in a transcript, which
 is how the tests enforce that grabs stay minimal.
@@ -31,9 +31,6 @@ if TYPE_CHECKING:
 
 TLS_ALERT_HANDSHAKE_FAILURE = b"\x15\x03\x01\x00\x02\x02\x28"
 TELNET_NEGOTIATION = b"\xff\xfd\x18\xff\xfd\x20\xff\xfd\x23\xff\xfd\x27"
-
-# Added to an IPv4 address's int to make its endpoint key: above every IPv6 int.
-_V4_KEY = 1 << 128
 
 # How long a behavior waits on each read or write of its client, unless it
 # sets a hold time of its own.
@@ -89,7 +86,7 @@ class _Conn:
 
 
 # The simulator's RSA-2048 test key, as its two primes. It is public by design
-# and signs only simulated endpoints' certificates: live mode never builds a
+# and serves only simulated endpoints' certificates: live mode never builds a
 # SimServices. It is 2048 bits because OpenSSL's default security level 2
 # refuses smaller RSA keys, and fixed because a per-run key would need a
 # pure-Python prime search, like the one 37e3959 took out of targetgen; the
@@ -111,8 +108,6 @@ _TEST_KEY_Q = int(
 # sha256WithRSAEncryption and rsaEncryption, each with its NULL parameters.
 _SHA256_WITH_RSA = bytes.fromhex("300d06092a864886f70d01010b0500")
 _RSA_ENCRYPTION = bytes.fromhex("300d06092a864886f70d0101010500")
-# The DER DigestInfo that precedes a SHA-256 digest in a PKCS#1 v1.5 signature.
-_SHA256_DIGEST_INFO = bytes.fromhex("3031300d060960864801650304020105000420")
 
 # Taken around each _server_context call, so that each name's context is built once.
 _server_context_lock = threading.Lock()
@@ -134,10 +129,8 @@ def _der_uint(value: int) -> bytes:
 
 def _self_signed(common_name: str) -> tuple[bytes, bytes]:
     """(certificate, PKCS#1 private key), both DER: an X.509 v1 certificate for
-    ``common_name``, valid 2020 to 2045 and signed by the test key with
-    PKCS#1 v1.5 over SHA-256."""
-    import hashlib
-
+    ``common_name`` and the test key, valid 2020 to 2045. Its signature is an
+    empty BIT STRING, since the grab client never checks one (``CERT_NONE``)."""
     p, q, e = _TEST_KEY_P, _TEST_KEY_Q, 65537
     n = p * q
     d = pow(e, -1, (p - 1) * (q - 1))
@@ -152,15 +145,8 @@ def _self_signed(common_name: str) -> tuple[bytes, bytes]:
         name,  # subject
         _der(0x30, _RSA_ENCRYPTION, _der(0x03, b"\0" + _der(0x30, _der_uint(n), _der_uint(e)))),
     )
-    size = (n.bit_length() + 7) // 8
-    digest_info = _SHA256_DIGEST_INFO + hashlib.sha256(tbs).digest()
-    padding = b"\xff" * (size - 3 - len(digest_info))
-    m = int.from_bytes(b"\0\1" + padding + b"\0" + digest_info, "big")
-    # m ** d mod n by the Chinese remainder theorem: two half-size powers, about 3x faster.
+    cert = _der(0x30, tbs, _SHA256_WITH_RSA, _der(0x03, b"\0"))
     dp, dq, q_inv = d % (p - 1), d % (q - 1), pow(q, -1, p)
-    s_q = pow(m, dq, q)
-    s = s_q + q * (q_inv * (pow(m, dp, p) - s_q) % p)
-    cert = _der(0x30, tbs, _SHA256_WITH_RSA, _der(0x03, b"\0" + s.to_bytes(size, "big")))
     return cert, _der(0x30, *map(_der_uint, (0, n, e, d, p, q, dp, dq, q_inv)))
 
 
@@ -386,7 +372,6 @@ class SimServices:
     """Endpoint registry + connector for one scenario."""
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
         self.transcripts: list[Transcript] = []
         self._lock = threading.Lock()
         self._endpoints: dict[tuple[int, int], SimService] = {}
@@ -404,7 +389,7 @@ class SimServices:
                     self._endpoints[(scenario.host_address(net, sub, host), svc.port)] = svc
 
     def add_endpoint(self, address: str, port: int, behavior: str, params: dict | None = None) -> None:
-        """Register an extra endpoint directly (tests; either address family)."""
+        """Register an extra endpoint directly (tests)."""
         self._endpoints[(_key(address), port)] = SimService(port, behavior, params or {})
 
     def connect(self, address: str, port: int, timeout: float = 5.0, udp: bool = False):
@@ -414,7 +399,7 @@ class SimServices:
         except (OSError, ValueError):
             raise ConnectionRefusedError(f"{address}:{port} unparsable") from None
         svc = self._endpoints.get((key, port))
-        if svc is None and key < _V4_KEY:
+        if svc is None:
             svc = self._alias_stubs.get(key & PREFIX56_MASK, {}).get(port)
         if svc is None:
             raise ConnectionRefusedError(f"{address}:{port} closed")
@@ -425,13 +410,18 @@ class SimServices:
         client, server = socket.socketpair(socket.AF_UNIX, kind)
         server.settimeout(_SERVE_TIMEOUT_S)
         transcript = Transcript(key, port)
-        with self._lock:
-            self.transcripts.append(transcript)
         conn = _Conn(server, transcript)
         t = threading.Thread(
             target=_run_handler, args=(handler, conn, svc.params), daemon=True
         )
-        t.start()
+        try:
+            t.start()
+        except RuntimeError:  # "can't start new thread": no one serves this pair
+            client.close()
+            server.close()
+            raise
+        with self._lock:
+            self.transcripts.append(transcript)
         client.settimeout(timeout)
         return client
 
@@ -455,13 +445,7 @@ def _run_handler(handler, conn: _Conn, params: dict) -> None:
 
 
 def _key(address: str) -> int:
-    """Endpoint key of connector address text: IPv4, IPv6 in any form, or ``[IPv6]``.
-
-    An IPv6 address keys as its 128-bit int, as the scenario stores it; an
-    IPv4 address as ``_V4_KEY`` plus its 32-bit int. Unparsable text raises
-    OSError, or ValueError if it holds a NUL.
-    """
-    text = address.strip().strip("[]")
-    if ":" in text:
-        return int.from_bytes(socket.inet_pton(socket.AF_INET6, text), "big")
-    return _V4_KEY + int.from_bytes(socket.inet_pton(socket.AF_INET, text), "big")
+    """Endpoint key of IPv6 address text in any form: its 128-bit int, as the
+    scenario stores it. Other text, IPv4 and ``[IPv6]`` included, raises
+    OSError, or ValueError if it holds a NUL."""
+    return int.from_bytes(socket.inet_pton(socket.AF_INET6, address), "big")

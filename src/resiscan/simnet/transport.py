@@ -34,7 +34,6 @@ class SimTransport:
     """Scenario-backed Transport implementation (see probe.Transport)."""
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
         self.sent = 0
         self._events: list[IcmpEvent] = []
         # Flatten the scenario into int-keyed lookups for the hot path.

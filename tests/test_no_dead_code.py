@@ -1,6 +1,6 @@
 """Every module-level function, class and constant in the package is read
-in it, every method and property of its classes is read in it, and every
-module uses each name it imports.
+in it, every method, property and field of its classes is read in it, and
+every module uses each name it imports.
 
 A name counts as used when some ``ast.Name`` or ``ast.Attribute`` in
 ``src/`` reads it from outside the statements that define or assign it.
@@ -9,7 +9,9 @@ tested is code that no pipeline stage runs. Dunder names are exempt.
 ``__init__.py`` files import to re-export, and ``from __future__`` imports
 are directives, so neither counts as an unused import. A method counts as
 used when an ``ast.Attribute`` in ``src/`` reads its name outside the
-method's own definition.
+method's own definition. A field, either a dataclass field or an attribute a
+method assigns on ``self``, counts as read when an ``ast.Attribute`` in
+``src/`` reads its name.
 """
 
 from __future__ import annotations
@@ -30,13 +32,17 @@ TEST_HOOKS = {
         "feeds forged or stray replies into a simulated scan"
     ),
     "simnet/services.py:SimServices.add_endpoint": (
-        "adds an endpoint no scenario holds, IPv4 included, for grab tests and"
-        " the benchmark's micro-measurements"
+        "adds an endpoint no scenario holds, for grab tests and the benchmark's"
+        " micro-measurements"
     ),
     "simnet/services.py:SimServices.transcripts_for": (
         "the bytes a client sent one endpoint, which the tests check grabs are minimal by"
     ),
     "simnet/services.py:Transcript.data": "one transcript's bytes, for the same tests",
+    "probe.py:ScanLog.send_duration_s": (
+        "the send phase's wall time, which the benchmark's tracer and acceptance"
+        " gate 6 read"
+    ),
 }
 
 
@@ -128,6 +134,49 @@ def _unused_methods() -> list[str]:
 
 def test_every_method_is_used_in_src():
     assert _unused_methods() == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields() -> list[str]:
+    """``module:Class.name`` of each dataclass field and each ``self.<name> =``
+    attribute of a class that no attribute read in ``src/`` names."""
+    fields: set[tuple[str, str]] = set()  # (module, Class.name)
+    reads: set[str] = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = str(path.relative_to(PACKAGE))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and _is_dataclass(node):
+                        fields.add((module, f"{node.name}.{item.target.id}"))
+                    elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        fields.update(
+                            (module, f"{node.name}.{target.attr}")
+                            for target in ast.walk(item)
+                            if isinstance(target, ast.Attribute)
+                            and isinstance(target.ctx, ast.Store)
+                            and getattr(target.value, "id", None) == "self"
+                        )
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                reads.add(node.attr)
+    assert fields, f"no fields found under {PACKAGE}"
+    return [
+        f"{module}:{qualname}"
+        for module, qualname in sorted(fields)
+        if qualname.split(".")[1] not in reads and f"{module}:{qualname}" not in TEST_HOOKS
+    ]
+
+
+def test_every_field_is_read_in_src():
+    assert _unread_fields() == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

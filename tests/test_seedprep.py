@@ -67,7 +67,7 @@ class TestParsePrefixList:
     def test_garbage_line_reports_line_number(self):
         with pytest.raises(SeedParseError) as exc:
             parse_prefix_list("2001:db8:1::/48\n\nnot-a-prefix\n")
-        assert exc.value.lineno == 3
+        assert str(exc.value).startswith("line 3:")
         assert "not-a-prefix" in str(exc.value)
 
     def test_bare_address_means_host_prefix(self):
