@@ -30,7 +30,6 @@ DEFAULT_CONFIG = {
     "conn_map": None,
     "oui_db": None,
     "asn_geo": None,
-    "services": None,
     "rng_seed": 1,
     "rate_pps": None,
     "probe_timeout_s": 8.0,
@@ -46,7 +45,7 @@ DEFAULT_CONFIG = {
 _OPTIONAL_TEXT = ((str, type(None)), "a string or null")
 CONFIG_TYPES = {
     **dict.fromkeys(
-        ("seed_list", "as_map", "conn_map", "oui_db", "asn_geo", "services", "operator_contact_url"),
+        ("seed_list", "as_map", "conn_map", "oui_db", "asn_geo", "operator_contact_url"),
         _OPTIONAL_TEXT,
     ),
     **dict.fromkeys(("rng_seed", "grab_parallelism"), ((int,), "an integer")),
@@ -67,6 +66,13 @@ FINGERPRINTS_FILE = "fingerprints.csv"
 EUI64_FILE = "eui64.csv"
 HP_PRINTERS_FILE = "hp_printers.csv"
 REPORT_DIR = "report"
+# The stage that writes each CSV stage file, named when the file is missing.
+_PRODUCERS = {
+    RESPONSES_FILE: "scan",
+    CLASSIFIED_FILE: "classify",
+    GRABS_FILE: "grab",
+    FINGERPRINTS_FILE: "fingerprint",
+}
 
 
 class ConfigError(Exception):
@@ -139,7 +145,12 @@ def _outpath(cfg: dict, name: str) -> str:
 
 def _read_stage(cfg: dict, name: str, reader):
     """Records of a CSV stage file under output_dir, read by ``reader``."""
-    with open(os.path.join(cfg["output_dir"], name), encoding="utf-8", newline="") as fh:
+    path = os.path.join(cfg["output_dir"], name)
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no {name} at {path}; run {_PRODUCERS[name]} first") from None
+    with fh:
         return reader(fh)
 
 
@@ -160,14 +171,6 @@ def _load_filtered_seeds(cfg: dict) -> seedprep.SeedSet:
         raise ConfigError(f"no filtered seed list at {path}; run seed-filter first")
     with open(path, encoding="utf-8") as fh:
         return seedprep.parse_prefix_list(fh.read())
-
-
-def _service_catalog(cfg: dict) -> tuple:
-    from . import services
-
-    if cfg.get("services"):
-        return services.load_services(cfg["services"])
-    return services.default_services()
 
 
 # The stages reach the simulator through these two; perfbench's tracer wraps them.
@@ -297,10 +300,9 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
-    from . import classify, grab
+    from . import classify, grab, services
 
     classified = _read_stage(cfg, CLASSIFIED_FILE, classify.read_classification)
-    specs = _service_catalog(cfg)
     addresses = [format_address(c.address) for c in classified]
     label = grab.USER_AGENT
     if cfg["transport"]["mode"] == "live":
@@ -312,7 +314,7 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
         connector = simnet.SimServices(_sim_scenario(cfg)).connector()
     records = grab.run_grab_campaign(
         addresses,
-        specs,
+        services.default_services(),
         connector=connector,
         parallelism=int(cfg["grab_parallelism"]),
         timeout=float(cfg["grab_timeout_s"]),
@@ -382,7 +384,6 @@ def cmd_report(cfg: dict, args: argparse.Namespace) -> int:
         grabs,
         hits,
         report.load_asn_geo(geo_path),
-        services=_service_catalog(cfg),
         seed_total=seed_total,
     )
     outdir = _outpath(cfg, REPORT_DIR)
@@ -453,6 +454,13 @@ def cmd_simnet_gen(cfg: dict, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- wiring
 
 
+def _count(text: str) -> int:
+    """A command-line count: decimal digits, so 0 or more."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a count of 0 or more, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resiscan",
@@ -465,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("seed-filter", help="filter the raw seed list down to residential /48s")
     p_plan = sub.add_parser("plan", help="show the probe budget for the filtered seeds")
-    p_plan.add_argument("--dump", type=int, default=0, metavar="N", help="preview first N targets")
+    p_plan.add_argument("--dump", type=_count, default=0, metavar="N", help="preview first N targets")
     sub.add_parser("scan", help="probe every planned target and log responses")
     sub.add_parser("classify", help="label logged responders internal/external")
     sub.add_parser("grab", help="attempt the service catalog against classified addresses")

@@ -7,7 +7,7 @@ wait at most ``timeout``. The reads of one connection take at most
 no first byte in that time is a timeout. A server-speaks-first banner read
 also ends once the peer has been quiet for ``IDLE_READ_S`` after its last
 byte, because such peers (sshd, telnetd) send their banner and then wait
-for the client; line, HTTP and TLS reads run until the peer closes. Nothing is
+for the client; HTTP and TLS reads run until the peer closes. Nothing is
 ever retried except the one sanctioned case: a "web" port that answers
 plaintext HTTP with a TLS handshake record gets a second connection
 speaking TLS, because some gateways serve their admin UI that way on
@@ -30,7 +30,6 @@ from .csvio import read_rows, write_rows
 from .services import (
     KIND_BANNER,
     KIND_HTTP,
-    KIND_LINE,
     KIND_LOCKDOWN,
     KIND_MQTT,
     KIND_NTP,
@@ -238,11 +237,6 @@ def _grab_banner(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str)
     rec.banner = _read_until_close(sock, cap, idle=IDLE_READ_S)
 
 
-def _grab_line(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
-    sock.sendall(spec.request)
-    rec.banner = _read_until_close(sock, cap)
-
-
 def _finish_http(rec: GrabRecord, raw: bytes) -> None:
     rec.banner = raw
     status, headers, _body = parse_http_response(raw)
@@ -333,7 +327,6 @@ def _grab_ntp(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) ->
 
 _PROBES = {
     KIND_BANNER: _grab_banner,
-    KIND_LINE: _grab_line,
     KIND_HTTP: _grab_http,
     KIND_TLS_HTTP: _grab_tls_http,
     KIND_MQTT: _grab_mqtt,

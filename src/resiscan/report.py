@@ -19,7 +19,7 @@ from .classify import LABEL_INTERNAL, ClassifiedAddress, pair_deltas, split_by_n
 from .csvio import write_rows
 from .fingerprint import FingerprintHit
 from .grab import OUTCOME_RESPONDED, GrabRecord
-from .services import ServiceSpec, default_services
+from .services import default_services
 
 UNKNOWN = "unknown"
 
@@ -91,12 +91,11 @@ def aggregate(
     hits: Iterable[FingerprintHit],
     asn_geo: LongestPrefixMap,
     *,
-    services: Iterable[ServiceSpec] | None = None,
     seed_total: int | None = None,
 ) -> ReportBundle:
     classified = list(classified)
     grabs = list(grabs)
-    specs = tuple(services) if services is not None else default_services()
+    specs = default_services()
     bundle = ReportBundle(seed_total=seed_total)
     bundle.service_ports = {s.name: s.port for s in specs}
     bundle.protocol_split = {s.name: [0, 0] for s in specs}

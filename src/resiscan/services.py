@@ -1,6 +1,6 @@
 """Application-layer service catalog for the grab campaign.
 
-The default catalog is the 25 port/protocol combinations worth checking on
+The catalog is the 25 port/protocol combinations worth checking on
 residential addresses: the common mail/file/shell/web suspects, consumer IoT
 ports (MQTT both plain and TLS, Apple lockdown on 62078), CWMP on 7547, the
 usual alternate web ports, and NTP as the single UDP entry. Database and
@@ -12,19 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csvio import table_rows
-
 KIND_BANNER = "banner_read"
 KIND_HTTP = "http_get"
 KIND_TLS_HTTP = "tls_then_http"
 KIND_MQTT = "mqtt_connect"
 KIND_LOCKDOWN = "lockdown_query"
 KIND_NTP = "ntp_query"
-KIND_LINE = "line_protocol"
-
-PROBE_KINDS = frozenset(
-    {KIND_BANNER, KIND_HTTP, KIND_TLS_HTTP, KIND_MQTT, KIND_LOCKDOWN, KIND_NTP, KIND_LINE}
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,15 +26,6 @@ class ServiceSpec:
     port: int
     transport: str  # "tcp" | "udp"
     probe_kind: str
-    request: bytes = b""
-
-    def __post_init__(self) -> None:
-        if self.transport not in ("tcp", "udp"):
-            raise ValueError(f"bad transport {self.transport!r} for {self.name}")
-        if self.probe_kind not in PROBE_KINDS:
-            raise ValueError(f"bad probe kind {self.probe_kind!r} for {self.name}")
-        if not 0 < self.port < 65536:
-            raise ValueError(f"bad port {self.port} for {self.name}")
 
 
 _DEFAULT_ROWS = (
@@ -75,23 +59,3 @@ _DEFAULT_ROWS = (
 
 def default_services() -> tuple[ServiceSpec, ...]:
     return tuple(ServiceSpec(n, p, t, k) for n, p, t, k in _DEFAULT_ROWS)
-
-
-def load_services(path: str) -> tuple[ServiceSpec, ...]:
-    """Read a catalog file: ``name,port,transport,probe_kind[,request_hex]``."""
-    seen: set[tuple[str, int]] = set()
-
-    def parse(row: list[str]) -> ServiceSpec:
-        if len(row) not in (4, 5):
-            raise ValueError(f"expected 4 or 5 fields, got {len(row)}")
-        name, port, transport, kind = (f.strip() for f in row[:4])
-        request = bytes.fromhex(row[4].strip()) if len(row) == 5 else b""
-        spec = ServiceSpec(name, int(port), transport, kind, request)
-        key = (spec.name, spec.port)
-        if key in seen:
-            raise ValueError(f"service row duplicates {key}")
-        seen.add(key)
-        return spec
-
-    return tuple(table_rows(path, "service catalog", parse=parse))
-

@@ -21,7 +21,6 @@ from resiscan import grab as grab_mod
 from resiscan import probe as probe_mod
 from resiscan import report as report_mod
 from resiscan import seedprep as seedprep_mod
-from resiscan import services as services_mod
 from resiscan.addrs import format_address, parse_address
 from resiscan.cli import CONFIG_TYPES, DEFAULT_CONFIG, ConfigError, load_config, main
 from resiscan.seedprep import RESIDENTIAL_CATEGORY, RESIDENTIAL_CONNECTIONS
@@ -324,6 +323,8 @@ class TestConfigHandling:
         "text, message",
         [
             ('{"transport": {"mdoe": "live"}}', "unknown config key: 'transport.mdoe'"),
+            # the service catalog is fixed; a config from an older simnet-gen holds this key
+            ('{"services": null}', "unknown config key: 'services'"),
             ('{"probe_timeout_s": -5}', "'probe_timeout_s' must be positive and finite, got -5"),
             ('{"probe_timeout_s": 1e999}', "'probe_timeout_s' must be positive and finite"),
             ('{"grab_timeout_s": 0}', "'grab_timeout_s' must be positive and finite, got 0"),
@@ -396,6 +397,31 @@ class TestConfigHandling:
         res = run_cli("--out", str(tmp_path), "classify")
         assert res.code == 1
         assert res.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "stage, missing, producer",
+        [
+            ("classify", "responses.csv", "scan"),
+            ("grab", "classified.csv", "classify"),
+            ("fingerprint", "grabs.csv", "grab"),
+            ("report", "classified.csv", "classify"),
+        ],
+    )
+    def test_missing_stage_file_names_its_stage(self, tmp_path, stage, missing, producer):
+        (tmp_path / "seeds.txt").write_text("2001:db8::/48\n")
+        config = write_config(str(tmp_path), {"asn_geo": str(tmp_path / "asn_geo.csv")})
+        res = run_cli("--config", config, "--out", str(tmp_path), stage)
+        assert res.code == 1
+        path = tmp_path / missing
+        assert res.err == f"error: no {missing} at {path}; run {producer} first\n"
+
+    def test_negative_dump_count_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "seeds.txt").write_text("2001:db8::/48\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "plan", "--dump", "-1"])
+        assert exc.value.code == 2
+        assert "--dump" in capsys.readouterr().err
+        assert not (tmp_path / "plan_preview.txt").exists()
 
 
 def write_config(directory: str, settings: dict) -> str:
@@ -586,10 +612,9 @@ class TestHostileFiles:
             (seedprep_mod.load_connection_map, "2001:db8::/32,fiber", "unknown connection type"),
             (report_mod.load_asn_geo, "2001:db8::1/32,64496,Net,de", "has host bits set"),
             (fingerprint_mod.load_oui_db, "00:1b:2c,Gatework,extra", "expected 2 fields"),
-            (services_mod.load_services, "ssh,22,tcp", "expected 4 or 5 fields, got 3"),
         ],
         ids=[
-            "as_map", "conn_map", "asn_geo", "oui_db", "services", "conn_map_type", "asn_geo_host_bits"
+            "as_map", "conn_map", "asn_geo", "oui_db", "conn_map_type", "asn_geo_host_bits"
         ],
     )
     def test_reference_loaders_turn_csv_errors_into_value_error(

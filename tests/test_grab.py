@@ -23,6 +23,7 @@ from conftest import (
 )
 from resiscan.grab import (
     _LOG_FIELDS,
+    _PROBES,
     BANNER_CAP,
     IDLE_READ_S,
     OUTCOME_ERROR,
@@ -37,7 +38,7 @@ from resiscan.grab import (
     run_grab_campaign,
     write_grab_log,
 )
-from resiscan.services import ServiceSpec, default_services, load_services
+from resiscan.services import ServiceSpec, default_services
 from resiscan.simnet import SimServices
 from resiscan.simnet import services as sim_services
 from resiscan.simnet.services import TELNET_NEGOTIATION
@@ -185,7 +186,6 @@ def _framed(body: bytes) -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
-LINE_SPEC = ServiceSpec("probe", 9999, "tcp", "line_protocol", b"HELO\n")
 LOCKDOWN_BODY = plistlib.dumps({"Key": "ProductVersion", "Value": "18.2"})
 NTP_REPLY = b"\x24" + bytes(47)
 
@@ -217,40 +217,8 @@ class TestCatalog:
         assert by_name["cwmp"].probe_kind == "http_get"
         assert by_name["telnet"].probe_kind == "banner_read"
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ServiceSpec("x", 80, "sctp", "banner_read")
-        with pytest.raises(ValueError):
-            ServiceSpec("x", 80, "tcp", "quantum")
-        with pytest.raises(ValueError):
-            ServiceSpec("x", 0, "tcp", "banner_read")
-
-    def test_catalog_file_loads(self, tmp_path):
-        path = tmp_path / "services.csv"
-        path.write_text(
-            "# name,port,transport,probe_kind\n"
-            "ssh,22,tcp,banner_read\n"
-            "\n"
-            " ntp , 123 , udp , ntp_query \n"
-            "lockdown,62078,tcp,lockdown_query\n"
-        )
-        assert load_services(str(path)) == (
-            ServiceSpec("ssh", 22, "tcp", "banner_read"),
-            ServiceSpec("ntp", 123, "udp", "ntp_query"),
-            ServiceSpec("lockdown", 62078, "tcp", "lockdown_query"),
-        )
-
-    def test_catalog_file_rejects_duplicates(self, tmp_path):
-        path = tmp_path / "services.csv"
-        path.write_text("a,80,tcp,http_get\na,80,tcp,banner_read\n")
-        with pytest.raises(ValueError):
-            load_services(str(path))
-
-    def test_catalog_file_request_hex(self, tmp_path):
-        path = tmp_path / "services.csv"
-        path.write_text("probe,9999,tcp,line_protocol,48454c4f0a\n")
-        (spec,) = load_services(str(path))
-        assert spec.request == b"HELO\n"
+    def test_every_probe_kind_is_run_by_some_service(self):
+        assert {s.probe_kind for s in default_services()} == set(_PROBES)
 
 
 class TestBannerGrabs:
@@ -378,9 +346,8 @@ class TestReadDeadlines:
         # client's answers: the idle cut returns what reading to the timeout would.
         script = [(0, TELNET_NEGOTIATION)]
         quick, took = _paced_grab(spec_by_name("telnet"), script, timeout=1.0)
-        # A line read with an empty request has no idle cut: it reads to the timeout.
-        to_timeout = ServiceSpec("telnet", 23, "tcp", "line_protocol")
-        slow, _ = _paced_grab(to_timeout, script, timeout=1.0)
+        # An HTTP read has no idle cut: it reads to the timeout.
+        slow, _ = _paced_grab(spec_by_name("http"), script, timeout=1.0)
         assert quick.banner == slow.banner == TELNET_NEGOTIATION
         assert took < 1.0
 
@@ -792,7 +759,6 @@ class TestOutcomePins:
         "service, reply, outcome, detail, fields",
         [
             ("telnet", b"", OUTCOME_ERROR, "connection_closed", {}),
-            (LINE_SPEC, b"", OUTCOME_ERROR, "connection_closed", {}),
             ("http", b"", OUTCOME_ERROR, "connection_closed", {}),
             ("http", b"NOT HTTP", OUTCOME_ERROR, "http_malformed", {"banner": b"NOT HTTP"}),
             ("https", b"NOT TLS", OUTCOME_ERROR, "tls_handshake", {}),
@@ -806,7 +772,6 @@ class TestOutcomePins:
             ("lockdown", _framed(b"not plist"), OUTCOME_ERROR, "plist_malformed", {}),
             ("ntp", b"\x24" + bytes(10), OUTCOME_ERROR, "protocol", {}),
             ("telnet", b"login: ", OUTCOME_RESPONDED, "", {"banner": b"login: "}),
-            (LINE_SPEC, b"220 ok\r\n", OUTCOME_RESPONDED, "", {"banner": b"220 ok\r\n"}),
             (
                 "http", b"HTTP/1.1 200 OK\r\nServer: X\r\n\r\nhi", OUTCOME_RESPONDED, "",
                 {"banner": b"HTTP/1.1 200 OK\r\nServer: X\r\n\r\nhi", "http_server_header": "X"},
@@ -826,14 +791,14 @@ class TestOutcomePins:
             ("ntp", NTP_REPLY, OUTCOME_RESPONDED, "", {"banner": NTP_REPLY}),
         ],
         ids=[
-            "banner-empty", "line-empty", "http-empty", "http-malformed", "tls-handshake",
+            "banner-empty", "http-empty", "http-malformed", "tls-handshake",
             "http-tls-retry", "not-connack", "mqtt-short", "lockdown-short-head",
             "lockdown-zero-length", "lockdown-short-body", "lockdown-bad-plist", "ntp-short",
-            "banner", "line", "http", "mqtt", "lockdown", "lockdown-not-dict", "ntp",
+            "banner", "http", "mqtt", "lockdown", "lockdown-not-dict", "ntp",
         ],
     )
     def test_scripted_peer(self, service, reply, outcome, detail, fields):
-        spec = service if isinstance(service, ServiceSpec) else spec_by_name(service)
+        spec = spec_by_name(service)
         peers = []
         try:
             rec = grab(V6, spec, connector=_scripted_connector(reply, peers), timeout=2.0)
