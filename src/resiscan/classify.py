@@ -5,8 +5,8 @@ the customer network ("internal"). An ICMPv6 error from an address we never
 probed is the gateway or another middlebox on the path ("external"). A /56
 whose random alias probe comes back with an echo reply answers for its whole
 address space and is excluded wholesale. Echo replies from a source other
-than the probed target are anomalous: logged, flagged, and kept out of every
-downstream count.
+than the probed target are anomalous: kept out of every downstream count,
+and counted under ``anomalous`` in ``classify_stats.json``.
 
 Hop-limit distance uses the three common initial values: a received hop
 limit h infers an initial of 64 if h <= 64, 128 if 64 < h <= 128, and 255

@@ -66,8 +66,10 @@ FINGERPRINTS_FILE = "fingerprints.csv"
 EUI64_FILE = "eui64.csv"
 HP_PRINTERS_FILE = "hp_printers.csv"
 REPORT_DIR = "report"
-# The stage that writes each CSV stage file, named when the file is missing.
+# The stage that writes each stage file that a later stage reads, named when
+# the file is missing.
 _PRODUCERS = {
+    SEEDS_FILE: "seed-filter",
     RESPONSES_FILE: "scan",
     CLASSIFIED_FILE: "classify",
     GRABS_FILE: "grab",
@@ -143,15 +145,22 @@ def _outpath(cfg: dict, name: str) -> str:
     return os.path.join(outdir, name)
 
 
-def _read_stage(cfg: dict, name: str, reader):
-    """Records of a CSV stage file under output_dir, read by ``reader``."""
+def _read_stage(cfg: dict, name: str, reader, optional: bool = False):
+    """Records of a stage file under output_dir, read by ``reader``; None if
+    an ``optional`` file is missing."""
     path = os.path.join(cfg["output_dir"], name)
     try:
         fh = open(path, encoding="utf-8", newline="")
     except FileNotFoundError:
+        if optional:
+            return None
         raise FileNotFoundError(f"no {name} at {path}; run {_PRODUCERS[name]} first") from None
     with fh:
         return reader(fh)
+
+
+def _read_seeds(fh) -> seedprep.SeedSet:
+    return seedprep.parse_prefix_list(fh.read())
 
 
 def _write_stage(cfg: dict, name: str):
@@ -163,14 +172,6 @@ def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _load_filtered_seeds(cfg: dict) -> seedprep.SeedSet:
-    path = os.path.join(cfg["output_dir"], SEEDS_FILE)
-    if not os.path.exists(path):
-        raise ConfigError(f"no filtered seed list at {path}; run seed-filter first")
-    with open(path, encoding="utf-8") as fh:
-        return seedprep.parse_prefix_list(fh.read())
 
 
 # The stages reach the simulator through these two; perfbench's tracer wraps them.
@@ -221,7 +222,7 @@ def cmd_seed_filter(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_plan(cfg: dict, args: argparse.Namespace) -> int:
     from . import targetgen
 
-    seeds = _load_filtered_seeds(cfg)
+    seeds = _read_stage(cfg, SEEDS_FILE, _read_seeds)
     plan = targetgen.build_plan(seeds, cfg["rng_seed"])
     print(f"plan: {len(plan.seeds)} seeds, budget {plan.budget} probes")
     if args.dump:
@@ -234,7 +235,7 @@ def cmd_plan(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     from . import probe, targetgen
 
-    seeds = _load_filtered_seeds(cfg)
+    seeds = _read_stage(cfg, SEEDS_FILE, _read_seeds)
     plan = targetgen.build_plan(seeds, cfg["rng_seed"])
     print(f"scan: {len(plan.seeds)} seeds, budget {plan.budget} probes")
 
@@ -274,7 +275,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
     from . import classify, probe
 
-    seeds = _load_filtered_seeds(cfg)
+    seeds = _read_stage(cfg, SEEDS_FILE, _read_seeds)
     records = _read_stage(cfg, RESPONSES_FILE, probe.read_response_log)
     result = classify.classify_log(
         records, seeds=seeds.prefixes, rng_seed=cfg["rng_seed"]
@@ -371,23 +372,17 @@ def cmd_report(cfg: dict, args: argparse.Namespace) -> int:
     geo_path = _require(cfg, "asn_geo", "prefix/ASN/name/country registry table")
     classified = _read_stage(cfg, CLASSIFIED_FILE, classify.read_classification)
     grabs = _read_stage(cfg, GRABS_FILE, grab.read_grab_log)
-    hits = []
-    if os.path.exists(os.path.join(cfg["output_dir"], FINGERPRINTS_FILE)):
-        hits = _read_stage(cfg, FINGERPRINTS_FILE, fingerprint.read_fingerprints)
-    seed_total = None
-    try:
-        seed_total = len(_load_filtered_seeds(cfg))
-    except ConfigError:
-        pass
-    bundle = report.aggregate(
+    hits = _read_stage(cfg, FINGERPRINTS_FILE, fingerprint.read_fingerprints, optional=True)
+    seeds = _read_stage(cfg, SEEDS_FILE, _read_seeds, optional=True)
+    tables = report.aggregate(
         classified,
         grabs,
-        hits,
+        hits or [],
         report.load_asn_geo(geo_path),
-        seed_total=seed_total,
+        seed_total=None if seeds is None else len(seeds),
     )
     outdir = _outpath(cfg, REPORT_DIR)
-    files = report.emit(bundle, outdir)
+    files = report.emit(tables, outdir)
     print(f"report: {len(files)} tables under {outdir}")
     return 0
 

@@ -233,7 +233,7 @@ def _peer_common_name(tls_sock) -> str | None:
     return _subject_common_name(der) if der else None
 
 
-def _grab_banner(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_banner(sock, rec: GrabRecord, cap: int, label: str) -> None:
     rec.banner = _read_until_close(sock, cap, idle=IDLE_READ_S)
 
 
@@ -245,7 +245,7 @@ def _finish_http(rec: GrabRecord, raw: bytes) -> None:
     rec.http_server_header = headers.get("server")
 
 
-def _grab_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_http(sock, rec: GrabRecord, cap: int, label: str) -> None:
     sock.sendall(_http_request(rec.address, label))
     raw = _read_until_close(sock, cap)
     # TLS record layer: alert (0x15) or handshake (0x16) then version 3.x
@@ -254,7 +254,7 @@ def _grab_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -
     _finish_http(rec, raw)
 
 
-def _grab_tls_http(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_tls_http(sock, rec: GrabRecord, cap: int, label: str) -> None:
     try:
         tls = _tls_context().wrap_socket(sock)
     except OSError:  # ssl.SSLError and a handshake timeout included
@@ -281,7 +281,7 @@ def _recv_all(sock, n: int, deadline: float) -> bytes:
     return buf
 
 
-def _grab_mqtt(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_mqtt(sock, rec: GrabRecord, cap: int, label: str) -> None:
     # CONNECT, protocol level 4, clean session, no credentials, generated id.
     client_id = b"rs-probe"
     var = b"\x00\x04MQTT\x04\x02\x00\x3c" + struct.pack(">H", len(client_id)) + client_id
@@ -293,7 +293,7 @@ def _grab_mqtt(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -
     rec.banner = reply
 
 
-def _grab_lockdown(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_lockdown(sock, rec: GrabRecord, cap: int, label: str) -> None:
     import plistlib
 
     request = plistlib.dumps(
@@ -315,7 +315,7 @@ def _grab_lockdown(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: st
     rec.lockdown_product_version = str(value) if value is not None else None
 
 
-def _grab_ntp(sock, rec: GrabRecord, spec: ServiceSpec, cap: int, label: str) -> None:
+def _grab_ntp(sock, rec: GrabRecord, cap: int, label: str) -> None:
     query = bytearray(48)
     query[0] = 0x23  # v4 client
     sock.sendall(bytes(query))
@@ -350,12 +350,12 @@ def grab(
         try:
             with connector(address, spec.port, timeout, udp=spec.transport == "udp") as sock:
                 sock.settimeout(timeout)
-                _PROBES[spec.probe_kind](sock, rec, spec, cap, label)
+                _PROBES[spec.probe_kind](sock, rec, cap, label)
         except _TlsOnPlainPort:
             # Gateway wants TLS on a plaintext web port; one TLS retry, then done.
             with connector(address, spec.port, timeout) as sock:
                 sock.settimeout(timeout)
-                _grab_tls_http(sock, rec, spec, cap, label)
+                _grab_tls_http(sock, rec, cap, label)
             rec.detail = "tls_on_plain_port"
     except _NoResponse as exc:
         rec.outcome, rec.detail = OUTCOME_ERROR, exc.args[0]

@@ -3,15 +3,17 @@ interface-ID and distance-delta histograms, protocol response splits, and
 the internal-only exposure list (devices answering a protocol inside
 networks whose externally visible address answers none).
 
-Aggregation is pure dictionary-folding over its inputs - shuffling the
-input order never changes a count - and the emitted tables are sorted,
-locale-independent text, one plottable series per chart.
+``aggregate`` folds its inputs into the tables, each a file name with its
+header and rows, and ``emit`` writes them. The fold is pure dictionary
+counting - shuffling the input order never changes a count - and the
+tables are sorted, locale-independent text, one plottable series per chart.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable
 
 from .addrs import LongestPrefixMap, format_address, prefix48_of
@@ -38,41 +40,16 @@ def load_asn_geo(path: str) -> LongestPrefixMap:
     )
 
 
-@dataclass(slots=True)
-class ReportBundle:
-    total_internal: int = 0
-    total_external: int = 0
-    seed_total: int | None = None
-    country_counts: dict[str, list[int]] = field(default_factory=dict)  # [internal, external]
-    asn_counts: dict[int | str, list[int]] = field(default_factory=dict)
-    asn_names: dict[int | str, str] = field(default_factory=dict)
-    yield_stats: dict[int, list[int]] = field(default_factory=dict)  # /48 -> [int, ext]
-    iid_hist: dict[int, int] = field(default_factory=dict)
-    delta_hist: dict[int, int] = field(default_factory=dict)
-    total_pairs: int = 0
-    protocol_split: dict[str, list[int]] = field(default_factory=dict)
-    service_ports: dict[str, int] = field(default_factory=dict)
-    distinct_ports_hist: dict[int, int] = field(default_factory=dict)
-    internal_only: list[tuple[int, int, tuple[str, ...]]] = field(default_factory=list)
-    lockdown_versions: dict[str, int] = field(default_factory=dict)
-    fingerprint_counts: dict[str, int] = field(default_factory=dict)
-
-
-def _responded_services(grabs: Iterable[GrabRecord]) -> dict[str, set[str]]:
-    by_address: dict[str, set[str]] = {}
-    for g in grabs:
-        if g.outcome == OUTCOME_RESPONDED:
-            by_address.setdefault(g.address, set()).add(g.service)
-    return by_address
-
-
 def internal_only_exposures(
     classified: Iterable[ClassifiedAddress],
     grabs: Iterable[GrabRecord],
 ) -> list[tuple[int, int, tuple[str, ...]]]:
     """(net56, internal address, responded services) for nets whose external
     address answered no protocol at all."""
-    responded = _responded_services(grabs)
+    responded: dict[str, set[str]] = {}
+    for g in grabs:
+        if g.outcome == OUTCOME_RESPONDED:
+            responded.setdefault(g.address, set()).add(g.service)
     out: list[tuple[int, int, tuple[str, ...]]] = []
     for net56, internal, external in split_by_net(classified):
         if any(responded.get(format_address(e.address)) for e in external):
@@ -92,133 +69,121 @@ def aggregate(
     asn_geo: LongestPrefixMap,
     *,
     seed_total: int | None = None,
-) -> ReportBundle:
+) -> dict[str, tuple[list[str], list]]:
+    """The report tables, file name -> (header, rows), in the order emit writes them."""
     classified = list(classified)
-    grabs = list(grabs)
-    specs = default_services()
-    bundle = ReportBundle(seed_total=seed_total)
-    bundle.service_ports = {s.name: s.port for s in specs}
-    bundle.protocol_split = {s.name: [0, 0] for s in specs}
-    bundle.iid_hist = {n: 0 for n in range(1, 11)}
-
+    totals = [0, 0]  # [internal, external], as in every split below
     internal_addrs: set[str] = set()
     external_addrs: set[str] = set()
+    countries: dict[str, list[int]] = {}
+    asns: dict[int | str, list[int]] = {}
+    as_names: dict[int | str, str] = {}
+    per48: dict[int, list[int]] = {}
+    iids = dict.fromkeys(range(1, 11), 0)
     for c in classified:
         col = 0 if c.label == LABEL_INTERNAL else 1
-        if c.label == LABEL_INTERNAL:
-            bundle.total_internal += 1
-            internal_addrs.add(format_address(c.address))
-            iid = c.iid
-            if 1 <= iid <= 10:
-                bundle.iid_hist[iid] += 1
-        else:
-            bundle.total_external += 1
-            external_addrs.add(format_address(c.address))
+        totals[col] += 1
+        (external_addrs if col else internal_addrs).add(format_address(c.address))
+        if not col and 1 <= c.iid <= 10:
+            iids[c.iid] += 1
         rec = asn_geo.lookup(c.address)
-        country = rec.country if isinstance(rec, AsnGeoRecord) else UNKNOWN
-        asn: int | str = rec.asn if isinstance(rec, AsnGeoRecord) else UNKNOWN
-        bundle.country_counts.setdefault(country, [0, 0])[col] += 1
-        bundle.asn_counts.setdefault(asn, [0, 0])[col] += 1
         if isinstance(rec, AsnGeoRecord):
-            bundle.asn_names[asn] = rec.as_name
-        bundle.yield_stats.setdefault(prefix48_of(c.net56), [0, 0])[col] += 1
+            country, asn = rec.country, rec.asn
+            as_names[asn] = rec.as_name
+        else:
+            country = asn = UNKNOWN
+        countries.setdefault(country, [0, 0])[col] += 1
+        asns.setdefault(asn, [0, 0])[col] += 1
+        per48.setdefault(prefix48_of(c.net56), [0, 0])[col] += 1
+    deltas = Counter(p.delta for p in pair_deltas(classified))
 
-    for delta in (p.delta for p in pair_deltas(classified)):
-        bundle.delta_hist[delta] = bundle.delta_hist.get(delta, 0) + 1
-        bundle.total_pairs += 1
-
+    # Most grab rows are refusals, and only responded rows feed a table.
+    responded = [g for g in grabs if g.outcome == OUTCOME_RESPONDED]
+    ports = {s.name: s.port for s in default_services()}
+    protocols = {name: [0, 0] for name in ports}
     ports_by_address: dict[str, set[int]] = {}
-    for g in grabs:
-        if g.outcome != OUTCOME_RESPONDED:
-            continue
-        split = bundle.protocol_split.setdefault(g.service, [0, 0])
-        seen = ports_by_address.setdefault(g.address, set())
-        port = bundle.service_ports.get(g.service)
-        if port is not None:
-            seen.add(port)
+    for g in responded:
+        # Grab records are unique per (address, service), so these count addresses.
+        split = protocols.setdefault(g.service, [0, 0])
         if g.address in internal_addrs:
             split[0] += 1
         elif g.address in external_addrs:
             split[1] += 1
-        if g.lockdown_product_version:
-            v = g.lockdown_product_version
-            bundle.lockdown_versions[v] = bundle.lockdown_versions.get(v, 0) + 1
-    # Protocol split counts distinct addresses; the loop above counted grab
-    # records, which are already unique per (address, service) by contract.
-    for n_ports in (len(p) for p in ports_by_address.values()):
-        bundle.distinct_ports_hist[n_ports] = bundle.distinct_ports_hist.get(n_ports, 0) + 1
+        seen = ports_by_address.setdefault(g.address, set())
+        if g.service in ports:
+            seen.add(ports[g.service])
+    lockdown = Counter(g.lockdown_product_version for g in responded if g.lockdown_product_version)
+    exposures = internal_only_exposures(classified, responded)
 
-    for h in hits:
-        bundle.fingerprint_counts[h.kind] = bundle.fingerprint_counts.get(h.kind, 0) + 1
-
-    bundle.internal_only = internal_only_exposures(classified, grabs)
-    return bundle
-
-
-def yield_cdf(bundle: ReportBundle) -> list[tuple[int, float, float]]:
-    """(address count, internal CDF, external CDF) over responsive /48s."""
-    stats = list(bundle.yield_stats.values())
-    if not stats:
-        return []
-    n = len(stats)
-    top = max(max(i, e) for i, e in stats)
-    rows = []
-    for x in range(0, top + 1):
-        internal_frac = sum(1 for i, _ in stats if i <= x) / n
-        external_frac = sum(1 for _, e in stats if e <= x) / n
-        rows.append((x, internal_frac, external_frac))
-    return rows
-
-
-def emit(bundle: ReportBundle, outdir: str) -> list[str]:
-    """Write every table/series under outdir; returns the file list."""
-    tables = {
+    return {
         "summary.csv": (
             ["key", "value"],
             [
-                ["internal_addresses", bundle.total_internal],
-                ["external_addresses", bundle.total_external],
-                ["responsive_48s", len(bundle.yield_stats)],
-                ["seed_total", "" if bundle.seed_total is None else bundle.seed_total],
-                ["delta_pairs", bundle.total_pairs],
-                ["internal_only_exposures", len(bundle.internal_only)],
+                ["internal_addresses", totals[0]],
+                ["external_addresses", totals[1]],
+                ["responsive_48s", len(per48)],
+                ["seed_total", "" if seed_total is None else seed_total],
+                ["delta_pairs", sum(deltas.values())],
+                ["internal_only_exposures", len(exposures)],
             ],
         ),
         "country_split.csv": (
             ["country", "internal", "external"],
-            [[c, v[0], v[1]] for c, v in sorted(bundle.country_counts.items())],
+            [[c, i, e] for c, (i, e) in sorted(countries.items())],
         ),
         "asn_split.csv": (
             ["asn", "as_name", "internal", "external"],
             [
-                [a, bundle.asn_names.get(a, ""), v[0], v[1]]
-                for a, v in sorted(bundle.asn_counts.items(), key=lambda kv: str(kv[0]))
+                [a, as_names.get(a, ""), i, e]
+                for a, (i, e) in sorted(asns.items(), key=lambda kv: str(kv[0]))
             ],
         ),
         "yield_cdf.csv": (
             ["addresses", "internal_cdf", "external_cdf"],
-            [[x, f"{i:.6f}", f"{e:.6f}"] for x, i, e in yield_cdf(bundle)],
+            [[x, f"{i:.6f}", f"{e:.6f}"] for x, i, e in yield_cdf(list(per48.values()))],
         ),
-        "iid_hist.csv": (["iid", "count"], [[n, bundle.iid_hist.get(n, 0)] for n in range(1, 11)]),
-        "delta_hist.csv": (["delta", "count"], sorted(bundle.delta_hist.items())),
+        "iid_hist.csv": (["iid", "count"], list(iids.items())),
+        "delta_hist.csv": (["delta", "count"], sorted(deltas.items())),
         "protocol_split.csv": (
             ["service", "port", "internal", "external"],
-            [
-                [name, bundle.service_ports.get(name, ""), v[0], v[1]]
-                for name, v in sorted(bundle.protocol_split.items())
-            ],
+            [[name, ports.get(name, ""), i, e] for name, (i, e) in sorted(protocols.items())],
         ),
-        "distinct_ports.csv": (["ports", "count"], sorted(bundle.distinct_ports_hist.items())),
+        "distinct_ports.csv": (
+            ["ports", "count"],
+            sorted(Counter(len(p) for p in ports_by_address.values()).items()),
+        ),
         "internal_only.csv": (
             ["prefix56", "address", "services"],
             [
                 [f"{format_address(net)}/56", format_address(addr), ";".join(svcs)]
-                for net, addr, svcs in bundle.internal_only
+                for net, addr, svcs in exposures
             ],
         ),
-        "lockdown_versions.csv": (["version", "count"], sorted(bundle.lockdown_versions.items())),
-        "fingerprints_summary.csv": (["kind", "count"], sorted(bundle.fingerprint_counts.items())),
+        "lockdown_versions.csv": (["version", "count"], sorted(lockdown.items())),
+        "fingerprints_summary.csv": (
+            ["kind", "count"],
+            sorted(Counter(h.kind for h in hits).items()),
+        ),
     }
+
+
+def yield_cdf(counts: list[list[int]]) -> list[tuple[int, float, float]]:
+    """(address count, internal CDF, external CDF) over responsive /48s, from
+    each /48's [internal, external] address counts."""
+    if not counts:
+        return []
+    n = len(counts)
+    top = max(max(i, e) for i, e in counts)
+    rows = []
+    for x in range(0, top + 1):
+        internal_frac = sum(1 for i, _ in counts if i <= x) / n
+        external_frac = sum(1 for _, e in counts if e <= x) / n
+        rows.append((x, internal_frac, external_frac))
+    return rows
+
+
+def emit(tables: dict[str, tuple[list[str], list]], outdir: str) -> list[str]:
+    """Write each table to its file under outdir; returns the file names."""
     os.makedirs(outdir, exist_ok=True)
     for name, (header, rows) in tables.items():
         with open(os.path.join(outdir, name), "w", newline="", encoding="utf-8") as fh:

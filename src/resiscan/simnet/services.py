@@ -23,8 +23,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..addrs import PREFIX56_MASK
-from .scenario import FIREWALL_ALLOW, Scenario, SimService
+from ..addrs import PREFIX56_MASK, format_address
+from .scenario import FIREWALL_ALLOW, Scenario, ScenarioError, SimService
 
 if TYPE_CHECKING:
     import ssl  # loaded on the first TLS handshake
@@ -85,29 +85,19 @@ class _Conn:
             pass
 
 
-# The simulator's RSA-2048 test key, as its two primes. It is public by design
-# and serves only simulated endpoints' certificates: live mode never builds a
-# SimServices. It is 2048 bits because OpenSSL's default security level 2
-# refuses smaller RSA keys, and fixed because a per-run key would need a
-# pure-Python prime search, like the one 37e3959 took out of targetgen; the
-# cost of one is unmeasured.
-_TEST_KEY_P = int(
-    "e026924d0c3347c1a5cd477fd22220469e2bc88602ca652306f8d3a994d8cf42"
-    "85f7f22cf4a256e9b975e029b0b027bba5ab009b221488635d8d6f91234bd434"
-    "cf95d9c464a5ab11114b8e97ee4e3fae71547f8120130de366192d651698c353"
-    "0a7dcd4a788345580514e04d06a028c0ef1beeb41e3ded53939aa116ed589cdb",
-    16,
+# The simulator's P-256 test key: its private value and its uncompressed
+# public point. It is public by design and serves only simulated endpoints'
+# certificates: live mode never builds a SimServices. It is fixed because a
+# per-run key would need elliptic-curve arithmetic here.
+_TEST_KEY_D = bytes.fromhex("f8f36946e3cdec60feebe32154d30299f438c88b763a57dfa047aad3df631156")
+_TEST_KEY_POINT = bytes.fromhex(
+    "04d68a8f7e10eb803fc4e82b457f4d75425e431fb8cc26c65f620edd38fc007bdf"
+    "9e9e347efb7c23d234c488a9dd4463f50094dd169487d0dc4cee75e1205e56d2"
 )
-_TEST_KEY_Q = int(
-    "e002358d3e2e58af570c70a7b208b0d46185ec6d033c0537959fac54ea984ad6"
-    "1aca90370694ba3f72bf126a969a6900bca53b9071b34c6ad1577db1856e3be7"
-    "4185279c7c414ecd6c5da72501dd2ce7de551d47a212b317f67b7245eb93ab14"
-    "e2954c2758cca79b6c2b13f1a2ea0c6e37aefef5b178fadd34fcbf92a13b6bb9",
-    16,
-)
-# sha256WithRSAEncryption and rsaEncryption, each with its NULL parameters.
-_SHA256_WITH_RSA = bytes.fromhex("300d06092a864886f70d01010b0500")
-_RSA_ENCRYPTION = bytes.fromhex("300d06092a864886f70d0101010500")
+# ecdsa-with-SHA256, id-ecPublicKey and the named curve prime256v1.
+_ECDSA_WITH_SHA256 = bytes.fromhex("300a06082a8648ce3d040302")
+_EC_PUBLIC_KEY = bytes.fromhex("06072a8648ce3d0201")
+_PRIME256V1 = bytes.fromhex("06082a8648ce3d030107")
 
 # Taken around each _server_context call, so that each name's context is built once.
 _server_context_lock = threading.Lock()
@@ -123,31 +113,26 @@ def _der(tag: int, *parts: bytes) -> bytes:
     return bytes([tag, 0x80 | width]) + n.to_bytes(width, "big") + body
 
 
-def _der_uint(value: int) -> bytes:
-    return _der(0x02, value.to_bytes(value.bit_length() // 8 + 1, "big"))
-
-
 def _self_signed(common_name: str) -> tuple[bytes, bytes]:
-    """(certificate, PKCS#1 private key), both DER: an X.509 v1 certificate for
+    """(certificate, SEC 1 private key), both DER: an X.509 v1 certificate for
     ``common_name`` and the test key, valid 2020 to 2045. Its signature is an
     empty BIT STRING, since the grab client never checks one (``CERT_NONE``)."""
-    p, q, e = _TEST_KEY_P, _TEST_KEY_Q, 65537
-    n = p * q
-    d = pow(e, -1, (p - 1) * (q - 1))
+    one = _der(0x02, b"\x01")
     cn = _der(0x30, _der(0x06, b"\x55\x04\x03"), _der(0x0C, common_name.encode()))
     name = _der(0x30, _der(0x31, cn))
+    public_key = _der(0x03, b"\0" + _TEST_KEY_POINT)
     tbs = _der(
         0x30,
-        _der_uint(1),  # serial number
-        _SHA256_WITH_RSA,
+        one,  # serial number
+        _ECDSA_WITH_SHA256,
         name,  # issuer
         _der(0x30, _der(0x17, b"200101000000Z"), _der(0x17, b"450101000000Z")),
         name,  # subject
-        _der(0x30, _RSA_ENCRYPTION, _der(0x03, b"\0" + _der(0x30, _der_uint(n), _der_uint(e)))),
+        _der(0x30, _der(0x30, _EC_PUBLIC_KEY, _PRIME256V1), public_key),
     )
-    cert = _der(0x30, tbs, _SHA256_WITH_RSA, _der(0x03, b"\0"))
-    dp, dq, q_inv = d % (p - 1), d % (q - 1), pow(q, -1, p)
-    return cert, _der(0x30, *map(_der_uint, (0, n, e, d, p, q, dp, dq, q_inv)))
+    cert = _der(0x30, tbs, _ECDSA_WITH_SHA256, _der(0x03, b"\0"))
+    key = _der(0x30, one, _der(0x04, _TEST_KEY_D), _der(0xA0, _PRIME256V1), _der(0xA1, public_key))
+    return cert, key
 
 
 @functools.cache
@@ -162,7 +147,7 @@ def _server_context(common_name: str) -> ssl.SSLContext:
     # The ssl module loads a certificate and key only from files.
     with tempfile.TemporaryDirectory(prefix="simnet-tls-") as tmp:
         crt, pem = os.path.join(tmp, "cert.pem"), os.path.join(tmp, "key.pem")
-        for path, label, der in ((crt, "CERTIFICATE", cert), (pem, "RSA PRIVATE KEY", key)):
+        for path, label, der in ((crt, "CERTIFICATE", cert), (pem, "EC PRIVATE KEY", key)):
             text = base64.encodebytes(der).decode()
             with open(path, "w", encoding="ascii") as fh:
                 fh.write(f"-----BEGIN {label}-----\n{text}-----END {label}-----\n")
@@ -369,28 +354,33 @@ BEHAVIORS = {
 
 
 class SimServices:
-    """Endpoint registry + connector for one scenario."""
+    """Endpoint registry + connector for one scenario. Each endpoint holds its
+    behavior's handler and params; a behavior with no handler fails the
+    registration with ScenarioError."""
 
     def __init__(self, scenario: Scenario):
         self.transcripts: list[Transcript] = []
         self._lock = threading.Lock()
-        self._endpoints: dict[tuple[int, int], SimService] = {}
-        self._alias_stubs: dict[int, dict[int, SimService]] = {}
+        self._endpoints: dict[tuple[int, int], tuple] = {}  # (handler, params)
+        self._alias_stubs: dict[int, dict[int, tuple]] = {}
         for net, sub, net56, wan in scenario.iter_subnets():
             if sub.aliased:
-                self._alias_stubs[net56] = {s.port: s for s in sub.stub_services}
+                where = f"{format_address(net56)}/56"
+                self._alias_stubs[net56] = {s.port: _served(s, where) for s in sub.stub_services}
                 continue
             for svc in sub.cpe.services:
-                self._endpoints[(wan, svc.port)] = svc
+                self._endpoints[(wan, svc.port)] = _served(svc, format_address(wan))
             if sub.cpe.firewall != FIREWALL_ALLOW:
                 continue  # a default-deny CPE filters every host behind it
             for host in sub.hosts:
+                address = scenario.host_address(net, sub, host)
                 for svc in host.services:
-                    self._endpoints[(scenario.host_address(net, sub, host), svc.port)] = svc
+                    self._endpoints[(address, svc.port)] = _served(svc, format_address(address))
 
     def add_endpoint(self, address: str, port: int, behavior: str, params: dict | None = None) -> None:
         """Register an extra endpoint directly (tests)."""
-        self._endpoints[(_key(address), port)] = SimService(port, behavior, params or {})
+        served = _served(SimService(port, behavior, params or {}), address)
+        self._endpoints[(_key(address), port)] = served
 
     def connect(self, address: str, port: int, timeout: float = 5.0, udp: bool = False):
         """Connector with live-socket semantics against the scenario."""
@@ -398,22 +388,18 @@ class SimServices:
             key = _key(address)
         except (OSError, ValueError):
             raise ConnectionRefusedError(f"{address}:{port} unparsable") from None
-        svc = self._endpoints.get((key, port))
-        if svc is None:
-            svc = self._alias_stubs.get(key & PREFIX56_MASK, {}).get(port)
-        if svc is None:
+        served = self._endpoints.get((key, port))
+        if served is None:
+            served = self._alias_stubs.get(key & PREFIX56_MASK, {}).get(port)
+        if served is None:
             raise ConnectionRefusedError(f"{address}:{port} closed")
-        handler = BEHAVIORS.get(svc.behavior)
-        if handler is None:
-            raise ConnectionRefusedError(f"{address}:{port} unknown behavior {svc.behavior!r}")
+        handler, params = served
         kind = socket.SOCK_DGRAM if udp else socket.SOCK_STREAM
         client, server = socket.socketpair(socket.AF_UNIX, kind)
         server.settimeout(_SERVE_TIMEOUT_S)
         transcript = Transcript(key, port)
         conn = _Conn(server, transcript)
-        t = threading.Thread(
-            target=_run_handler, args=(handler, conn, svc.params), daemon=True
-        )
+        t = threading.Thread(target=_run_handler, args=(handler, conn, params), daemon=True)
         try:
             t.start()
         except RuntimeError:  # "can't start new thread": no one serves this pair
@@ -433,6 +419,14 @@ class SimServices:
         return [
             t for t in self.transcripts if t.address == key and (port is None or t.port == port)
         ]
+
+
+def _served(svc: SimService, where: str) -> tuple:
+    """(handler, params) of the endpoint ``svc`` at ``where``, an address or a /56."""
+    handler = BEHAVIORS.get(svc.behavior)
+    if handler is None:
+        raise ScenarioError(f"unknown behavior {svc.behavior!r} at {where} port {svc.port}")
+    return handler, svc.params
 
 
 def _run_handler(handler, conn: _Conn, params: dict) -> None:

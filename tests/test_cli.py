@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SimService, make_host, make_net, make_scenario, make_subnet
 from resiscan import classify as classify_mod
 from resiscan import cli as cli_mod
 from resiscan import fingerprint as fingerprint_mod
@@ -25,7 +26,7 @@ from resiscan.addrs import format_address, parse_address
 from resiscan.cli import CONFIG_TYPES, DEFAULT_CONFIG, ConfigError, load_config, main
 from resiscan.seedprep import RESIDENTIAL_CATEGORY, RESIDENTIAL_CONNECTIONS
 from resiscan.services import default_services
-from resiscan.simnet import load_scenario
+from resiscan.simnet import load_scenario, save_scenario
 from resiscan.simnet.scenario import expected_grab_outcomes, ground_truth
 
 PROBES_PER_SEED = 2816
@@ -364,7 +365,7 @@ class TestConfigHandling:
 
     def test_stage_order_enforced(self, tmp_path):
         res = run_cli("--out", str(tmp_path), "plan")
-        assert res.code == 2
+        assert res.code == 1
         assert "seed-filter" in res.err  # says what to run first
 
     def test_corrupt_grab_log_fails_stage(self, tmp_path):
@@ -401,6 +402,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "stage, missing, producer",
         [
+            ("plan", "seeds.txt", "seed-filter"),
+            ("scan", "seeds.txt", "seed-filter"),
+            ("classify", "seeds.txt", "seed-filter"),
             ("classify", "responses.csv", "scan"),
             ("grab", "classified.csv", "classify"),
             ("fingerprint", "grabs.csv", "grab"),
@@ -408,12 +412,42 @@ class TestConfigHandling:
         ],
     )
     def test_missing_stage_file_names_its_stage(self, tmp_path, stage, missing, producer):
-        (tmp_path / "seeds.txt").write_text("2001:db8::/48\n")
+        if missing != "seeds.txt":
+            (tmp_path / "seeds.txt").write_text("2001:db8::/48\n")
         config = write_config(str(tmp_path), {"asn_geo": str(tmp_path / "asn_geo.csv")})
         res = run_cli("--config", config, "--out", str(tmp_path), stage)
         assert res.code == 1
         path = tmp_path / missing
         assert res.err == f"error: no {missing} at {path}; run {producer} first\n"
+
+    def test_unknown_simulated_behavior_fails_grab(self, tmp_path):
+        typo = [SimService(80, "htpp", {})]
+        net = make_net("2001:db8:7::", [make_subnet(1, hosts=[make_host(1, services=typo)])])
+        save_scenario(make_scenario([net]), str(tmp_path / "scenario.json"))
+        with open(tmp_path / "classified.csv", "w", encoding="utf-8") as fh:
+            classify_mod.write_classification([], fh)
+        transport = {"scenario": str(tmp_path / "scenario.json")}
+        config = write_config(str(tmp_path), {"transport": transport})
+        res = run_cli("--config", config, "--out", str(tmp_path), "grab")
+        assert res.code == 1
+        assert res.err == "error: unknown behavior 'htpp' at 2001:db8:7:100::1 port 80\n"
+        assert not (tmp_path / "grabs.csv").exists()
+
+    def test_report_runs_without_its_optional_inputs(self, tmp_path):
+        # No seeds.txt and no fingerprints.csv: the seed total and the
+        # fingerprint counts are left empty.
+        with open(tmp_path / "classified.csv", "w", encoding="utf-8") as fh:
+            classify_mod.write_classification([], fh)
+        with open(tmp_path / "grabs.csv", "w", encoding="utf-8", newline="") as fh:
+            grab_mod.write_grab_log([], fh)
+        (tmp_path / "asn_geo.csv").write_text("")
+        config = write_config(str(tmp_path), {"asn_geo": str(tmp_path / "asn_geo.csv")})
+        res = run_cli("--config", config, "--out", str(tmp_path), "report")
+        assert res.code == 0, res.err
+        report_dir = tmp_path / "report"
+        assert "seed_total,\n" in (report_dir / "summary.csv").read_text(encoding="utf-8")
+        fingerprints = (report_dir / "fingerprints_summary.csv").read_text(encoding="utf-8")
+        assert fingerprints == "kind,count\n"
 
     def test_negative_dump_count_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "seeds.txt").write_text("2001:db8::/48\n")

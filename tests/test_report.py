@@ -82,67 +82,92 @@ def build_lpm():
 
 
 @pytest.fixture(scope="module")
-def bundle():
+def tables():
     return aggregate(CLASSIFIED, GRABS, HITS, build_lpm(), seed_total=7)
 
 
+def table_rows(tables, name):
+    return tables[name][1]
+
+
+def by_key(tables, name):
+    """A table's rows keyed by their first field."""
+    return {row[0]: list(row[1:]) for row in table_rows(tables, name)}
+
+
+def summary(tables):
+    return {key: value for key, value in table_rows(tables, "summary.csv")}
+
+
 class TestAggregate:
-    def test_totals(self, bundle):
-        assert bundle.total_internal == 3
-        assert bundle.total_external == 3
-        assert bundle.seed_total == 7
+    def test_totals(self, tables):
+        values = summary(tables)
+        assert values["internal_addresses"] == 3
+        assert values["external_addresses"] == 3
+        assert values["seed_total"] == 7
 
-    def test_country_split(self, bundle):
-        assert bundle.country_counts == {"de": [2, 2], "fr": [1, 1]}
+    def test_country_split(self, tables):
+        assert table_rows(tables, "country_split.csv") == [["de", 2, 2], ["fr", 1, 1]]
 
-    def test_asn_split(self, bundle):
-        assert bundle.asn_counts == {64500: [2, 2], 64501: [1, 1]}
-        assert bundle.asn_names == {64500: "Alpha Net", 64501: "Beta Net"}
+    def test_asn_split(self, tables):
+        assert table_rows(tables, "asn_split.csv") == [
+            [64500, "Alpha Net", 2, 2],
+            [64501, "Beta Net", 1, 1],
+        ]
 
-    def test_yield_per_48(self, bundle):
-        assert bundle.yield_stats == {
-            parse_address("2001:db8:a::"): [2, 2],
-            parse_address("2001:db8:b::"): [1, 1],
-        }
+    def test_yield_per_48(self, tables):
+        # Two /48s, one with [2, 2] responsive addresses and one with [1, 1].
+        assert summary(tables)["responsive_48s"] == 2
+        assert table_rows(tables, "yield_cdf.csv") == [
+            [0, "0.000000", "0.000000"],
+            [1, "0.500000", "0.500000"],
+            [2, "1.000000", "1.000000"],
+        ]
 
-    def test_iid_histogram(self, bundle):
+    def test_iid_histogram(self, tables):
         expected = {n: 0 for n in range(1, 11)}
         expected[1] = expected[2] = expected[10] = 1
-        assert bundle.iid_hist == expected
+        assert table_rows(tables, "iid_hist.csv") == list(expected.items())
 
-    def test_delta_histogram(self, bundle):
+    def test_delta_histogram(self, tables):
         # A1: 4-3 and 5-3; A2 has no internal; B1: 6-6.
-        assert bundle.delta_hist == {0: 1, 1: 1, 2: 1}
-        assert bundle.total_pairs == 3
+        assert table_rows(tables, "delta_hist.csv") == [(0, 1), (1, 1), (2, 1)]
+        assert summary(tables)["delta_pairs"] == 3
 
-    def test_protocol_split(self, bundle):
-        assert bundle.protocol_split["telnet"] == [2, 0]
-        assert bundle.protocol_split["http"] == [1, 1]
-        assert bundle.protocol_split["lockdown"] == [1, 0]
-        assert bundle.protocol_split["ssh"] == [0, 0]  # refused grabs don't count
-        assert bundle.protocol_split["ntp"] == [0, 0]  # unclassified address
-        assert len(bundle.protocol_split) == 25  # every configured service has a row
+    def test_protocol_split(self, tables):
+        split = by_key(tables, "protocol_split.csv")
+        assert split["telnet"] == [23, 2, 0]
+        assert split["http"] == [80, 1, 1]
+        assert split["lockdown"] == [62078, 1, 0]
+        assert split["ssh"] == [22, 0, 0]  # refused grabs don't count
+        assert split["ntp"] == [123, 0, 0]  # unclassified address
+        assert len(split) == 25  # every configured service has a row
 
-    def test_distinct_ports(self, bundle):
+    def test_distinct_ports(self, tables):
         # ::1 answered on {23,80}; the WAN, ::2, ::a and the stray on one each.
-        assert bundle.distinct_ports_hist == {1: 4, 2: 1}
+        assert table_rows(tables, "distinct_ports.csv") == [(1, 4), (2, 1)]
 
-    def test_lockdown_versions(self, bundle):
-        assert bundle.lockdown_versions == {"17.1": 1}
+    def test_lockdown_versions(self, tables):
+        assert table_rows(tables, "lockdown_versions.csv") == [("17.1", 1)]
 
-    def test_fingerprint_counts(self, bundle):
-        assert bundle.fingerprint_counts == {"dahua_camera": 2, "nokia_gateway": 1}
+    def test_fingerprint_counts(self, tables):
+        assert table_rows(tables, "fingerprints_summary.csv") == [
+            ("dahua_camera", 2),
+            ("nokia_gateway", 1),
+        ]
 
-    def test_internal_only(self, bundle):
-        assert bundle.internal_only == [(NET_B1, B1_INT, ("telnet",))]
+    def test_internal_only(self, tables):
+        assert table_rows(tables, "internal_only.csv") == [
+            ["2001:db8:b:300::/56", "2001:db8:b:300::a", "telnet"]
+        ]
+        assert summary(tables)["internal_only_exposures"] == 1
 
     def test_unknown_attribution(self):
-        b = aggregate(CLASSIFIED, [], [], LongestPrefixMap())
-        assert b.country_counts == {"unknown": [3, 3]}
-        assert b.asn_counts == {"unknown": [3, 3]}
-        assert b.asn_names == {}
+        t = aggregate(CLASSIFIED, [], [], LongestPrefixMap())
+        assert table_rows(t, "country_split.csv") == [["unknown", 3, 3]]
+        assert table_rows(t, "asn_split.csv") == [["unknown", "", 3, 3]]  # no AS name
 
-    def test_input_order_never_matters(self, bundle):
+    def test_input_order_never_matters(self, tables):
         rng = random.Random(7)
         for _ in range(5):
             classified = CLASSIFIED[:]
@@ -151,44 +176,53 @@ class TestAggregate:
             rng.shuffle(classified)
             rng.shuffle(grabs)
             rng.shuffle(hits)
-            assert aggregate(classified, grabs, hits, build_lpm(), seed_total=7) == bundle
+            assert aggregate(classified, grabs, hits, build_lpm(), seed_total=7) == tables
 
-    def test_conservation(self, bundle):
+    def test_conservation(self, tables):
+        values = summary(tables)
         for col in (0, 1):
-            total = (bundle.total_internal, bundle.total_external)[col]
-            assert sum(v[col] for v in bundle.country_counts.values()) == total
-            assert sum(v[col] for v in bundle.asn_counts.values()) == total
-            assert sum(v[col] for v in bundle.yield_stats.values()) == total
-        assert sum(bundle.iid_hist.values()) == bundle.total_internal
-        assert sum(bundle.delta_hist.values()) == bundle.total_pairs
+            total = (values["internal_addresses"], values["external_addresses"])[col]
+            for name in ("country_split.csv", "asn_split.csv"):
+                assert sum(row[-2 + col] for row in table_rows(tables, name)) == total
+            # Per /48: the counts sum to n48 * sum over x of (1 - CDF(x)).
+            n48 = values["responsive_48s"]
+            cdf = [float(row[1 + col]) for row in table_rows(tables, "yield_cdf.csv")]
+            assert round(n48 * sum(1 - f for f in cdf)) == total
+        iid_counts = [count for _, count in table_rows(tables, "iid_hist.csv")]
+        assert sum(iid_counts) == values["internal_addresses"]
+        delta_counts = [count for _, count in table_rows(tables, "delta_hist.csv")]
+        assert sum(delta_counts) == values["delta_pairs"]
 
     def test_empty_campaign(self):
-        b = aggregate([], [], [], LongestPrefixMap())
-        assert b.total_internal == 0 and b.total_external == 0
-        assert b.country_counts == {}
-        assert b.delta_hist == {} and b.total_pairs == 0
-        assert b.iid_hist == {n: 0 for n in range(1, 11)}
-        assert all(v == [0, 0] for v in b.protocol_split.values())
-        assert b.internal_only == []
+        t = aggregate([], [], [], LongestPrefixMap())
+        values = summary(t)
+        assert values["internal_addresses"] == 0 and values["external_addresses"] == 0
+        assert values["seed_total"] == ""
+        assert table_rows(t, "country_split.csv") == []
+        assert table_rows(t, "delta_hist.csv") == [] and values["delta_pairs"] == 0
+        assert table_rows(t, "iid_hist.csv") == [(n, 0) for n in range(1, 11)]
+        assert all(row[2:] == [0, 0] for row in table_rows(t, "protocol_split.csv"))
+        assert table_rows(t, "internal_only.csv") == [] and values["internal_only_exposures"] == 0
 
 
 class TestYieldCdf:
-    def test_exact_rows(self, bundle):
+    def test_exact_rows(self):
         # Two /48s with [2,2] and [1,1] responsive addresses.
-        assert yield_cdf(bundle) == [
+        assert yield_cdf([[2, 2], [1, 1]]) == [
             (0, 0.0, 0.0),
             (1, 0.5, 0.5),
             (2, 1.0, 1.0),
         ]
 
-    def test_monotone_and_terminal(self, bundle):
-        rows = yield_cdf(bundle)
+    def test_monotone_and_terminal(self):
+        rows = yield_cdf([[2, 2], [1, 1], [0, 3]])
         for (_, i0, e0), (_, i1, e1) in zip(rows, rows[1:]):
             assert i1 >= i0 and e1 >= e0
         assert rows[-1][1] == 1.0 and rows[-1][2] == 1.0
 
     def test_empty(self):
-        assert yield_cdf(aggregate([], [], [], LongestPrefixMap())) == []
+        assert yield_cdf([]) == []
+        assert table_rows(aggregate([], [], [], LongestPrefixMap()), "yield_cdf.csv") == []
 
 
 class TestInternalOnly:
@@ -249,14 +283,14 @@ def read_rows(path):
 
 
 class TestEmit:
-    def test_writes_all_tables(self, bundle, tmp_path):
-        written = emit(bundle, str(tmp_path))
+    def test_writes_all_tables(self, tables, tmp_path):
+        written = emit(tables, str(tmp_path))
         assert written == EXPECTED_FILES
         for name in written:
             assert (tmp_path / name).is_file()
 
-    def test_summary_contents(self, bundle, tmp_path):
-        emit(bundle, str(tmp_path))
+    def test_summary_contents(self, tables, tmp_path):
+        emit(tables, str(tmp_path))
         rows = read_rows(tmp_path / "summary.csv")
         assert rows[0] == ["key", "value"]
         values = dict(rows[1:])
@@ -269,36 +303,36 @@ class TestEmit:
             "internal_only_exposures": "1",
         }
 
-    def test_country_rows_sorted(self, bundle, tmp_path):
-        emit(bundle, str(tmp_path))
+    def test_country_rows_sorted(self, tables, tmp_path):
+        emit(tables, str(tmp_path))
         assert read_rows(tmp_path / "country_split.csv") == [
             ["country", "internal", "external"],
             ["de", "2", "2"],
             ["fr", "1", "1"],
         ]
 
-    def test_asn_rows(self, bundle, tmp_path):
-        emit(bundle, str(tmp_path))
+    def test_asn_rows(self, tables, tmp_path):
+        emit(tables, str(tmp_path))
         assert read_rows(tmp_path / "asn_split.csv") == [
             ["asn", "as_name", "internal", "external"],
             ["64500", "Alpha Net", "2", "2"],
             ["64501", "Beta Net", "1", "1"],
         ]
 
-    def test_cdf_fixed_point_format(self, bundle, tmp_path):
-        emit(bundle, str(tmp_path))
+    def test_cdf_fixed_point_format(self, tables, tmp_path):
+        emit(tables, str(tmp_path))
         rows = read_rows(tmp_path / "yield_cdf.csv")
         assert rows[1] == ["0", "0.000000", "0.000000"]
         assert rows[-1] == ["2", "1.000000", "1.000000"]
 
-    def test_internal_only_row(self, bundle, tmp_path):
-        emit(bundle, str(tmp_path))
+    def test_internal_only_row(self, tables, tmp_path):
+        emit(tables, str(tmp_path))
         assert read_rows(tmp_path / "internal_only.csv") == [
             ["prefix56", "address", "services"],
             ["2001:db8:b:300::/56", "2001:db8:b:300::a", "telnet"],
         ]
 
-    def test_empty_bundle_emits_headers(self, tmp_path):
+    def test_empty_campaign_emits_headers(self, tmp_path):
         written = emit(aggregate([], [], [], LongestPrefixMap()), str(tmp_path))
         assert written == EXPECTED_FILES
         assert read_rows(tmp_path / "yield_cdf.csv") == [

@@ -453,6 +453,30 @@ class TestServiceLookup:
         with pytest.raises(ConnectionRefusedError, match="unparsable"):
             backend.connect(text, 21)
 
+    TYPO = [SimService(80, "htpp", {})]  # no such behavior
+
+    @pytest.mark.parametrize(
+        "subnet, where",
+        [
+            (make_subnet(1, hosts=[make_host(1, services=TYPO)]), "2001:db8:7:100::1"),
+            (make_subnet(2, aliased=True, stub_services=TYPO), "2001:db8:7:200::/56"),
+            (make_subnet(3, cpe_services=TYPO), "3fff:"),
+        ],
+        ids=["host", "alias-stub", "cpe"],
+    )
+    def test_unknown_behavior_fails_the_load(self, subnet, where):
+        scenario = make_scenario([make_net("2001:db8:7::", [subnet])])
+        with pytest.raises(ScenarioError, match="unknown behavior 'htpp' at ") as exc:
+            SimServices(scenario)
+        assert where in str(exc.value) and str(exc.value).endswith(" port 80")
+
+    def test_unknown_behavior_added_fails(self):
+        backend = self.backend()
+        with pytest.raises(ScenarioError, match="unknown behavior 'htpp' at 2001:db8:9::1 port 80"):
+            backend.add_endpoint("2001:db8:9::1", 80, "htpp")
+        with pytest.raises(ConnectionRefusedError):
+            backend.connect("2001:db8:9::1", 80)
+
     def test_handler_thread_failure_closes_both_ends(self, monkeypatch):
         backend = self.backend()
         pairs = []
