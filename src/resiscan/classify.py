@@ -124,8 +124,6 @@ def classify_log(
                 if rec.source != rec.probed_target:
                     result.anomalous.append(rec)
                     continue
-                if probed_low_iid(rec.probed_target) is None:
-                    continue  # alias echo without self-source handled above
                 label = LABEL_INTERNAL
             elif rec.icmp_type < 128:  # any ICMPv6 error, dest-unreachable or not
                 if was_probed(rec.source):

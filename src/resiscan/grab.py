@@ -385,23 +385,29 @@ def run_grab_campaign(
     connections are open and nothing is queued per pair. If a worker cannot
     be started, the ones that did start do the work, or the calling thread if
     none did. Failures are per-pair: one hung or broken endpoint can't sink
-    the campaign, and results come back sorted by (address, service).
+    the campaign, and results come back sorted by (address, service). A
+    ``RuntimeError`` or ``MemoryError`` is a failure of this process, not of
+    the peer: no worker takes another pair, and it is raised once all stop.
     """
     addresses = list(dict.fromkeys(addresses))
     specs = list(specs)
     records: list[GrabRecord | None] = [None] * (len(addresses) * len(specs))
     pairs = enumerate(itertools.product(addresses, specs))
     lock = threading.Lock()
+    failures: list[BaseException] = []
 
     def work() -> None:
         while True:
             with lock:
-                task = next(pairs, None)
+                task = None if failures else next(pairs, None)
             if task is None:
                 return
             i, (a, s) = task
             try:
                 records[i] = grab(a, s, connector=connector, timeout=timeout, label=label)
+            except (RuntimeError, MemoryError) as exc:  # say, "can't start new thread"
+                with lock:
+                    failures.append(exc)
             except Exception as exc:  # noqa: BLE001 - isolate per-pair failures
                 log.warning("grab %s/%s failed: %s", a, s.name, exc)
                 records[i] = GrabRecord(
@@ -422,6 +428,8 @@ def run_grab_campaign(
         work()
     for t in workers:
         t.join()
+    if failures:
+        raise failures[0]
     records.sort(key=lambda r: (r.address, r.service))
     return records
 

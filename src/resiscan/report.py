@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from .addrs import LongestPrefixMap, format_address, prefix48_of
@@ -169,17 +170,16 @@ def aggregate(
 
 def yield_cdf(counts: list[list[int]]) -> list[tuple[int, float, float]]:
     """(address count, internal CDF, external CDF) over responsive /48s, from
-    each /48's [internal, external] address counts."""
+    each /48's [internal, external] address counts. Each fraction is a running
+    count of the /48s at or below x over their number, so one pass suffices."""
     if not counts:
         return []
     n = len(counts)
-    top = max(max(i, e) for i, e in counts)
-    rows = []
-    for x in range(0, top + 1):
-        internal_frac = sum(1 for i, _ in counts if i <= x) / n
-        external_frac = sum(1 for _, e in counts if e <= x) / n
-        rows.append((x, internal_frac, external_frac))
-    return rows
+    xs = range(max(max(i, e) for i, e in counts) + 1)
+    internal = Counter(i for i, _ in counts)  # /48s with exactly x internal addresses
+    external = Counter(e for _, e in counts)
+    at_most = zip(accumulate(internal[x] for x in xs), accumulate(external[x] for x in xs))
+    return [(x, i / n, e / n) for x, (i, e) in zip(xs, at_most)]
 
 
 def emit(tables: dict[str, tuple[list[str], list]], outdir: str) -> list[str]:

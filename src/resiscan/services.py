@@ -3,9 +3,10 @@
 The catalog is the 25 port/protocol combinations worth checking on
 residential addresses: the common mail/file/shell/web suspects, consumer IoT
 ports (MQTT both plain and TLS, Apple lockdown on 62078), CWMP on 7547, the
-usual alternate web ports, and NTP as the single UDP entry. Database and
-SMB-style services ship as plain banner reads - their responses are captured
-as raw bytes rather than parsed.
+usual alternate web ports, and NTP as the single UDP entry. IPP is carried
+over HTTP (RFC 8010), so its row is an HTTP GET. SMB, MSSQL and MongoDB
+ship as plain banner reads - their responses are captured as raw bytes
+rather than parsed - although each waits for the client to speak first.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ _DEFAULT_ROWS = (
     ("imap", 143, "tcp", KIND_BANNER),
     ("https", 443, "tcp", KIND_TLS_HTTP),
     ("smb", 445, "tcp", KIND_BANNER),
-    ("ipp", 631, "tcp", KIND_BANNER),
+    ("ipp", 631, "tcp", KIND_HTTP),
     ("mssql", 1433, "tcp", KIND_BANNER),
     ("mqtt", 1883, "tcp", KIND_MQTT),
     ("mysql", 3306, "tcp", KIND_BANNER),

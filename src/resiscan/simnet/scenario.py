@@ -77,7 +77,6 @@ class SimSubnet:
     cpe: SimCpe
     aliased: bool = False
     hosts: list[SimHost] = field(default_factory=list)
-    stub_services: list[SimService] = field(default_factory=list)  # aliased nets
 
 
 @dataclass(slots=True)
@@ -210,7 +209,7 @@ def derived_iid(rng_seed: int, tag: bytes, counter: int) -> int:
 # name, which is also the JSON key. An entry is the decoder that checks and
 # converts the JSON value, or an (encode, decode) pair where the JSON form
 # differs from the attribute. A key a document omits takes the dataclass
-# default; a field without one is required.
+# default; a field without one is required. A key no table names is refused.
 
 
 def _exactly(kind: type, what: str):
@@ -251,6 +250,8 @@ def _decode(cls, doc):
     """``cls`` from a JSON object; a missing required key raises ``TypeError``."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
+    if unknown := doc.keys() - _FIELD_TABLES[cls]:
+        raise ScenarioError(f"unknown key {', '.join(sorted(map(repr, unknown)))}")
     values = {}
     for key, spec in _FIELD_TABLES[cls].items():
         if key in doc:
@@ -284,7 +285,6 @@ _FIELD_TABLES = {
         "cpe": (_encode, lambda doc: _decode(SimCpe, doc)),
         "aliased": _bool,
         "hosts": _records(SimHost),
-        "stub_services": _records(SimService),
     },
     SimNet: {
         "prefix48": (
@@ -545,12 +545,7 @@ def generate_scenario(params: ScenarioParams, rng_seed: int) -> Scenario:
                     )
             else:
                 hosts_pool.pop()  # keep pool sizes aligned across subnets
-            stub = (
-                [SimService(23, "telnet", {"banner": "alias"})] if aliased else []
-            )
-            subnets.append(
-                SimSubnet(index=idx, aliased=aliased, cpe=cpe, hosts=hosts, stub_services=stub)
-            )
+            subnets.append(SimSubnet(index=idx, aliased=aliased, cpe=cpe, hosts=hosts))
         category = "Internet Service Provider"
         if nonres_pool.pop():
             category = "Content Delivery"

@@ -7,7 +7,8 @@ thread speaks the service behavior on the other end, so grabbers exercise
 real socket I/O (including genuine TLS handshakes, over certificates for a
 fixed test key, unsigned because the grab client never checks a signature)
 without touching the network. Firewalls apply to connections exactly as they
-do to probes: services behind a default-deny CPE refuse.
+do to probes: services behind a default-deny CPE refuse, and so does every
+address of an aliased /56, which echoes every probe but serves no port.
 
 Every byte a behavior reads from a client is recorded in a transcript, which
 is how the tests enforce that grabs stay minimal.
@@ -23,7 +24,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..addrs import PREFIX56_MASK, format_address
+from ..addrs import format_address
 from .scenario import FIREWALL_ALLOW, Scenario, ScenarioError, SimService
 
 if TYPE_CHECKING:
@@ -206,16 +207,8 @@ def _http_payload(params: dict) -> bytes:
     return b"\r\n".join(head) + b"\r\n\r\n" + body
 
 
-def h_greeting(conn: _Conn, params: dict) -> None:
-    conn.sendall(str(params.get("text", "220 ready\r\n")).encode())
-
-
 def h_banner(conn: _Conn, params: dict) -> None:
     conn.sendall(bytes.fromhex(params.get("data_hex", "00")))
-
-
-def h_big_banner(conn: _Conn, params: dict) -> None:
-    conn.sendall(b"B" * int(params.get("size", 1 << 20)))
 
 
 def h_silent(conn: _Conn, params: dict) -> None:
@@ -334,9 +327,7 @@ def h_ntp(conn: _Conn, params: dict) -> None:
 
 
 BEHAVIORS = {
-    "greeting": h_greeting,
     "banner": h_banner,
-    "big_banner": h_big_banner,
     "silent": h_silent,
     "ssh": h_ssh,
     "telnet": h_telnet,
@@ -362,11 +353,8 @@ class SimServices:
         self.transcripts: list[Transcript] = []
         self._lock = threading.Lock()
         self._endpoints: dict[tuple[int, int], tuple] = {}  # (handler, params)
-        self._alias_stubs: dict[int, dict[int, tuple]] = {}
-        for net, sub, net56, wan in scenario.iter_subnets():
+        for net, sub, _net56, wan in scenario.iter_subnets():
             if sub.aliased:
-                where = f"{format_address(net56)}/56"
-                self._alias_stubs[net56] = {s.port: _served(s, where) for s in sub.stub_services}
                 continue
             for svc in sub.cpe.services:
                 self._endpoints[(wan, svc.port)] = _served(svc, format_address(wan))
@@ -389,8 +377,6 @@ class SimServices:
         except (OSError, ValueError):
             raise ConnectionRefusedError(f"{address}:{port} unparsable") from None
         served = self._endpoints.get((key, port))
-        if served is None:
-            served = self._alias_stubs.get(key & PREFIX56_MASK, {}).get(port)
         if served is None:
             raise ConnectionRefusedError(f"{address}:{port} closed")
         handler, params = served
@@ -422,7 +408,7 @@ class SimServices:
 
 
 def _served(svc: SimService, where: str) -> tuple:
-    """(handler, params) of the endpoint ``svc`` at ``where``, an address or a /56."""
+    """(handler, params) of the endpoint ``svc`` at the address text ``where``."""
     handler = BEHAVIORS.get(svc.behavior)
     if handler is None:
         raise ScenarioError(f"unknown behavior {svc.behavior!r} at {where} port {svc.port}")

@@ -7,6 +7,8 @@ readable right next to the topology that produces it.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from resiscan.addrs import parse_address
@@ -47,7 +49,6 @@ def make_subnet(
     wan_mac=None,
     wan_iid=None,
     cpe_services=None,
-    stub_services=None,
 ):
     cpe = SimCpe(
         wan_mode=wan_mode,
@@ -63,7 +64,6 @@ def make_subnet(
         cpe=cpe,
         aliased=aliased,
         hosts=list(hosts or []),
-        stub_services=list(stub_services or []),
     )
 
 
@@ -96,10 +96,25 @@ def tiny_scenario():
                 base_distance=4,
             ),
             make_subnet(0x11, hosts=[make_host(1)], firewall=FIREWALL_DENY, base_distance=6),
-            make_subnet(0x20, aliased=True, stub_services=[SimService(23, "telnet", {})]),
+            make_subnet(0x20, aliased=True),
         ],
     )
     return make_scenario([net])
+
+
+@pytest.fixture
+def no_handler_threads(monkeypatch):
+    """Only the main thread can start a thread: a grab campaign's workers
+    start, but the simulator cannot start the thread that serves a
+    connection. No real thread or memory is exhausted."""
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
 
 
 __all__ = [

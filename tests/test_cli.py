@@ -690,6 +690,24 @@ class TestHostileFiles:
         res = run_cli("--out", str(tmp_path), "grab")
         assert (res.code, res.err) == (1, f"error: {exc}\n")
 
+    def test_handler_thread_failure_fails_grab(self, tmp_path, no_handler_threads):
+        # The simulator cannot start the thread that serves a connection: grab
+        # exits 1 and writes no grabs.csv, instead of rows of its own failure.
+        telnet = [SimService(23, "telnet", {})]
+        net = make_net("2001:db8:7::", [make_subnet(1, hosts=[make_host(1, services=telnet)])])
+        save_scenario(make_scenario([net]), str(tmp_path / "scenario.json"))
+        host = classify_mod.ClassifiedAddress(
+            parse_address("2001:db8:7:100::"), parse_address("2001:db8:7:100::1"),
+            classify_mod.LABEL_INTERNAL, 64, 3,
+        )
+        with open(tmp_path / "classified.csv", "w", encoding="utf-8") as fh:
+            classify_mod.write_classification([host], fh)
+        transport = {"scenario": str(tmp_path / "scenario.json")}
+        config = write_config(str(tmp_path), {"transport": transport})
+        res = run_cli("--config", config, "--out", str(tmp_path), "grab")
+        assert (res.code, res.err) == (1, "error: can't start new thread\n")
+        assert not (tmp_path / "grabs.csv").exists()
+
     def test_oversized_field_fails_stage_with_message(self, tmp_path):
         gen = run_cli("--out", str(tmp_path), "simnet-gen")
         assert gen.code == 0, gen.err

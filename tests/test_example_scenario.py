@@ -17,6 +17,7 @@ import pytest
 from resiscan.cli import main as cli_main
 from resiscan.fingerprint import read_fingerprints
 from resiscan.simnet.scenario import (
+    ScenarioError,
     as_map_lines,
     asn_geo_lines,
     connection_map_lines,
@@ -97,6 +98,18 @@ def test_report_written(example_run):
     assert "external_addresses,4" in summary
     stats = json.loads((example_run / "classify_stats.json").read_text(encoding="utf-8"))
     assert stats["aliased_nets"] == ["2001:db8:4100:700::/56"]
+
+
+@pytest.mark.parametrize("key, value", [("aliassed", True), ("stub_services", [])])
+def test_unknown_subnet_key_refused(tmp_path, key, value):
+    # A misspelt key, or one an older schema had, ends the load instead of
+    # leaving its subnet at the defaults.
+    doc = json.loads(SCENARIO_PATH.read_text(encoding="utf-8"))
+    doc["nets"][0]["subnets"][0][key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ScenarioError, match=f"subnets: unknown key '{key}'"):
+        load_scenario(str(path))
 
 
 def test_rerun_is_byte_identical(example_run):

@@ -257,7 +257,7 @@ class TestBannerGrabs:
         assert rec.outcome == OUTCOME_REFUSED
 
     def test_banner_capped(self, env):
-        env.add_endpoint(V6, 3306, "big_banner", {"size": BANNER_CAP * 3})
+        env.add_endpoint(V6, 3306, "banner", {"data_hex": "42" * (BANNER_CAP * 3)})
         rec = do_grab(env, V6, spec_by_name("mysql"), timeout=3.0)
         assert rec.outcome == OUTCOME_RESPONDED
         assert len(rec.banner) == BANNER_CAP
@@ -418,12 +418,19 @@ class TestHttpGrabs:
         assert rec.tls_subject_cn == "hidden.example"
 
     def test_http_malformed_reply_recorded(self, env):
-        env.add_endpoint(V6, 8000, "greeting", {"text": "NOT HTTP"})
+        env.add_endpoint(V6, 8000, "banner", {"data_hex": b"NOT HTTP".hex()})
         rec = do_grab(env, V6, spec_by_name("http-8000"), timeout=0.5)
         assert rec.outcome == OUTCOME_ERROR
         assert rec.detail == "http_malformed"
         assert rec.banner == b"NOT HTTP"  # raw bytes kept for later inspection
         assert rec.http_server_header is None
+
+    def test_ipp_is_grabbed_over_http(self, env):
+        # IPP rides on HTTP (RFC 8010), so its server waits for a request.
+        env.add_endpoint(V6, 631, "http", {"server": "CUPS/2.4"})
+        rec = do_grab(env, V6, spec_by_name("ipp"), timeout=0.5)
+        assert rec.outcome == OUTCOME_RESPONDED
+        assert rec.http_server_header == "CUPS/2.4"
 
     def test_parse_http_response(self):
         status, headers, body = parse_http_response(
@@ -859,7 +866,7 @@ class TestCampaign:
     def test_one_bad_endpoint_does_not_sink_campaign(self, env):
         def flaky_connector(address, port, timeout, udp=False):
             if port == 23:
-                raise RuntimeError("driver exploded")
+                raise ValueError("driver exploded")
             return env.connect(address, port, timeout, udp=udp)
 
         records = run_grab_campaign(
@@ -869,7 +876,28 @@ class TestCampaign:
         by_service = {r.service: r for r in records}
         assert by_service["http"].outcome == OUTCOME_RESPONDED
         assert by_service["telnet"].outcome == OUTCOME_ERROR
-        assert by_service["telnet"].detail == repr(RuntimeError("driver exploded"))
+        assert by_service["telnet"].detail == repr(ValueError("driver exploded"))
+
+    def test_handler_thread_failure_ends_the_campaign(self, env, no_handler_threads):
+        # A simulator that cannot serve a connection is this process failing,
+        # not the peer answering, so it is raised and no row records it.
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run_grab_campaign([V6], default_services(), connector=env.connector(), parallelism=4)
+
+    @pytest.mark.parametrize("exc", [RuntimeError("can't start new thread"), MemoryError()])
+    def test_own_failure_stops_taking_pairs(self, exc):
+        calls = []
+
+        def connector(address, port, timeout, udp=False):
+            calls.append((address, port))
+            if len(calls) == 1:
+                raise exc
+            raise ConnectionRefusedError
+
+        addresses = [f"2001:db8:9::{i:x}" for i in range(1, 11)]
+        with pytest.raises(type(exc)):
+            run_grab_campaign(addresses, default_services()[:3], connector=connector, parallelism=1)
+        assert calls == [(addresses[0], 21)]
 
     @staticmethod
     def _refusing_connector(calls: list, delay_s: float = 0.0):
@@ -963,6 +991,41 @@ class TestCampaign:
         assert [(r.address, r.service) for r in result] == sorted(
             (a, s.name) for a in addresses for s in specs
         )
+
+    def test_own_failure_under_contention_stops_every_worker(self):
+        # Once the 50th connect fails, each of the 32 workers finishes at most
+        # the one pair it already holds, and the campaign raises.
+        calls = []
+        lock = threading.Lock()
+
+        def connector(address, port, timeout, udp=False):
+            with lock:
+                calls.append((address, port))
+                n = len(calls)
+            if n == 50:
+                raise RuntimeError("can't start new thread")
+            raise ConnectionRefusedError
+
+        addresses = [f"2001:db8:9::{i:x}" for i in range(1, 151)]
+        raised = []
+
+        def campaign():
+            try:
+                run_grab_campaign(addresses, default_services()[:4], connector=connector, parallelism=32)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=campaign)
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert [str(exc) for exc in raised] == ["can't start new thread"]
+        assert 50 <= len(calls) < 50 + 32
 
 
 class TestGrabLog:

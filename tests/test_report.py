@@ -2,6 +2,8 @@ import csv
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resiscan.addrs import LongestPrefixMap, parse_address
 from resiscan.classify import LABEL_EXTERNAL, LABEL_INTERNAL, ClassifiedAddress
@@ -219,6 +221,17 @@ class TestYieldCdf:
         for (_, i0, e0), (_, i1, e1) in zip(rows, rows[1:]):
             assert i1 >= i0 and e1 >= e0
         assert rows[-1][1] == 1.0 and rows[-1][2] == 1.0
+
+    @given(st.lists(st.lists(st.integers(0, 60), min_size=2, max_size=2), max_size=40))
+    def test_equals_the_definition(self, counts):
+        # At each x, the share of /48s with at most x addresses, as the same
+        # integer count over the same n, so every formatted row keeps its bytes.
+        n = len(counts)
+        xs = range(max((max(c) for c in counts), default=-1) + 1)
+        assert yield_cdf(counts) == [
+            (x, sum(i <= x for i, _ in counts) / n, sum(e <= x for _, e in counts) / n)
+            for x in xs
+        ]
 
     def test_empty(self):
         assert yield_cdf([]) == []

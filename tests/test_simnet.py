@@ -209,7 +209,6 @@ class TestScenarioFile:
             broken(lambda d: net(d).update(subnets=["x"])),
             broken(lambda d: subnet(d).update(cpe=[])),
             broken(lambda d: subnet(d).update(hosts=[None])),
-            broken(lambda d: subnet(d).update(stub_services=[7])),
             broken(lambda d: host(d).update(services=[[23, "telnet"]])),
             # a required key missing
             broken(lambda d: d.pop("rng_seed")),
@@ -247,6 +246,17 @@ class TestScenarioFile:
                 pytest.fail(f"accepted {doc}")
 
     @pytest.mark.parametrize(
+        "record",
+        [lambda d: d, net, subnet, lambda d: subnet(d)["cpe"], host, lambda d: host(d)["services"][0]],
+        ids=["scenario", "net", "subnet", "cpe", "host", "service"],
+    )
+    def test_unknown_key_refused(self, record):
+        doc = minimal_doc()
+        record(doc)["aliassed"] = True
+        with pytest.raises(ScenarioError, match="malformed scenario document: .*unknown key 'aliassed'"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
         "prefix48", ["2001:db8:4100::/32", "2001:db8:1::/garbage", "2001:db8:1::", "2001:db8:1::/49"]
     )
     def test_prefix48_must_be_a_48(self, prefix48):
@@ -261,7 +271,7 @@ class TestScenarioFile:
         net(spelled_out).update(
             as_name="", country="zz", category="Internet Service Provider", connection="cable_dsl"
         )
-        subnet(spelled_out).update(aliased=False, stub_services=[])
+        subnet(spelled_out).update(aliased=False)
         subnet(spelled_out)["cpe"].update(
             initial_hop_limit=255, wan_mac=None, wan_iid=None, services=[]
         )
@@ -273,9 +283,9 @@ class TestScenarioFile:
         assert scenario_from_dict(minimal) == scenario_from_dict(spelled_out)
 
     def test_saved_bytes_known_answer(self, tmp_path):
-        # The document pin is the SHA-256 of the indented file the hand-written
-        # encoder first wrote for this scenario; the bytes pin is the compact
-        # one-line file save_scenario writes now.
+        # The document pin is the SHA-256 of the file re-indented with sorted
+        # keys, so it holds across layouts; the bytes pin is the compact
+        # one-line file save_scenario writes.
         params = ScenarioParams(
             n48=3,
             subnets_per_48=6,
@@ -298,11 +308,11 @@ class TestScenarioFile:
         raw = path.read_bytes()
         indented = json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(indented.encode()).hexdigest() == (
-            "83ab10bf4692a26c4f3cb225e6f0b5d6bec0c14fbe9035a7970aded9b5e3b2a9"
+            "4bb07fee660f01c544a75fd8d5940d4a9856341775867ca384ccabb1ad15e713"
         )
         assert raw.count(b"\n") == 1 and raw.endswith(b"\n")
         assert hashlib.sha256(raw).hexdigest() == (
-            "c7d3092ab77a1996593649f40765362851ea99b4e3505307d7e02b470ce7fe4c"
+            "c98435b6fba269342c89bdbfba6ac3ce315ad09309d86b3eeb73ff49777deb11"
         )
 
     def test_field_tables_cover_every_field(self):
@@ -408,7 +418,7 @@ class TestTransportRules:
 class TestServiceLookup:
     """Connector address text in any form reaches the endpoint registered for it."""
 
-    GREETING = {"text": "hello\r\n"}
+    GREETING = {"data_hex": b"hello\r\n".hex()}
 
     @staticmethod
     def backend():
@@ -431,7 +441,7 @@ class TestServiceLookup:
     )
     def test_text_forms_reach_the_endpoint(self, registered, asked):
         backend = self.backend()
-        backend.add_endpoint(registered, 21, "greeting", self.GREETING)
+        backend.add_endpoint(registered, 21, "banner", self.GREETING)
         assert self.greeting(backend, asked) == b"hello\r\n"
         assert len(backend.transcripts_for(registered, 21)) == 1
 
@@ -459,10 +469,9 @@ class TestServiceLookup:
         "subnet, where",
         [
             (make_subnet(1, hosts=[make_host(1, services=TYPO)]), "2001:db8:7:100::1"),
-            (make_subnet(2, aliased=True, stub_services=TYPO), "2001:db8:7:200::/56"),
             (make_subnet(3, cpe_services=TYPO), "3fff:"),
         ],
-        ids=["host", "alias-stub", "cpe"],
+        ids=["host", "cpe"],
     )
     def test_unknown_behavior_fails_the_load(self, subnet, where):
         scenario = make_scenario([make_net("2001:db8:7::", [subnet])])
@@ -496,14 +505,14 @@ class TestServiceLookup:
         assert [end.fileno() for pair in pairs for end in pair] == [-1, -1]
         assert backend.transcripts == []
 
-    def test_any_address_in_an_aliased_net_reaches_its_stub(self, tiny_scenario):
+    def test_aliased_net_refuses_every_connection(self, tiny_scenario):
+        # An aliased /56 echoes every probe, but no address in it serves a port.
         backend = SimServices(tiny_scenario)
         base = tiny_scenario.nets[0].prefix48 | (0x20 << SUBNET_SHIFT)
         for offset in (1, 0xDEAD, (0xFF << 64) | 0xFFFF_FFFF_FFFF_FFFF):
-            with backend.connect(format_address(base | offset), 23, timeout=2.0) as sock:
-                assert sock.recv(64).startswith(b"\xff\xfd")
-        with pytest.raises(ConnectionRefusedError, match="closed"):
-            backend.connect(format_address(base | 1), 22)  # no stub on this port
+            with pytest.raises(ConnectionRefusedError, match="closed"):
+                backend.connect(format_address(base | offset), 23)
+        assert backend.transcripts == []
 
 
 class TestGroundTruth:
@@ -548,7 +557,7 @@ class TestGroundTruth:
                     hosts=[make_host(1, services=[SimService(23, "telnet", {})])],
                     firewall=FIREWALL_DENY,
                 ),
-                make_subnet(3, aliased=True, stub_services=[SimService(23, "telnet", {})]),
+                make_subnet(3, aliased=True),
             ],
         )
         scenario = make_scenario([net])
