@@ -5,13 +5,13 @@ Banners are capped at 64 KiB. The connect, the TLS handshake and each send
 wait at most ``timeout``. The reads of one connection take at most
 ``timeout`` in all, however the peer spaces its bytes, and a read that gets
 no first byte in that time is a timeout. A server-speaks-first banner read
-also ends once the peer has been quiet for ``IDLE_READ_S`` after its last
-byte, because such peers (sshd, telnetd) send their banner and then wait
-for the client; HTTP and TLS reads run until the peer closes. Nothing is
-ever retried except the one sanctioned case: a "web" port that answers
-plaintext HTTP with a TLS handshake record gets a second connection
-speaking TLS, because some gateways serve their admin UI that way on
-port 80.
+also ends at the end of an ssh, ftp, smtp, pop3, imap or mysql greeting, or
+once the peer has been quiet for ``IDLE_READ_S`` after its last byte, since
+such peers send their banner and then wait for the client; HTTP and TLS
+reads run until the peer closes. Nothing is ever retried except the one
+sanctioned case: a "web" port that answers plaintext HTTP with a TLS
+handshake record gets a second connection speaking TLS, because some
+gateways serve their admin UI that way on port 80.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import base64
 import functools
 import itertools
 import logging
+import re
 import socket
 import struct
 import threading
@@ -43,8 +44,9 @@ BANNER_CAP = 64 * 1024
 LOCKDOWN_REPLY_CAP = 1 << 20  # anything larger is hostile or broken
 DEFAULT_TIMEOUT_S = 5.0
 # After the first byte of a server-speaks-first banner, this much quiet ends the
-# read. Chosen against the simulator, whose banners come in one write; how live
-# peers space their banner bytes is not measured here (see README).
+# read; it is what ends a telnet read, whose greeting has no end of its own, and
+# a greeting that stops short. Chosen against the simulator, whose banners come
+# in one write; how live peers space their bytes is not measured (see README).
 IDLE_READ_S = 0.25
 DEFAULT_PARALLELISM = 256
 USER_AGENT = "resiscan/0.1"  # default label: HTTP User-Agent and lockdown Label
@@ -72,8 +74,12 @@ def live_connector(address: str, port: int, timeout: float = DEFAULT_TIMEOUT_S, 
     """Real-socket connector for IPv6 address text."""
     if udp:
         sock = socket.socket(socket.AF_INET6, socket.SOCK_DGRAM)
-        sock.settimeout(timeout)
-        sock.connect((address, port))
+        try:
+            sock.settimeout(timeout)
+            sock.connect((address, port))
+        except BaseException:
+            sock.close()
+            raise
         return sock
     return socket.create_connection((address, port), timeout=timeout)
 
@@ -90,15 +96,16 @@ class _TlsOnPlainPort(Exception):
     """A plaintext web port answered with a TLS record."""
 
 
-def _read_until_close(sock, cap: int, idle: float | None = None) -> bytes:
+def _read_until_close(sock, cap: int, idle: float | None = None, complete=None) -> bytes:
     """Read at most cap bytes until the peer closes, within the socket's timeout in all.
 
     No byte in that time is a timeout. After the first byte, the end of the
     budget or a broken stream ends the read with what arrived so far, and so
-    does a peer quiet for ``idle`` seconds when ``idle`` is given.
+    does a peer quiet for ``idle`` seconds when ``idle`` is given, and bytes
+    that ``complete(buf, seen)`` finds whole, ``seen`` of them checked before.
     """
     deadline = time.monotonic() + sock.gettimeout()
-    buf = b""
+    buf = bytearray()
     while len(buf) < cap:
         try:
             data = sock.recv(min(8192, cap - len(buf)))
@@ -110,7 +117,10 @@ def _read_until_close(sock, cap: int, idle: float | None = None) -> bytes:
             break
         if not data:
             break
+        seen = len(buf)
         buf += data
+        if complete is not None and complete(buf, seen):
+            break
         wait = deadline - time.monotonic()
         if idle is not None:
             wait = min(idle, wait)
@@ -119,7 +129,7 @@ def _read_until_close(sock, cap: int, idle: float | None = None) -> bytes:
         sock.settimeout(wait)
     if not buf:
         raise _NoResponse("connection_closed")
-    return buf
+    return bytes(buf)
 
 
 def _http_request(address: str, label: str) -> bytes:
@@ -234,7 +244,7 @@ def _peer_common_name(tls_sock) -> str | None:
 
 
 def _grab_banner(sock, rec: GrabRecord, cap: int, label: str) -> None:
-    rec.banner = _read_until_close(sock, cap, idle=IDLE_READ_S)
+    rec.banner = _read_until_close(sock, cap, IDLE_READ_S, _GREETING_ENDS.get(rec.service))
 
 
 def _finish_http(rec: GrabRecord, raw: bytes) -> None:
@@ -324,6 +334,33 @@ def _grab_ntp(sock, rec: GrabRecord, cap: int, label: str) -> None:
         raise _NoResponse("protocol")
     rec.banner = bytes(reply)
 
+
+def _line_ends(pattern: bytes):
+    """A greeting that ends with the first whole line ``pattern`` matches at its
+    start; each check reads only the lines that its new bytes end."""
+    line = re.compile(pattern)
+
+    def complete(buf: bytearray, seen: int) -> bool:
+        end = buf.find(b"\n", seen)
+        if end < 0:
+            return False
+        start = buf.rfind(b"\n", 0, seen) + 1  # once per line, as it ends
+        while end >= 0 and not line.match(buf, start, end + 1):
+            start, end = end + 1, buf.find(b"\n", end + 1)
+        return end >= 0
+
+    return complete
+
+
+# Where a server-speaks-first greeting ends; other banner reads wait for quiet.
+_GREETING_ENDS = {
+    "ssh": _line_ends(rb"SSH-"),  # earlier lines may come first (RFC 4253 section 4.2)
+    "ftp": _line_ends(rb"\d{3}(?: |\r?\n)"),  # a reply's last line (RFC 959 section 4.2)
+    "smtp": _line_ends(rb"\d{3}(?: |\r?\n)"),  # the same (RFC 5321 section 4.2)
+    "pop3": _line_ends(rb""),  # the first line (RFC 1939)
+    "imap": _line_ends(rb""),  # the first line (RFC 9051)
+    "mysql": lambda buf, seen: len(buf) >= 4 + int.from_bytes(buf[:3], "little"),  # one packet
+}
 
 _PROBES = {
     KIND_BANNER: _grab_banner,

@@ -494,7 +494,8 @@ def generate_scenario(params: ScenarioParams, rng_seed: int) -> Scenario:
             elif wan_mode == WAN_LOW_IID:
                 wan_iid = rng.randrange(1, 11)
             cpe_services: list[SimService] = []
-            if rng.random() < params.cpe_service_probability:
+            # Drawn for every subnet so later draws stay put; nothing serves an aliased CPE.
+            if rng.random() < params.cpe_service_probability and not aliased:
                 cpe_services.append(
                     SimService(7547, "http", {"server": "cwmp-agent/2.1", "body": "ok"})
                 )

@@ -1,3 +1,4 @@
+import errno
 import functools
 import io
 import plistlib
@@ -10,7 +11,7 @@ import time
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -22,6 +23,7 @@ from conftest import (
     make_subnet,
 )
 from resiscan.grab import (
+    _GREETING_ENDS,
     _LOG_FIELDS,
     _PROBES,
     BANNER_CAP,
@@ -269,6 +271,62 @@ class TestBannerGrabs:
         assert rec.detail == "connection_closed"
 
 
+MYSQL_PAYLOAD = b"\x0a8.0.36\x00" + struct.pack("<I", 8) + b"salt-one\x00" + bytes(16)
+MYSQL_GREETING = len(MYSQL_PAYLOAD).to_bytes(3, "little") + b"\x00" + MYSQL_PAYLOAD
+GREETINGS = {
+    "ssh": b"SSH-2.0-OpenSSH_9.6\r\n",
+    "ftp": b"220-Welcome\r\n220 ready\r\n",
+    "smtp": b"220 mail.example ESMTP\r\n",
+    "pop3": b"+OK POP3 ready\r\n",
+    "imap": b"* OK [CAPABILITY IMAP4rev2] ready\r\n",
+    "mysql": MYSQL_GREETING,
+}
+
+
+def _holds_greeting(service: str, data: bytes) -> bool:
+    """Whether ``data`` holds ``service``'s whole greeting, read from the whole
+    buffer at once: the plain reference for the incremental checks."""
+    if service == "mysql":
+        return len(data) >= 4 and len(data) - 4 >= int.from_bytes(data[:3], "little")
+    lines = [line + b"\n" for line in data.split(b"\n")[:-1]]
+    if service == "ssh":
+        return any(line.startswith(b"SSH-") for line in lines)
+    if service in ("ftp", "smtp"):
+        return any(
+            line[:3].isdigit() and (line[3:4] == b" " or line[3:] in (b"\n", b"\r\n"))
+            for line in lines
+        )
+    return bool(lines)
+
+
+class _CountingBuffer(bytearray):
+    """A read buffer that counts the bytes its ``find`` and ``rfind`` pass over."""
+
+    scanned = 0
+
+    def find(self, sub, start=0):
+        i = super().find(sub, start)
+        self.scanned += (len(self) if i < 0 else i + 1) - start
+        return i
+
+    def rfind(self, sub, start, end):
+        i = super().rfind(sub, start, end)
+        self.scanned += end - max(i, start)
+        return i
+
+
+# Streams built from the pieces each greeting check turns on, and from any bytes.
+_GREETING_STREAMS = st.lists(
+    st.one_of(
+        st.sampled_from(
+            [b"\n", b"\r\n", b" ", b"-", b"220", b"22", b"0", b"SSH-", b"SSH", b"+OK", b"\x00", b"\x03"]
+        ),
+        st.binary(max_size=3),
+    ),
+    max_size=24,
+).map(b"".join)
+
+
 class TestReadDeadlines:
     """A read ends when the peer goes quiet after its first byte, or at ``timeout`` in all."""
 
@@ -369,6 +427,59 @@ class TestReadDeadlines:
         transcripts = env.transcripts_for(V6, spec.port)
         assert len(transcripts) == before + 1
         assert transcripts[-1].data == b""
+
+    @pytest.mark.parametrize("service", sorted(GREETINGS))
+    def test_greeting_ends_the_read(self, service):
+        # The peer holds the connection open: the read ends at the greeting's
+        # end, not IDLE_READ_S after its last byte.
+        rec, took = _paced_grab(spec_by_name(service), [(0, GREETINGS[service])], timeout=5.0)
+        assert (rec.outcome, rec.banner) == (OUTCOME_RESPONDED, GREETINGS[service])
+        assert took < 0.15
+
+    def test_ssh_lines_before_the_version_kept(self):
+        script = [(0, b"hello\r\n"), (0.05, b"SSH-2.0-x\r\n")]
+        rec, took = _paced_grab(spec_by_name("ssh"), script, timeout=5.0)
+        assert (rec.outcome, rec.banner) == (OUTCOME_RESPONDED, b"hello\r\nSSH-2.0-x\r\n")
+        assert took < 0.05 + 0.15
+
+    def test_mysql_packet_in_two_writes(self):
+        script = [(0, MYSQL_GREETING[:9]), (0.05, MYSQL_GREETING[9:])]
+        rec, took = _paced_grab(spec_by_name("mysql"), script, timeout=5.0)
+        assert (rec.outcome, rec.banner) == (OUTCOME_RESPONDED, MYSQL_GREETING)
+        assert took < 0.05 + 0.15
+
+    @given(st.sampled_from(sorted(_GREETING_ENDS)), _GREETING_STREAMS, st.lists(st.integers(1, 24)))
+    @example("ssh", b"SSH-2.0-x\r\n", [3, 5])
+    @example("ftp", b"220-a\r\n220 b\r\n", [2, 9, 1])
+    def test_greeting_check_agrees_with_whole_buffer(self, service, stream, sizes):
+        # The stream arrives in chunks of these sizes, then the rest in one.
+        complete, buf, sizes = _GREETING_ENDS[service], bytearray(), iter(sizes)
+        while len(buf) < len(stream):
+            seen = len(buf)
+            buf += stream[seen : seen + next(sizes, len(stream))]
+            found = complete(buf, seen)
+            assert found == _holds_greeting(service, bytes(buf))
+            if found:
+                break
+
+    @pytest.mark.parametrize(
+        "service, line",
+        [
+            pytest.param(service, line, id=f"{service}-{name}")
+            for service in sorted(_GREETING_ENDS)
+            for name, line in (("short-lines", b"x" * 99 + b"\n"), ("one-line", b"x" * BANNER_CAP))
+            if not _holds_greeting(service, line)
+        ],
+    )
+    def test_trickled_bytes_checked_a_bounded_number_of_times(self, service, line):
+        # One byte per recv up to the cap, with no greeting in it: each byte is
+        # passed over at most twice in all, not once per check.
+        data = (line * (BANNER_CAP // len(line) + 1))[:BANNER_CAP]
+        complete, buf = _GREETING_ENDS[service], _CountingBuffer()
+        for i in range(BANNER_CAP):
+            buf += data[i : i + 1]
+            assert not complete(buf, i)
+        assert buf.scanned <= 2 * BANNER_CAP
 
 
 class TestHttpGrabs:
@@ -758,6 +869,20 @@ class TestNtp:
         assert rec.banner[0] & 0x07 == 4
         assert len(rec.banner) == 48
 
+    def test_live_connect_failure_closes_the_socket(self, monkeypatch):
+        # A host with no IPv6 route fails the UDP connect; no DNS or network is used.
+        opened = []
+
+        class Unreachable(socket.socket):
+            def connect(self, address):
+                opened.append(self)
+                raise OSError(errno.ENETUNREACH, "Network is unreachable")
+
+        monkeypatch.setattr("resiscan.grab.socket.socket", Unreachable)
+        rec = grab(V6, spec_by_name("ntp"), timeout=1.0)
+        assert (rec.outcome, rec.detail) == (OUTCOME_ERROR, "OSError")
+        assert [sock.fileno() for sock in opened] == [-1]
+
 
 class TestOutcomePins:
     """Outcome, detail and filled fields for each way a scripted peer can answer."""
@@ -993,17 +1118,25 @@ class TestCampaign:
         )
 
     def test_own_failure_under_contention_stops_every_worker(self):
-        # Once the 50th connect fails, each of the 32 workers finishes at most
-        # the one pair it already holds, and the campaign raises.
+        # Once the 50th connect's failure is recorded, each of the 32 workers
+        # finishes at most the one pair it already holds, and the campaign
+        # raises. The failure is recorded only after it leaves grab(), so each
+        # later connect waits until the failing worker has stopped: a pair taken
+        # in between then holds its worker, as one taken before would.
         calls = []
+        failing = []
         lock = threading.Lock()
 
         def connector(address, port, timeout, udp=False):
             with lock:
                 calls.append((address, port))
                 n = len(calls)
+                if n == 50:
+                    failing.append(threading.current_thread())
             if n == 50:
                 raise RuntimeError("can't start new thread")
+            if n > 50:
+                failing[0].join(timeout=10)
             raise ConnectionRefusedError
 
         addresses = [f"2001:db8:9::{i:x}" for i in range(1, 151)]

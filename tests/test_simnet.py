@@ -308,11 +308,11 @@ class TestScenarioFile:
         raw = path.read_bytes()
         indented = json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(indented.encode()).hexdigest() == (
-            "4bb07fee660f01c544a75fd8d5940d4a9856341775867ca384ccabb1ad15e713"
+            "9ae53fc83050f2e95281f3799b5d826c9fc03cf1ad11947ecc35856325022252"
         )
         assert raw.count(b"\n") == 1 and raw.endswith(b"\n")
         assert hashlib.sha256(raw).hexdigest() == (
-            "c98435b6fba269342c89bdbfba6ac3ce315ad09309d86b3eeb73ff49777deb11"
+            "2b29db11b6987880740ee2b02338962899d3479c1fed588d3459d57d772ec01d"
         )
 
     def test_field_tables_cover_every_field(self):
@@ -661,6 +661,15 @@ class TestGenerator:
         path = tmp_path / "s.json"
         save_scenario(scenario, str(path))
         assert scenario_to_dict(load_scenario(str(path))) == scenario_to_dict(scenario)
+
+    def test_aliased_subnets_carry_no_cpe_service(self):
+        # Nothing serves or checks an aliased /56's CPE, so the generator gives it none.
+        params = ScenarioParams(n48=20, subnets_per_48=16, aliased_fraction=0.1, cpe_service_probability=0.5)
+        scenario = generate_scenario(params, 1)
+        subnets = [s for net in scenario.nets for s in net.subnets]
+        assert any(s.aliased for s in subnets)
+        assert not any(s.cpe.services for s in subnets if s.aliased)
+        assert any(s.cpe.services for s in subnets if not s.aliased)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ScenarioError):
