@@ -250,7 +250,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
         transport = SimTransport(_sim_scenario(cfg))
     try:
         log = probe.run_scan(
-            plan,
+            plan.addresses(),
             transport,
             os.urandom(16),  # per-scan token key, never stored: replies cannot be forged
             rate=rate,

@@ -84,13 +84,23 @@ class Transport(Protocol):
         ...
 
 
-@functools.lru_cache(maxsize=8)
-def _mac_state(secret: bytes):
-    """The token MAC keyed with ``secret``, keyed once; callers hash into a ``.copy()``."""
-    return hashlib.blake2b(key=secret, digest_size=12)
-
-
 _MAC_FIELDS = struct.Struct("!HH8s")  # the 12-byte MAC as ident, seq, payload tail
+
+
+@functools.lru_cache(maxsize=8)
+def _token_encoder(secret: bytes) -> Callable[[int], tuple[int, int, bytes]]:
+    """``encode_token`` for one secret. The MAC is keyed once, and each token
+    hashes into a copy of that state."""
+    copy, unpack = hashlib.blake2b(key=secret, digest_size=12).copy, _MAC_FIELDS.unpack
+
+    def encode(target: int) -> tuple[int, int, bytes]:
+        target_bytes = target.to_bytes(16, "big")
+        mac = copy()
+        mac.update(target_bytes)
+        ident, seq, tail = unpack(mac.digest())
+        return ident, seq, target_bytes + tail
+
+    return encode
 
 
 def encode_token(target: int, secret: bytes) -> tuple[int, int, bytes]:
@@ -101,23 +111,17 @@ def encode_token(target: int, secret: bytes) -> tuple[int, int, bytes]:
     the probed target is recoverable even when a reply arrives from a
     different source.
     """
-    target_bytes = target.to_bytes(16, "big")
-    mac = _mac_state(secret).copy()
-    mac.update(target_bytes)
-    ident, seq, tail = _MAC_FIELDS.unpack(mac.digest())
-    return ident, seq, target_bytes + tail
+    return _token_encoder(secret)(target)
 
 
 def validate_token(ident: int, seq: int, payload: bytes, secret: bytes) -> int | None:
     """Return the probed target if the token checks out, else None."""
     if len(payload) < TOKEN_LEN:
         return None
-    target_bytes = payload[:16]
-    mac = _mac_state(secret).copy()
-    mac.update(target_bytes)
-    if (ident, seq, payload[16:24]) != _MAC_FIELDS.unpack(mac.digest()):
+    target = int.from_bytes(payload[:16], "big")
+    if encode_token(target, secret) != (ident, seq, payload[:TOKEN_LEN]):
         return None
-    return int.from_bytes(target_bytes, "big")
+    return target
 
 
 class RateLimiter:
@@ -222,7 +226,7 @@ def _retry_send(exc: OSError, send, probe: tuple, errors: dict[str, int]) -> boo
 
 
 def run_scan(
-    plan: Iterable,
+    addresses: Iterable[int],
     transport: Transport,
     secret: bytes,
     *,
@@ -230,7 +234,7 @@ def run_scan(
     quiescence_s: float = DEFAULT_QUIESCENCE_S,
     progress: Callable[[int], None] | None = None,
 ) -> ScanLog:
-    """Send every plan target exactly once and collect validated responses.
+    """Probe each address once and collect validated responses.
 
     Probes are single-shot (no retransmission). Sending and receiving share
     one loop: every ``POLL_EVERY`` sends the transport is drained without
@@ -262,16 +266,16 @@ def run_scan(
         return bool(batch)
 
     send = transport.send
+    encode = _token_encoder(secret)
     pace = rate.wait if rate is not None else None
     sent = 0
     t0 = time.monotonic()
     try:
         try:
-            for target in plan:
+            for address in addresses:
                 if pace is not None:
                     pace()
-                address = target.address
-                ident, seq, payload = encode_token(address, secret)
+                ident, seq, payload = encode(address)
                 try:
                     send(address, ident, seq, payload)
                 except OSError as exc:

@@ -354,21 +354,23 @@ class SimServices:
         self._lock = threading.Lock()
         self._endpoints: dict[tuple[int, int], tuple] = {}  # (handler, params)
         for net, sub, _net56, wan in scenario.iter_subnets():
-            if sub.aliased:
-                continue
-            for svc in sub.cpe.services:
-                self._endpoints[(wan, svc.port)] = _served(svc, format_address(wan))
-            if sub.cpe.firewall != FIREWALL_ALLOW:
-                continue  # a default-deny CPE filters every host behind it
+            # Every behavior resolves, served or not, so a misspelt one fails the load.
+            cpe = {(wan, svc.port): _served(svc, wan) for svc in sub.cpe.services}
+            hosts = {}
             for host in sub.hosts:
                 address = scenario.host_address(net, sub, host)
                 for svc in host.services:
-                    self._endpoints[(address, svc.port)] = _served(svc, format_address(address))
+                    hosts[(address, svc.port)] = _served(svc, address)
+            if sub.aliased:
+                continue
+            self._endpoints.update(cpe)
+            if sub.cpe.firewall == FIREWALL_ALLOW:  # a default-deny CPE filters every host behind it
+                self._endpoints.update(hosts)
 
     def add_endpoint(self, address: str, port: int, behavior: str, params: dict | None = None) -> None:
         """Register an extra endpoint directly (tests)."""
-        served = _served(SimService(port, behavior, params or {}), address)
-        self._endpoints[(_key(address), port)] = served
+        key = _key(address)
+        self._endpoints[(key, port)] = _served(SimService(port, behavior, params or {}), key)
 
     def connect(self, address: str, port: int, timeout: float = 5.0, udp: bool = False):
         """Connector with live-socket semantics against the scenario."""
@@ -407,10 +409,11 @@ class SimServices:
         ]
 
 
-def _served(svc: SimService, where: str) -> tuple:
-    """(handler, params) of the endpoint ``svc`` at the address text ``where``."""
+def _served(svc: SimService, address: int) -> tuple:
+    """(handler, params) of the endpoint ``svc`` at ``address``."""
     handler = BEHAVIORS.get(svc.behavior)
     if handler is None:
+        where = format_address(address)
         raise ScenarioError(f"unknown behavior {svc.behavior!r} at {where} port {svc.port}")
     return handler, svc.params
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..addrs import IID_MASK, PREFIX48_MASK, SUBNET_SHIFT
+from ..addrs import IID_MASK, SUBNET_SHIFT
 from ..probe import ICMP6_DEST_UNREACH, ICMP6_ECHO_REPLY, IcmpEvent
 from .scenario import FIREWALL_ALLOW, Scenario
 
@@ -36,14 +36,14 @@ class SimTransport:
     def __init__(self, scenario: Scenario):
         self.sent = 0
         self._events: list[IcmpEvent] = []
-        # Flatten the scenario into int-keyed lookups for the hot path.
-        self._subnets: dict[int, dict[int, _SubnetView]] = {}
-        for net, sub, _net56, wan in scenario.iter_subnets():
+        # Flatten the scenario into one lookup keyed by the /56's top 56 bits.
+        self._subnets: dict[int, _SubnetView] = {}
+        for _net, sub, net56, wan in scenario.iter_subnets():
             hosts = {
                 h.iid: (h.initial_hop_limit, sub.cpe.base_distance + h.extra_hops)
                 for h in sub.hosts
             }
-            self._subnets.setdefault(net.prefix48, {})[sub.index] = _SubnetView(
+            self._subnets[net56 >> SUBNET_SHIFT] = _SubnetView(
                 aliased=sub.aliased,
                 allow=sub.cpe.firewall == FIREWALL_ALLOW,
                 wan=wan,
@@ -53,13 +53,10 @@ class SimTransport:
 
     def send(self, dst: int, ident: int, seq: int, payload: bytes) -> None:
         self.sent += 1
-        ts = self.sent * _TICK_US
-        by_index = self._subnets.get(dst & PREFIX48_MASK)
-        if by_index is None:
-            return
-        sub = by_index.get((dst >> SUBNET_SHIFT) & 0xFF)
+        sub = self._subnets.get(dst >> SUBNET_SHIFT)
         if sub is None:
             return
+        ts = self.sent * _TICK_US
         # An aliased /56 echoes from the probed address, an allowed host from
         # itself; anything else gets an error quoting the probe from the CPE.
         source, icmp_type, code, quoted = dst, ICMP6_ECHO_REPLY, 0, None

@@ -19,11 +19,12 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .addrs import IID_MASK, PREFIX56_MASK, SUBNET_SHIFT, format_address
+from .addrs import IID_MASK, PREFIX48_MASK, PREFIX56_MASK, SUBNET_SHIFT, format_address
 
 SUBNETS_PER_48 = 256
 LOW_IIDS_PER_56 = 10
@@ -35,7 +36,7 @@ KIND_LOW_IID = "low_iid"
 KIND_ALIAS = "alias_probe"
 
 
-@dataclass(slots=True)  # not frozen: one is built per probe, and frozen init costs 3x
+@dataclass(slots=True)  # not frozen: one is built per plan element, and frozen init costs 3x
 class ProbeTarget:
     address: int
 
@@ -115,18 +116,27 @@ class PlanError(ValueError):
     pass
 
 
+def _distinct_48s(seeds: tuple[int, ...]) -> bool:
+    """True if every seed is a /48 network and no /48 repeats."""
+    if any(s & ~PREFIX48_MASK for s in seeds):
+        return False
+    # Ascending seeds, the usual order of a seed file, need no set of millions.
+    return all(map(operator.lt, seeds, seeds[1:])) or len(set(seeds)) == len(seeds)
+
+
 class ScanPlan:
     """Lazy, seeded permutation of every probe target for a seed set.
 
-    Iterating yields each of the ``budget`` targets exactly once in permuted
-    order.  ``target_at`` maps a plan index to its target directly, and
-    ``iter_steps`` walks a half-open sub-range of the generator cycle so the
-    plan can be partitioned across senders without coordination.
+    ``addresses`` yields each of the ``budget`` probe addresses exactly once
+    in permuted order, as 128-bit ints; ``address_at`` maps a plan index to
+    its address directly.
     """
 
     def __init__(self, seeds: tuple[int, ...], rng_seed: int):
         if not seeds:
             raise PlanError("cannot plan a scan over zero seed prefixes")
+        if not _distinct_48s(seeds):  # else some address would be probed twice
+            raise PlanError("the seeds must be distinct /48 prefixes")
         self.seeds = seeds
         self.rng_seed = rng_seed
         self.budget = len(seeds) * TARGETS_PER_48
@@ -135,50 +145,50 @@ class ScanPlan:
         self._generator = _find_generator(self._modulus, rng)
         self._start = rng.randrange(1, self._modulus)
 
-    def target_at(self, index: int) -> ProbeTarget:
-        """Decode plan index -> concrete probe target (no permutation applied)."""
+    def address_at(self, index: int) -> int:
+        """Decode plan index -> probe address (no permutation applied)."""
         if not 0 <= index < self.budget:
             raise PlanError(f"index {index} outside budget {self.budget}")
-        seed = self.seeds[index // TARGETS_PER_48]
-        rest = index % TARGETS_PER_48
-        net56 = seed | ((rest // TARGETS_PER_56) << SUBNET_SHIFT)
-        slot = rest % TARGETS_PER_56
+        n, slot = divmod(index, TARGETS_PER_56)  # n counts /56s over all seeds
+        net56 = self.seeds[n >> 8] | ((n & 0xFF) << SUBNET_SHIFT)
         if slot < LOW_IIDS_PER_56:
-            return ProbeTarget(net56 | (slot + 1))
-        return ProbeTarget(alias_target_for(net56, self.rng_seed))
+            return net56 | (slot + 1)
+        return alias_target_for(net56, self.rng_seed)
 
     @property
     def cycle_len(self) -> int:
         return self._modulus - 1
 
-    def iter_steps(self, lo: int, hi: int) -> Iterator[ProbeTarget]:
-        """Targets emitted during generator-cycle steps [lo, hi).
+    def addresses(self, lo: int = 0, hi: int | None = None) -> Iterator[int]:
+        """Probe addresses emitted during generator-cycle steps [lo, hi).
 
         Steps with a skipped index (>= budget) emit nothing; the full range
-        [0, cycle_len) emits every target exactly once, so disjoint step
+        [0, cycle_len) emits every address exactly once, so disjoint step
         ranges partition the plan.
         """
+        hi = self.cycle_len if hi is None else hi
         if not 0 <= lo <= hi <= self.cycle_len:
             raise PlanError("step range outside the generator cycle")
-        p, g = self._modulus, self._generator
+        p, g, budget, address_at = self._modulus, self._generator, self.budget, self.address_at
         x = (self._start * pow(g, lo + 1, p)) % p
         for _ in range(hi - lo):
-            if x <= self.budget:
-                yield self.target_at(x - 1)
-            x = (x * g) % p
+            if x <= budget:
+                yield address_at(x - 1)
+            x = x * g % p
 
     def __iter__(self) -> Iterator[ProbeTarget]:
-        return self.iter_steps(0, self.cycle_len)
+        """``addresses()`` as ``ProbeTarget``s, for callers that read ``.address``."""
+        return map(ProbeTarget, self.addresses())
 
     def dump(self, fh, limit: int) -> int:
-        """Write the first ``limit`` targets of the permuted order as
+        """Write the first ``limit`` addresses of the permuted order as
         ``address,kind,prefix56`` lines; returns how many were written."""
         count = 0
-        for t in itertools.islice(self, limit):
-            n = probed_low_iid(t.address)
+        for address in itertools.islice(self.addresses(), limit):
+            n = probed_low_iid(address)
             kind = KIND_ALIAS if n is None else f"{KIND_LOW_IID}_{n}"
-            net56 = format_address(t.address & PREFIX56_MASK)
-            fh.write(f"{format_address(t.address)},{kind},{net56}/56\n")
+            net56 = format_address(address & PREFIX56_MASK)
+            fh.write(f"{format_address(address)},{kind},{net56}/56\n")
             count += 1
         return count
 
@@ -186,8 +196,8 @@ class ScanPlan:
 def build_plan(seeds, rng_seed: int) -> ScanPlan:
     """Build the scan plan for an ordered seed collection.
 
-    ``seeds`` may be a SeedSet or any iterable of /48 network ints. Budget is
-    always len(seeds) * 2816; nothing is materialized beyond the seed tuple.
+    ``seeds`` may be a SeedSet or any iterable of distinct /48 network ints.
+    Budget is always len(seeds) * 2816; no target is materialized.
     """
     return ScanPlan(tuple(seeds), rng_seed)
 

@@ -57,7 +57,7 @@ def _spec(name: str):
 def _scan_and_classify(scenario, rng_seed: int):
     seeds = sorted(net.prefix48 for net in scenario.nets)
     plan = build_plan(seeds, rng_seed)
-    log = run_scan(plan, SimTransport(scenario), SECRET, quiescence_s=0.0)
+    log = run_scan(plan.addresses(), SimTransport(scenario), SECRET, quiescence_s=0.0)
     assert log.complete and log.sent == plan.budget
     return classify_log(log.records, seeds=seeds, rng_seed=rng_seed)
 
@@ -203,7 +203,7 @@ def test_06_rate_compliance():
     base = 0x3FFD << 112
     seeds = [base | (k << 80) for k in range(18)]  # 18 x 2816 > 50,000
     plan = build_plan(seeds, 1)
-    targets = itertools.islice(iter(plan), 50_000)
+    targets = itertools.islice(plan.addresses(), 50_000)
     log = run_scan(
         targets,
         SimTransport(scenario),

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import errno
 import filecmp
+import hashlib
 import io
 import json
 import os
@@ -255,6 +256,20 @@ class TestDeterminism:
         match, mismatch, errors = filecmp.cmpfiles(run_a, run_b, files, shallow=False)
         assert mismatch == [] and errors == []
         assert sorted(match) == sorted(files)
+
+    def test_scan_responses_known_answer(self, tmp_path):
+        # Fixed deployment, fixed bytes: no change to the plan, the tokens, the
+        # send loop or the simulated transport may move one response record.
+        base = str(tmp_path)
+        gen = run_cli("--out", base, "--seed", "3", "simnet-gen", "--n48", "10", "--subnets", "24")
+        assert gen.code == 0, gen.err
+        results = run_stages(os.path.join(base, "config.json"), base, ["seed-filter", "scan"])
+        assert results["scan"].out.splitlines() == [
+            "scan: 8 seeds, budget 22528 probes",
+            "scan: sent 22528, kept 2112 responses, dropped 0 spurious, complete",
+        ]
+        digest = hashlib.sha256((tmp_path / "responses.csv").read_bytes()).hexdigest()
+        assert digest == "76d1544a0079d6d8d70e04ef104be8b7002dbc3cd423d297b438f2e17c88b193"
 
     def test_generation_reproducible_and_seed_sensitive(self, tmp_path):
         outs = {}

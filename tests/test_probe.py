@@ -147,11 +147,35 @@ class TestRateLimiter:
 def scan_scenario(scenario, seeds, rng_seed=3, **kw):
     plan = build_plan(seeds, rng_seed)
     transport = SimTransport(scenario)
-    log = run_scan(plan, transport, SECRET, quiescence_s=0.2, **kw)
+    log = run_scan(plan.addresses(), transport, SECRET, quiescence_s=0.2, **kw)
     return plan, transport, log
 
 
+class RecordingTransport(SimTransport):
+    """Keeps every probe as it was handed to ``send``."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.probes = []
+
+    def send(self, dst, ident, seq, payload):
+        self.probes.append((dst, ident, seq, payload))
+        super().send(dst, ident, seq, payload)
+
+
 class TestRunScan:
+    def test_each_address_sent_once_with_its_token(self, tiny_scenario):
+        seeds = [tiny_scenario.nets[0].prefix48, parse_address("2001:db8:11::")]
+        plan = build_plan(seeds, 9)
+        transport = RecordingTransport(tiny_scenario)
+        log = run_scan(plan.addresses(), transport, SECRET, quiescence_s=0.2)
+        assert log.complete and log.sent == len(transport.probes) == plan.budget
+        sent = [dst for dst, _, _, _ in transport.probes]
+        assert sent == list(plan.addresses())  # plan order, nothing dropped or added
+        assert len(set(sent)) == plan.budget  # one probe per address
+        for dst, ident, seq, payload in transport.probes:
+            assert (ident, seq, payload) == encode_token(dst, SECRET)
+
     def test_full_sweep_counts(self, tiny_scenario):
         seeds = [tiny_scenario.nets[0].prefix48]
         plan, transport, log = scan_scenario(tiny_scenario, seeds)
@@ -198,7 +222,7 @@ class TestRunScan:
                     timestamp_us=1,
                 )
             )
-        log = run_scan(plan, transport, SECRET, quiescence_s=0.2)
+        log = run_scan(plan.addresses(), transport, SECRET, quiescence_s=0.2)
         assert log.spurious == 5
         assert len(log.records) == 33
 
@@ -223,7 +247,7 @@ class TestRunScan:
                 timestamp_us=1,
             )
         )
-        log = run_scan(plan, transport, SECRET, quiescence_s=0.2)
+        log = run_scan(plan.addresses(), transport, SECRET, quiescence_s=0.2)
         assert log.spurious == 1
 
     def test_send_failure_aborts_with_partial_log(self, tiny_scenario):
@@ -238,7 +262,7 @@ class TestRunScan:
         _, _, full = scan_scenario(tiny_scenario, seeds)
         first = {t.address for _, t in zip(range(2000), plan)}
         t0 = time.monotonic()
-        log = run_scan(plan, FlakyTransport(tiny_scenario), SECRET, quiescence_s=30)
+        log = run_scan(plan.addresses(), FlakyTransport(tiny_scenario), SECRET, quiescence_s=30)
         assert time.monotonic() - t0 < 2.0
         assert not log.complete
         assert log.sent == 2000
@@ -270,7 +294,7 @@ class TestRunScan:
         _, _, full = scan_scenario(tiny_scenario, seeds)
         transport = FailingPoll(tiny_scenario)
         t0 = time.monotonic()
-        log = run_scan(plan, transport, SECRET, quiescence_s=30)
+        log = run_scan(plan.addresses(), transport, SECRET, quiescence_s=30)
         assert time.monotonic() - t0 < 2.0
         assert not log.complete
         assert log.sent == sent
@@ -285,7 +309,8 @@ class TestRunScan:
         seeds = [tiny_scenario.nets[0].prefix48]
         _, _, short = scan_scenario(tiny_scenario, seeds)
         t0 = time.monotonic()
-        log = run_scan(build_plan(seeds, 3), SimTransport(tiny_scenario), SECRET, quiescence_s=30)
+        addresses = build_plan(seeds, 3).addresses()
+        log = run_scan(addresses, SimTransport(tiny_scenario), SECRET, quiescence_s=30)
         assert time.monotonic() - t0 < 2.0
         assert log.complete
         assert len(log.records) == 33
@@ -320,7 +345,7 @@ class TestRunScan:
 
         plan = build_plan([tiny_scenario.nets[0].prefix48], 3)
         transport = LateTransport()
-        log = run_scan(plan, transport, SECRET, quiescence_s=0.3)
+        log = run_scan(plan.addresses(), transport, SECRET, quiescence_s=0.3)
         done = time.monotonic()
         assert log.complete
         assert [r.probed_target for r in log.records] == [next(iter(plan)).address]
@@ -332,11 +357,12 @@ class TestRunScan:
         # by scanning 37 seeds of nothing (budget > 100_000).
         net = make_net("2001:db8:77::", [make_subnet(0, hosts=[make_host(1)])])
         scenario = make_scenario([net])
-        seeds = [net.prefix48 | (i << 80) for i in range(37)]
+        seeds = [net.prefix48 + (i << 80) for i in range(37)]
         calls = []
         plan = build_plan(seeds, 1)
         run_scan(
-            plan, SimTransport(scenario), SECRET, quiescence_s=0.05, progress=calls.append
+            plan.addresses(), SimTransport(scenario), SECRET, quiescence_s=0.05,
+            progress=calls.append,
         )
         assert calls == [100_000]
 
@@ -368,7 +394,7 @@ class TestSendErrnoPolicy:
 
     @pytest.fixture()
     def full(self, tiny_scenario, plan):
-        return run_scan(plan, SimTransport(tiny_scenario), SECRET, quiescence_s=0.2)
+        return run_scan(plan.addresses(), SimTransport(tiny_scenario), SECRET, quiescence_s=0.2)
 
     @staticmethod
     def _answered(log):
@@ -379,7 +405,7 @@ class TestSendErrnoPolicy:
         codes = [errno.ENETUNREACH, errno.EHOSTUNREACH, errno.EHOSTUNREACH, errno.EADDRNOTAVAIL]
         faults = {dst: [_oserror(code)] for dst, code in zip(responsive, codes)}
         transport = FaultyTransport(tiny_scenario, faults)
-        log = run_scan(plan, transport, SECRET, quiescence_s=0.2)
+        log = run_scan(plan.addresses(), transport, SECRET, quiescence_s=0.2)
         assert log.complete
         assert log.send_errors == {"ENETUNREACH": 1, "EHOSTUNREACH": 2, "EADDRNOTAVAIL": 1}
         assert log.sent == transport.sent == plan.budget - 4
@@ -390,7 +416,7 @@ class TestSendErrnoPolicy:
         dst = next(iter(plan)).address
         faults = {dst: [_oserror(errno.ENOBUFS), BlockingIOError(errno.EAGAIN, "full")]}
         transport = FaultyTransport(tiny_scenario, faults)
-        log = run_scan(plan, transport, SECRET, quiescence_s=0.2)
+        log = run_scan(plan.addresses(), transport, SECRET, quiescence_s=0.2)
         assert log.complete
         assert log.send_errors == {}
         assert transport.tries == plan.budget + 2
@@ -401,7 +427,7 @@ class TestSendErrnoPolicy:
         dst = [t.address for t in plan][1500]
         faults = {dst: [_oserror(errno.ENOBUFS) for _ in range(SEND_TRIES + 1)]}
         transport = FaultyTransport(tiny_scenario, faults)
-        log = run_scan(plan, transport, SECRET, quiescence_s=30)
+        log = run_scan(plan.addresses(), transport, SECRET, quiescence_s=30)
         assert not log.complete
         assert log.sent == 1500
         assert transport.tries == 1500 + SEND_TRIES
@@ -414,7 +440,7 @@ class TestSendErrnoPolicy:
         dst = [t.address for t in plan][100]
         error = _oserror(code) if code is not None else OSError("socket gone")
         transport = FaultyTransport(tiny_scenario, {dst: [error]})
-        log = run_scan(plan, transport, SECRET, quiescence_s=30)
+        log = run_scan(plan.addresses(), transport, SECRET, quiescence_s=30)
         assert not log.complete
         assert log.sent == 100
         assert transport.tries == 101

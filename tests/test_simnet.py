@@ -470,8 +470,18 @@ class TestServiceLookup:
         [
             (make_subnet(1, hosts=[make_host(1, services=TYPO)]), "2001:db8:7:100::1"),
             (make_subnet(3, cpe_services=TYPO), "3fff:"),
+            # Endpoints that nothing serves still name a behavior that must exist.
+            (
+                make_subnet(1, aliased=True, hosts=[make_host(1, services=TYPO)]),
+                "2001:db8:7:100::1",
+            ),
+            (make_subnet(3, aliased=True, cpe_services=TYPO), "3fff:"),
+            (
+                make_subnet(4, firewall=FIREWALL_DENY, hosts=[make_host(2, services=TYPO)]),
+                "2001:db8:7:400::2",
+            ),
         ],
-        ids=["host", "cpe"],
+        ids=["host", "cpe", "aliased-host", "aliased-cpe", "denied-host"],
     )
     def test_unknown_behavior_fails_the_load(self, subnet, where):
         scenario = make_scenario([make_net("2001:db8:7::", [subnet])])

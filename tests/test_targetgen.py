@@ -36,10 +36,10 @@ def test_counting_constants():
 
 def test_low_iid_targets_are_the_first_ten_addresses():
     plan = ScanPlan((SEED48,), 1)
-    targets = [plan.target_at(i) for i in range(LOW_IIDS_PER_56)]
-    assert [t.address - SEED48 for t in targets] == list(range(1, 11))
-    assert [probed_low_iid(t.address) for t in targets] == list(range(1, 11))
-    assert {prefix56_of(t.address) for t in targets} == {SEED48}
+    targets = [plan.address_at(i) for i in range(LOW_IIDS_PER_56)]
+    assert [t - SEED48 for t in targets] == list(range(1, 11))
+    assert [probed_low_iid(t) for t in targets] == list(range(1, 11))
+    assert {prefix56_of(t) for t in targets} == {SEED48}
 
 
 class TestAliasProbe:
@@ -137,7 +137,7 @@ class TestPrimes:
 class TestScanPlan:
     def test_budget_scales_with_seeds(self):
         assert build_plan([SEED48], 1).budget == 2816
-        seeds = [SEED48 | (i << 80) for i in range(5)]
+        seeds = [SEED48 + (i << 80) for i in range(5)]
         assert build_plan(seeds, 1).budget == 5 * 2816
 
     def test_rejects_empty_seed_set(self):
@@ -186,44 +186,70 @@ class TestScanPlan:
         b = [t.address for t in build_plan([SEED48], 5)]
         assert a == b
 
-    def test_iter_steps_partitions_the_plan(self):
+    def test_address_ranges_partition_the_plan(self):
         plan = build_plan([SEED48], 21)
         cycle = plan.cycle_len
         cuts = [0, cycle // 5, cycle // 2, cycle - 7, cycle]
         pieces = []
         for lo, hi in zip(cuts, cuts[1:]):
-            pieces.extend(t.address for t in plan.iter_steps(lo, hi))
+            pieces.extend(plan.addresses(lo, hi))
+        assert pieces == list(plan.addresses())
         assert Counter(pieces) == Counter(t.address for t in plan)
         assert len(pieces) == plan.budget
 
-    def test_iter_steps_validates_range(self):
+    def test_addresses_validates_range(self):
         plan = build_plan([SEED48], 1)
         with pytest.raises(PlanError):
-            list(plan.iter_steps(5, 3))
+            list(plan.addresses(5, 3))
         with pytest.raises(PlanError):
-            list(plan.iter_steps(0, plan.cycle_len + 1))
+            list(plan.addresses(0, plan.cycle_len + 1))
+        with pytest.raises(PlanError):
+            list(plan.addresses(-1))
 
-    def test_target_at_bounds(self):
+    def test_address_at_bounds(self):
         plan = build_plan([SEED48], 1)
         with pytest.raises(PlanError):
-            plan.target_at(-1)
+            plan.address_at(-1)
         with pytest.raises(PlanError):
-            plan.target_at(plan.budget)
+            plan.address_at(plan.budget)
 
-    def test_target_at_decodes_structure(self):
+    def test_address_at_decodes_structure(self):
         seeds = [parse_address("2001:db8:1::"), parse_address("2001:db8:2::")]
         plan = build_plan(seeds, 2)
-        t0 = plan.target_at(0)
-        assert t0.address == seeds[0] | 1 and probed_low_iid(t0.address) == 1
-        t10 = plan.target_at(10)
-        assert probed_low_iid(t10.address) is None and prefix56_of(t10.address) == seeds[0]
+        t0 = plan.address_at(0)
+        assert t0 == seeds[0] | 1 and probed_low_iid(t0) == 1
+        t10 = plan.address_at(10)
+        assert probed_low_iid(t10) is None and prefix56_of(t10) == seeds[0]
+        # Slot 3 of the first seed's /56 number 0x2a.
+        assert plan.address_at(0x2A * TARGETS_PER_56 + 3) == seeds[0] | (0x2A << SUBNET_SHIFT) | 4
         # First slot of the second seed's first /56.
-        t = plan.target_at(TARGETS_PER_48)
-        assert t.address == seeds[1] | 1
+        assert plan.address_at(TARGETS_PER_48) == seeds[1] | 1
         # Last slot overall: alias probe of the last /56 of the last seed.
-        t_last = plan.target_at(plan.budget - 1)
-        assert probed_low_iid(t_last.address) is None
-        assert prefix56_of(t_last.address) == seeds[1] | (255 << SUBNET_SHIFT)
+        t_last = plan.address_at(plan.budget - 1)
+        assert t_last == alias_target_for(seeds[1] | (255 << SUBNET_SHIFT), 2)
+        assert prefix56_of(t_last) == seeds[1] | (255 << SUBNET_SHIFT)
+
+    def test_iteration_wraps_addresses(self):
+        # The plan's elements carry ``.address``; the walk underneath is addresses().
+        plan = build_plan([SEED48], 4)
+        targets = list(plan)
+        assert all(isinstance(t, ProbeTarget) for t in targets)
+        assert [t.address for t in targets] == list(plan.addresses())
+
+    def test_repeated_seed_refused(self):
+        # Each address of a repeated /48 would be probed twice.
+        with pytest.raises(PlanError, match="distinct /48"):
+            build_plan([SEED48, SEED48], 1)
+        with pytest.raises(PlanError, match="distinct /48"):
+            ScanPlan((SEED48, parse_address("2001:db8:2::"), SEED48), 1)
+        # Distinct seeds in any order are accepted.
+        assert build_plan([parse_address("2001:db8:2::"), SEED48], 1).budget == 2 * TARGETS_PER_48
+
+    @pytest.mark.parametrize("seed", ["2001:db8:1:500::7", "2001:db8:1:100::", "2001:db8:1::1"])
+    def test_seed_with_bits_below_48_refused(self, seed):
+        # 2001:db8:1:500::7 would give 2,816 targets over only 192 distinct addresses.
+        with pytest.raises(PlanError, match="distinct /48"):
+            build_plan([parse_address(seed)], 1)
 
     def test_first_targets_known_answer(self):
         # Fixed order and addresses: no change to the plan code may move them.
