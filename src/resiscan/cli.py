@@ -17,63 +17,54 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import json
 import os
+import shutil
 import sys
 
 from . import seedprep
 from .addrs import format_address
+from .csvio import open_output, write_rows
 
-DEFAULT_CONFIG = {
-    "seed_list": None,
-    "as_map": None,
-    "conn_map": None,
-    "oui_db": None,
-    "asn_geo": None,
-    "rng_seed": 1,
-    "rate_pps": None,
-    "probe_timeout_s": 8.0,
-    "grab_timeout_s": 5.0,
-    "grab_parallelism": 256,
-    "transport": {"mode": "sim", "scenario": None},
-    "output_dir": "out",
-    "operator_contact_url": None,
+# Each config key once: its default, the JSON types it takes with their name
+# in errors, and for a number that must be finite, the bound it must lie
+# above. A bool is not a number here, although Python counts it as an int.
+_TEXT = ((str, type(None)), "a string or null")
+_NUMBER = ((int, float), "a number")
+_INTEGER = ((int,), "an integer")
+_CONFIG = {
+    "seed_list": (None, _TEXT, None),
+    "as_map": (None, _TEXT, None),
+    "conn_map": (None, _TEXT, None),
+    "oui_db": (None, _TEXT, None),
+    "asn_geo": (None, _TEXT, None),
+    "rng_seed": (1, _INTEGER, None),
+    # The rate limiter refuses a rate below 1/s; a rate no number can hold fails here.
+    "rate_pps": (None, ((int, float, type(None)), "a number or null"), -float("inf")),
+    "probe_timeout_s": (8.0, _NUMBER, 0),
+    "grab_timeout_s": (5.0, _NUMBER, 0),
+    "grab_parallelism": (256, _INTEGER, 0),
+    "transport": ({"mode": "sim", "scenario": None}, ((dict,), "an object"), None),
+    "output_dir": ("out", ((str,), "a string"), None),
+    "operator_contact_url": (None, _TEXT, None),
 }
+DEFAULT_CONFIG = {key: default for key, (default, _types, _bound) in _CONFIG.items()}
 
-# The JSON type each config key takes, and its name in errors. A bool is
-# not a number here, although Python counts it as an int.
-_OPTIONAL_TEXT = ((str, type(None)), "a string or null")
-CONFIG_TYPES = {
-    **dict.fromkeys(
-        ("seed_list", "as_map", "conn_map", "oui_db", "asn_geo", "operator_contact_url"),
-        _OPTIONAL_TEXT,
+# What each stage writes under output_dir. A stage removes its own outputs
+# when it starts and when it fails, and a missing input names its writer.
+_OUTPUTS = {
+    "seed-filter": ("seeds.txt", "seed_stats.json"),
+    "plan": ("plan_preview.txt",),
+    "scan": ("responses.csv",),
+    "classify": ("classified.csv", "classify_stats.json"),
+    "grab": ("grabs.csv",),
+    "fingerprint": ("fingerprints.csv", "hp_printers.csv", "eui64.csv"),
+    "report": ("report",),  # a directory of tables
+    "simnet-gen": (
+        "scenario.json", "seeds_all.txt", "as_map.csv", "conn_map.csv", "asn_geo.csv", "oui.csv",
+        "config.json",
     ),
-    **dict.fromkeys(("rng_seed", "grab_parallelism"), ((int,), "an integer")),
-    **dict.fromkeys(("probe_timeout_s", "grab_timeout_s"), ((int, float), "a number")),
-    "rate_pps": ((int, float, type(None)), "a number or null"),
-    "transport": ((dict,), "an object"),
-    "output_dir": ((str,), "a string"),
-}
-
-# Stage outputs, all under output_dir.
-SEEDS_FILE = "seeds.txt"
-SEED_STATS_FILE = "seed_stats.json"
-RESPONSES_FILE = "responses.csv"
-CLASSIFIED_FILE = "classified.csv"
-CLASSIFY_STATS_FILE = "classify_stats.json"
-GRABS_FILE = "grabs.csv"
-FINGERPRINTS_FILE = "fingerprints.csv"
-EUI64_FILE = "eui64.csv"
-HP_PRINTERS_FILE = "hp_printers.csv"
-REPORT_DIR = "report"
-# The stage that writes each stage file that a later stage reads, named when
-# the file is missing.
-_PRODUCERS = {
-    SEEDS_FILE: "seed-filter",
-    RESPONSES_FILE: "scan",
-    CLASSIFIED_FILE: "classify",
-    GRABS_FILE: "grab",
-    FINGERPRINTS_FILE: "fingerprint",
 }
 
 
@@ -89,14 +80,18 @@ def load_config(path: str | None) -> dict:
                 loaded = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except OSError as exc:  # a directory, say
+            raise ConfigError(f"config file cannot be read: {path}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8 text: {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {path}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in loaded.items():
-            if key not in CONFIG_TYPES:
+            if key not in _CONFIG:
                 raise ConfigError(f"unknown config key: {key!r}")
-            _check_type(key, value, *CONFIG_TYPES[key])
+            _check_type(key, value, *_CONFIG[key][1])
             if key == "transport":
                 for name in value:
                     if name not in DEFAULT_CONFIG["transport"]:
@@ -107,16 +102,12 @@ def load_config(path: str | None) -> dict:
     mode = cfg["transport"]["mode"]
     if mode not in ("sim", "live"):
         raise ConfigError(f"transport.mode must be 'sim' or 'live', got {mode!r}")
-    _check_type("transport.scenario", cfg["transport"]["scenario"], *_OPTIONAL_TEXT)
-    for key in ("probe_timeout_s", "grab_timeout_s", "grab_parallelism"):
-        if not 0 < cfg[key] < float("inf"):  # NaN fails too
-            raise ConfigError(
-                f"config value {key!r} must be positive and finite, got {json.dumps(cfg[key])}"
-            )
-    # The rate limiter refuses a rate below 1/s; a rate no number can hold fails here.
-    rate = cfg["rate_pps"]
-    if rate is not None and not -float("inf") < rate < float("inf"):  # NaN fails too
-        raise ConfigError(f"config value 'rate_pps' must be finite, got {json.dumps(rate)}")
+    _check_type("transport.scenario", cfg["transport"]["scenario"], *_TEXT)
+    for key, (_default, _types, low) in _CONFIG.items():
+        value = cfg[key]
+        if low is not None and value is not None and not low < value < float("inf"):  # NaN too
+            what = "positive and finite" if low == 0 else "finite"
+            raise ConfigError(f"config value {key!r} must be {what}, got {json.dumps(value)}")
     return cfg
 
 
@@ -139,12 +130,6 @@ def _require_operator_contact(cfg: dict) -> str:
     )
 
 
-def _outpath(cfg: dict, name: str) -> str:
-    outdir = cfg["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
-    return os.path.join(outdir, name)
-
-
 def _read_stage(cfg: dict, name: str, reader, optional: bool = False):
     """Records of a stage file under output_dir, read by ``reader``; None if
     an ``optional`` file is missing."""
@@ -154,24 +139,39 @@ def _read_stage(cfg: dict, name: str, reader, optional: bool = False):
     except FileNotFoundError:
         if optional:
             return None
-        raise FileNotFoundError(f"no {name} at {path}; run {_PRODUCERS[name]} first") from None
+        writer = next(stage for stage, names in _OUTPUTS.items() if name in names)
+        raise FileNotFoundError(f"no {name} at {path}; run {writer} first") from None
     with fh:
         return reader(fh)
 
 
 def _read_seeds(fh) -> seedprep.SeedSet:
-    return seedprep.parse_prefix_list(fh.read())
+    try:
+        text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{fh.name}: {exc}") from None
+    return seedprep.parse_prefix_list(text)
 
 
 def _write_stage(cfg: dict, name: str):
-    """A CSV stage file under output_dir, opened for writing."""
-    return open(_outpath(cfg, name), "w", encoding="utf-8", newline="")
+    """A stage output under output_dir, opened for writing by ``open_output``."""
+    return open_output(os.path.join(cfg["output_dir"], name))
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_json(cfg: dict, name: str, obj) -> None:
+    with _write_stage(cfg, name) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _remove_outputs(cfg: dict, stage: str) -> None:
+    """Remove what ``stage`` writes under output_dir, and any ``.tmp`` left of it."""
+    for name in _OUTPUTS[stage]:
+        path = os.path.join(cfg["output_dir"], name)
+        remove = shutil.rmtree if name == "report" else os.remove
+        for target in (path, f"{path}.tmp"):
+            with contextlib.suppress(FileNotFoundError):
+                remove(target)
 
 
 # The stages reach the simulator through these two; perfbench's tracer wraps them.
@@ -202,16 +202,16 @@ def cmd_seed_filter(cfg: dict, args: argparse.Namespace) -> int:
     as_path = _require(cfg, "as_map", "prefix-to-AS category map")
     conn_path = _require(cfg, "conn_map", "prefix-to-connection-type map")
     with open(seed_path, encoding="utf-8") as fh:
-        seeds = seedprep.parse_prefix_list(fh.read())
+        seeds = _read_seeds(fh)
     filtered = seedprep.filter_seeds(
         seeds, seedprep.load_as_map(as_path), seedprep.load_connection_map(conn_path)
     )
-    with open(_outpath(cfg, SEEDS_FILE), "w", encoding="utf-8") as fh:
+    with _write_stage(cfg, "seeds.txt") as fh:
         for p48 in filtered.prefixes:
             fh.write(f"{format_address(p48)}/48\n")
     stats = dict(seeds.provenance)
     stats.update(filtered.provenance)
-    _write_json(_outpath(cfg, SEED_STATS_FILE), stats)
+    _write_json(cfg, "seed_stats.json", stats)
     print(
         f"seed-filter: {stats['input']} in, {stats['after_category']} residential-AS, "
         f"{stats['after_connection']} kept"
@@ -222,11 +222,11 @@ def cmd_seed_filter(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_plan(cfg: dict, args: argparse.Namespace) -> int:
     from . import targetgen
 
-    seeds = _read_stage(cfg, SEEDS_FILE, _read_seeds)
+    seeds = _read_stage(cfg, "seeds.txt", _read_seeds)
     plan = targetgen.build_plan(seeds, cfg["rng_seed"])
     print(f"plan: {len(plan.seeds)} seeds, budget {plan.budget} probes")
     if args.dump:
-        with open(_outpath(cfg, "plan_preview.txt"), "w", encoding="utf-8") as fh:
+        with _write_stage(cfg, "plan_preview.txt") as fh:
             count = plan.dump(fh, args.dump)
         print(f"plan: wrote first {count} targets to plan_preview.txt")
     return 0
@@ -235,7 +235,7 @@ def cmd_plan(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     from . import probe, targetgen
 
-    seeds = _read_stage(cfg, SEEDS_FILE, _read_seeds)
+    seeds = _read_stage(cfg, "seeds.txt", _read_seeds)
     plan = targetgen.build_plan(seeds, cfg["rng_seed"])
     print(f"scan: {len(plan.seeds)} seeds, budget {plan.budget} probes")
 
@@ -259,7 +259,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     finally:
         if mode == "live":
             transport.close()  # the raw socket
-    with _write_stage(cfg, RESPONSES_FILE) as fh:
+    with _write_stage(cfg, "responses.csv") as fh:
         probe.write_response_log(sorted(log.records, key=lambda r: (r.probed_target, r.source)), fh)
     status = "complete" if log.complete else "ABORTED (partial log)"
     skipped = "".join(
@@ -275,12 +275,12 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
     from . import classify, probe
 
-    seeds = _read_stage(cfg, SEEDS_FILE, _read_seeds)
-    records = _read_stage(cfg, RESPONSES_FILE, probe.read_response_log)
+    seeds = _read_stage(cfg, "seeds.txt", _read_seeds)
+    records = _read_stage(cfg, "responses.csv", probe.read_response_log)
     result = classify.classify_log(
         records, seeds=seeds.prefixes, rng_seed=cfg["rng_seed"]
     )
-    with _write_stage(cfg, CLASSIFIED_FILE) as fh:
+    with _write_stage(cfg, "classified.csv") as fh:
         classify.write_classification(result.classified, fh)
     labels = collections.Counter(c.label for c in result.classified)
     stats = {
@@ -292,7 +292,7 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
         ),
         "anomalous": len(result.anomalous),
     }
-    _write_json(_outpath(cfg, CLASSIFY_STATS_FILE), stats)
+    _write_json(cfg, "classify_stats.json", stats)
     print(
         f"classify: {stats['internal']} internal, {stats['external']} external, "
         f"{len(result.aliased_nets)} aliased /56s, {stats['anomalous']} anomalous"
@@ -303,7 +303,7 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
     from . import classify, grab, services
 
-    classified = _read_stage(cfg, CLASSIFIED_FILE, classify.read_classification)
+    classified = _read_stage(cfg, "classified.csv", classify.read_classification)
     addresses = [format_address(c.address) for c in classified]
     label = grab.USER_AGENT
     if cfg["transport"]["mode"] == "live":
@@ -321,7 +321,7 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
         timeout=float(cfg["grab_timeout_s"]),
         label=label,
     )
-    with _write_stage(cfg, GRABS_FILE) as fh:
+    with _write_stage(cfg, "grabs.csv") as fh:
         grab.write_grab_log(records, fh)
     responded = sum(1 for r in records if r.outcome == grab.OUTCOME_RESPONDED)
     print(f"grab: {len(records)} attempts over {len(addresses)} addresses, {responded} responded")
@@ -330,18 +330,17 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
 
 def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
     from . import classify, fingerprint, grab
-    from .csvio import write_rows
 
-    grabs = _read_stage(cfg, GRABS_FILE, grab.read_grab_log)
+    grabs = _read_stage(cfg, "grabs.csv", grab.read_grab_log)
     hits = fingerprint.fingerprint_records(grabs)
-    with _write_stage(cfg, FINGERPRINTS_FILE) as fh:
+    with _write_stage(cfg, "fingerprints.csv") as fh:
         fingerprint.write_fingerprints(hits, fh)
 
     printers = sorted(
         fingerprint.dedupe_printers(fingerprint.collect_hp_printers(grabs)),
         key=lambda p: (p.serial, p.address),
     )
-    with _write_stage(cfg, HP_PRINTERS_FILE) as fh:
+    with _write_stage(cfg, "hp_printers.csv") as fh:
         write_rows(
             fh,
             ((p.address, p.model, p.serial, p.build or "") for p in printers),
@@ -349,7 +348,7 @@ def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
         )
 
     oui_db = fingerprint.load_oui_db(cfg["oui_db"]) if cfg.get("oui_db") else {}
-    classified = _read_stage(cfg, CLASSIFIED_FILE, classify.read_classification)
+    classified = _read_stage(cfg, "classified.csv", classify.read_classification)
     rows = []
     for c in classified:
         mac = fingerprint.extract_eui64(c.address)
@@ -357,7 +356,7 @@ def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
             continue
         vendor = fingerprint.oui_vendor(mac, oui_db) or ""
         rows.append((format_address(c.address), mac, vendor))
-    with _write_stage(cfg, EUI64_FILE) as fh:
+    with _write_stage(cfg, "eui64.csv") as fh:
         write_rows(fh, sorted(set(rows)), header=("address", "mac", "vendor"))
     print(
         f"fingerprint: {len(hits)} device hits, {len(printers)} distinct printers, "
@@ -370,10 +369,10 @@ def cmd_report(cfg: dict, args: argparse.Namespace) -> int:
     from . import classify, fingerprint, grab, report
 
     geo_path = _require(cfg, "asn_geo", "prefix/ASN/name/country registry table")
-    classified = _read_stage(cfg, CLASSIFIED_FILE, classify.read_classification)
-    grabs = _read_stage(cfg, GRABS_FILE, grab.read_grab_log)
-    hits = _read_stage(cfg, FINGERPRINTS_FILE, fingerprint.read_fingerprints, optional=True)
-    seeds = _read_stage(cfg, SEEDS_FILE, _read_seeds, optional=True)
+    classified = _read_stage(cfg, "classified.csv", classify.read_classification)
+    grabs = _read_stage(cfg, "grabs.csv", grab.read_grab_log)
+    hits = _read_stage(cfg, "fingerprints.csv", fingerprint.read_fingerprints, optional=True)
+    seeds = _read_stage(cfg, "seeds.txt", _read_seeds, optional=True)
     tables = report.aggregate(
         classified,
         grabs,
@@ -381,7 +380,7 @@ def cmd_report(cfg: dict, args: argparse.Namespace) -> int:
         report.load_asn_geo(geo_path),
         seed_total=None if seeds is None else len(seeds),
     )
-    outdir = _outpath(cfg, REPORT_DIR)
+    outdir = os.path.join(cfg["output_dir"], "report")
     files = report.emit(tables, outdir)
     print(f"report: {len(files)} tables under {outdir}")
     return 0
@@ -422,7 +421,7 @@ def cmd_simnet_gen(cfg: dict, args: argparse.Namespace) -> int:
         "oui.csv": sim.oui_lines(),
     }
     for name, text in emitted.items():
-        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+        with _write_stage(cfg, name) as fh:
             fh.write(text)
     config = dict(DEFAULT_CONFIG)
     config.update(
@@ -437,7 +436,7 @@ def cmd_simnet_gen(cfg: dict, args: argparse.Namespace) -> int:
             "output_dir": outdir,
         }
     )
-    _write_json(os.path.join(outdir, "config.json"), config)
+    _write_json(cfg, "config.json", config)
     n_hosts = sum(len(sub.hosts) for net in scenario.nets for sub in net.subnets)
     print(
         f"simnet-gen: {len(scenario.nets)} /48s, {n_hosts} hosts; "
@@ -500,7 +499,12 @@ def main(argv: list[str] | None = None) -> int:
             cfg["rng_seed"] = args.seed
         if args.out is not None:
             cfg["output_dir"] = args.out
-        return COMMANDS[args.command](cfg, args)
+        _remove_outputs(cfg, args.command)
+        try:
+            return COMMANDS[args.command](cfg, args)
+        except BaseException:
+            _remove_outputs(cfg, args.command)
+            raise
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

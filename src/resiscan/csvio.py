@@ -1,4 +1,5 @@
-"""The one CSV codec behind every file the pipeline writes or reads.
+"""The one CSV codec behind every file the pipeline writes or reads, and
+the one way a stage output is opened for writing (``open_output``).
 
 Rows end in ``\n`` and fields are quoted only where they must be. Readers
 skip blank rows and rows whose first field starts with ``#``; a wrong
@@ -11,8 +12,27 @@ mapping between a record and its row.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 from typing import Callable, Iterable, Iterator, Sequence
+
+
+@contextlib.contextmanager
+def open_output(path: str):
+    """``path`` opened for writing UTF-8 text with ``newline=""``, its directory
+    made as needed. The text goes to ``<path>.tmp``, which replaces ``path``
+    only when the block ends without error and is removed otherwise, so
+    ``path`` holds one whole write or is left as it was."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
 
 
 def write_rows(fh, rows: Iterable[Sequence], header: Sequence[str] | None = None) -> None:

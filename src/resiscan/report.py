@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .addrs import LongestPrefixMap, format_address, prefix48_of
 from .classify import LABEL_INTERNAL, ClassifiedAddress, pair_deltas, split_by_net
-from .csvio import write_rows
+from .csvio import open_output, write_rows
 from .fingerprint import FingerprintHit
 from .grab import OUTCOME_RESPONDED, GrabRecord
 from .services import default_services
@@ -184,8 +184,7 @@ def yield_cdf(counts: list[list[int]]) -> list[tuple[int, float, float]]:
 
 def emit(tables: dict[str, tuple[list[str], list]], outdir: str) -> list[str]:
     """Write each table to its file under outdir; returns the file names."""
-    os.makedirs(outdir, exist_ok=True)
     for name, (header, rows) in tables.items():
-        with open(os.path.join(outdir, name), "w", newline="", encoding="utf-8") as fh:
+        with open_output(os.path.join(outdir, name)) as fh:
             write_rows(fh, rows, header)
     return list(tables)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -23,14 +24,16 @@ from resiscan import grab as grab_mod
 from resiscan import probe as probe_mod
 from resiscan import report as report_mod
 from resiscan import seedprep as seedprep_mod
+from resiscan import targetgen as targetgen_mod
 from resiscan.addrs import format_address, parse_address
-from resiscan.cli import CONFIG_TYPES, DEFAULT_CONFIG, ConfigError, load_config, main
+from resiscan.cli import DEFAULT_CONFIG, ConfigError, load_config, main
 from resiscan.seedprep import RESIDENTIAL_CATEGORY, RESIDENTIAL_CONNECTIONS
 from resiscan.services import default_services
 from resiscan.simnet import load_scenario, save_scenario
 from resiscan.simnet.scenario import expected_grab_outcomes, ground_truth
 
 PROBES_PER_SEED = 2816
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run_cli(*argv):
@@ -305,7 +308,6 @@ class TestConfigHandling:
             load_config(str(p))
 
     def test_every_default_passes_its_type_check(self, tmp_path):
-        assert CONFIG_TYPES.keys() == DEFAULT_CONFIG.keys()
         p = tmp_path / "c.json"
         p.write_text(json.dumps(DEFAULT_CONFIG))
         assert load_config(str(p)) == DEFAULT_CONFIG
@@ -372,6 +374,27 @@ class TestConfigHandling:
         res = run_cli("--config", str(tmp_path / "absent.json"), "plan")
         assert res.code == 2
         assert "not found" in res.err
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda p: p.write_bytes(b"\xff\xfe{}"), "is not UTF-8 text: {}: 'utf-8' codec"),
+            (lambda p: p.mkdir(), "cannot be read: {}: "),
+        ],
+        ids=["not-utf8", "directory"],
+    )
+    def test_unreadable_config_is_config_error(self, tmp_path, make, message):
+        path = tmp_path / "cfg"
+        make(path)
+        res = run_cli("--config", str(path), "plan")
+        assert res.code == 2
+        assert res.err.startswith("config error: config file " + message.format(path))
+
+    def test_readme_config_block_is_the_defaults(self):
+        with open(README, encoding="utf-8") as fh:
+            section = fh.read().split("\n## Configuration\n", 1)[1]
+        block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        assert json.loads(re.sub(r"//.*", "", block)) == DEFAULT_CONFIG
 
     def test_missing_input_named_in_error(self, tmp_path):
         res = run_cli("--out", str(tmp_path), "seed-filter")
@@ -723,6 +746,18 @@ class TestHostileFiles:
         assert (res.code, res.err) == (1, "error: can't start new thread\n")
         assert not (tmp_path / "grabs.csv").exists()
 
+    @pytest.mark.parametrize("stage", ["seed-filter", "plan"])
+    def test_seed_text_not_utf8_names_its_file(self, tmp_path, stage):
+        path = tmp_path / ("seeds_all.txt" if stage == "seed-filter" else "seeds.txt")
+        path.write_bytes(b"2001:db8::/48\n\xff\n")
+        lists = {"seed_list": str(path), "as_map": "as.csv", "conn_map": "conn.csv"}
+        res = run_cli("--config", write_config(str(tmp_path), lists), "--out", str(tmp_path), stage)
+        assert res.code == 1
+        assert res.err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 14: "
+            "invalid start byte\n"
+        )
+
     def test_oversized_field_fails_stage_with_message(self, tmp_path):
         gen = run_cli("--out", str(tmp_path), "simnet-gen")
         assert gen.code == 0, gen.err
@@ -731,6 +766,113 @@ class TestHostileFiles:
         res = run_cli("--config", str(tmp_path / "config.json"), "seed-filter")
         assert res.code == 1
         assert res.err.startswith("error: as map line")
+
+
+def _fail_on_call(real, n):
+    """``real``, made to raise on its ``n``-th call."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n:
+            raise RuntimeError("injected fault")
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
+def _tree(root):
+    return {
+        os.path.relpath(os.path.join(d, n), root) for d, _dirs, names in os.walk(root) for n in names
+    }
+
+
+class TestStageOutputs:
+    """An output is there only when its stage wrote it whole."""
+
+    @pytest.fixture()
+    def run_dir(self, pipeline, tmp_path):
+        """A copy of the pipeline's outputs, every stage's among them."""
+        out = str(tmp_path / "run")
+        shutil.copytree(pipeline.dir, out)
+        return out
+
+    @pytest.mark.parametrize(
+        "argv, module, name, n, outputs",
+        [
+            (["seed-filter"], cli_mod, "_write_json", 1, ["seeds.txt", "seed_stats.json"]),
+            (["plan", "--dump", "5"], targetgen_mod.ScanPlan, "dump", 1, ["plan_preview.txt"]),
+            (["scan"], probe_mod, "run_scan", 1, ["responses.csv"]),
+            (["classify"], cli_mod, "_write_json", 1, ["classified.csv", "classify_stats.json"]),
+            (["grab"], grab_mod, "run_grab_campaign", 1, ["grabs.csv"]),
+            (
+                ["fingerprint"], fingerprint_mod, "extract_eui64", 1,
+                ["fingerprints.csv", "hp_printers.csv", "eui64.csv"],
+            ),
+            (["report"], report_mod, "write_rows", 4, ["report"]),
+            (
+                ["simnet-gen"], cli_mod, "_write_json", 1,
+                ["scenario.json", "seeds_all.txt", "as_map.csv", "conn_map.csv",
+                 "asn_geo.csv", "oui.csv", "config.json"],
+            ),
+        ],
+        ids=["seed-filter", "plan", "scan", "classify", "grab", "fingerprint", "report", "simnet-gen"],
+    )
+    def test_failed_stage_leaves_none_of_its_outputs(
+        self, pipeline, run_dir, monkeypatch, argv, module, name, n, outputs
+    ):
+        before = _tree(run_dir)
+        assert {p.split(os.sep)[0] for p in before} >= set(outputs)
+        monkeypatch.setattr(module, name, _fail_on_call(getattr(module, name), n))
+        res = run_cli("--config", pipeline.config, "--out", run_dir, *argv)
+        assert (res.code, res.err) == (1, "error: injected fault\n")
+        # Only this stage's outputs are gone, and no .tmp is left.
+        assert _tree(run_dir) == {p for p in before if p.split(os.sep)[0] not in outputs}
+
+    def test_writer_raising_after_n_rows_leaves_no_output(self, pipeline, run_dir, monkeypatch):
+        real = grab_mod.write_grab_log
+
+        def torn(records, fh):
+            real(records[:10], fh)
+            fh.flush()
+            assert fh.name.endswith("grabs.csv.tmp") and os.path.getsize(fh.name) > 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(grab_mod, "write_grab_log", torn)
+        res = run_cli("--config", pipeline.config, "--out", run_dir, "grab")
+        assert (res.code, res.err) == (1, "error: [Errno 28] No space left on device\n")
+        assert not [n for n in os.listdir(run_dir) if n.startswith("grabs.csv")]
+
+    def test_stage_removes_its_outputs_when_it_starts(self, pipeline, run_dir, monkeypatch):
+        # A .tmp left by a run that was killed goes too.
+        with open(os.path.join(run_dir, "grabs.csv.tmp"), "w", encoding="utf-8") as fh:
+            fh.write("address\n")
+        seen = []
+        real = grab_mod.run_grab_campaign
+
+        def campaign(*args, **kwargs):
+            seen.append([n for n in os.listdir(run_dir) if n.startswith("grabs.csv")])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grab_mod, "run_grab_campaign", campaign)
+        res = run_cli("--config", pipeline.config, "--out", run_dir, "grab")
+        assert res.code == 0, res.err
+        assert seen == [[]]
+        assert filecmp.cmp(
+            os.path.join(run_dir, "grabs.csv"), os.path.join(pipeline.dir, "grabs.csv"),
+            shallow=False,
+        )
+        assert not os.path.exists(os.path.join(run_dir, "grabs.csv.tmp"))
+
+    def test_fingerprint_after_a_failed_grab_asks_for_grab(self, tmp_path, run_dir):
+        missing = {"transport": {"mode": "sim", "scenario": str(tmp_path / "missing.json")}}
+        config = write_config(str(tmp_path), missing)
+        res = run_cli("--config", config, "--out", run_dir, "grab")
+        assert res.code == 1 and res.err.startswith("error: ")
+        assert not os.path.exists(os.path.join(run_dir, "grabs.csv"))
+        res = run_cli("--config", config, "--out", run_dir, "fingerprint")
+        path = os.path.join(run_dir, "grabs.csv")
+        assert (res.code, res.err) == (1, f"error: no grabs.csv at {path}; run grab first\n")
 
 
 class TestEntryPoints:

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from resiscan.csvio import read_rows, write_rows
+from resiscan.csvio import open_output, read_rows, write_rows
 
 
 def _read(text, **kw):
@@ -50,3 +50,21 @@ def test_bare_carriage_return_row_reads_back_whole():
     assert buf.getvalue().startswith('"a\rb","1"\n')
     buf.seek(0)
     assert list(read_rows(buf, "test file")) == rows
+
+
+def test_open_output_replaces_only_a_whole_write(tmp_path):
+    path = tmp_path / "sub" / "rows.csv"
+    with open_output(str(path)) as fh:
+        write_rows(fh, [("a", 1)], header=("h", "n"))
+    assert path.read_bytes() == b"h,n\na,1\n"
+
+    # A write that raises after some rows leaves the earlier file as it was
+    # and no .tmp beside it.
+    with pytest.raises(OSError, match="disk full"):
+        with open_output(str(path)) as fh:
+            write_rows(fh, [("b", n) for n in range(1000)])
+            fh.flush()
+            assert (tmp_path / "sub" / "rows.csv.tmp").stat().st_size > 0
+            raise OSError("disk full")
+    assert path.read_bytes() == b"h,n\na,1\n"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["rows.csv"]
