@@ -20,7 +20,6 @@ import collections
 import contextlib
 import json
 import os
-import shutil
 import sys
 
 from . import seedprep
@@ -60,7 +59,14 @@ _OUTPUTS = {
     "classify": ("classified.csv", "classify_stats.json"),
     "grab": ("grabs.csv",),
     "fingerprint": ("fingerprints.csv", "hp_printers.csv", "eui64.csv"),
-    "report": ("report",),  # a directory of tables
+    "report": tuple(
+        f"report/{name}"
+        for name in (
+            "summary.csv", "country_split.csv", "asn_split.csv", "yield_cdf.csv",
+            "iid_hist.csv", "delta_hist.csv", "protocol_split.csv", "distinct_ports.csv",
+            "internal_only.csv", "lockdown_versions.csv", "fingerprints_summary.csv",
+        )
+    ),
     "simnet-gen": (
         "scenario.json", "seeds_all.txt", "as_map.csv", "conn_map.csv", "asn_geo.csv", "oui.csv",
         "config.json",
@@ -133,13 +139,13 @@ def _require_operator_contact(cfg: dict) -> str:
 def _read_stage(cfg: dict, name: str, reader, optional: bool = False):
     """Records of a stage file under output_dir, read by ``reader``; None if
     an ``optional`` file is missing."""
-    path = os.path.join(cfg["output_dir"], name)
+    writer = next((stage for stage, names in _OUTPUTS.items() if name in names), None)
+    path = _stage_path(cfg, writer, name)
     try:
         fh = open(path, encoding="utf-8", newline="")
     except FileNotFoundError:
         if optional:
             return None
-        writer = next(stage for stage, names in _OUTPUTS.items() if name in names)
         raise FileNotFoundError(f"no {name} at {path}; run {writer} first") from None
     with fh:
         return reader(fh)
@@ -153,25 +159,38 @@ def _read_seeds(fh) -> seedprep.SeedSet:
     return seedprep.parse_prefix_list(text)
 
 
-def _write_stage(cfg: dict, name: str):
-    """A stage output under output_dir, opened for writing by ``open_output``."""
-    return open_output(os.path.join(cfg["output_dir"], name))
+def _stage_path(cfg: dict, stage: str | None, name: str) -> str:
+    """Where ``name`` lies under output_dir; ``stage`` must list it in ``_OUTPUTS``."""
+    if name not in _OUTPUTS.get(stage, ()):
+        raise RuntimeError(f"{name} is not among the outputs of {stage or 'any stage'}")
+    return os.path.join(cfg["output_dir"], name)
 
 
-def _write_json(cfg: dict, name: str, obj) -> None:
-    with _write_stage(cfg, name) as fh:
+def _write_stage(cfg: dict, stage: str, name: str):
+    """An output of ``stage`` under output_dir, opened for writing by ``open_output``."""
+    return open_output(_stage_path(cfg, stage, name))
+
+
+def _write_json(cfg: dict, stage: str, name: str, obj) -> None:
+    with _write_stage(cfg, stage, name) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _remove_outputs(cfg: dict, stage: str) -> None:
-    """Remove what ``stage`` writes under output_dir, and any ``.tmp`` left of it."""
+    """Remove the files ``stage`` writes under output_dir, any ``.tmp`` left of
+    them, and a directory of them that holds nothing else."""
+    dirs = set()
     for name in _OUTPUTS[stage]:
         path = os.path.join(cfg["output_dir"], name)
-        remove = shutil.rmtree if name == "report" else os.remove
         for target in (path, f"{path}.tmp"):
             with contextlib.suppress(FileNotFoundError):
-                remove(target)
+                os.remove(target)
+        if os.path.dirname(name):
+            dirs.add(os.path.dirname(path))
+    for path in dirs:
+        with contextlib.suppress(OSError):  # missing, or not empty
+            os.rmdir(path)
 
 
 # The stages reach the simulator through these two; perfbench's tracer wraps them.
@@ -206,12 +225,12 @@ def cmd_seed_filter(cfg: dict, args: argparse.Namespace) -> int:
     filtered = seedprep.filter_seeds(
         seeds, seedprep.load_as_map(as_path), seedprep.load_connection_map(conn_path)
     )
-    with _write_stage(cfg, "seeds.txt") as fh:
+    with _write_stage(cfg, "seed-filter", "seeds.txt") as fh:
         for p48 in filtered.prefixes:
             fh.write(f"{format_address(p48)}/48\n")
     stats = dict(seeds.provenance)
     stats.update(filtered.provenance)
-    _write_json(cfg, "seed_stats.json", stats)
+    _write_json(cfg, "seed-filter", "seed_stats.json", stats)
     print(
         f"seed-filter: {stats['input']} in, {stats['after_category']} residential-AS, "
         f"{stats['after_connection']} kept"
@@ -226,7 +245,7 @@ def cmd_plan(cfg: dict, args: argparse.Namespace) -> int:
     plan = targetgen.build_plan(seeds, cfg["rng_seed"])
     print(f"plan: {len(plan.seeds)} seeds, budget {plan.budget} probes")
     if args.dump:
-        with _write_stage(cfg, "plan_preview.txt") as fh:
+        with _write_stage(cfg, "plan", "plan_preview.txt") as fh:
             count = plan.dump(fh, args.dump)
         print(f"plan: wrote first {count} targets to plan_preview.txt")
     return 0
@@ -259,7 +278,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     finally:
         if mode == "live":
             transport.close()  # the raw socket
-    with _write_stage(cfg, "responses.csv") as fh:
+    with _write_stage(cfg, "scan", "responses.csv") as fh:
         probe.write_response_log(sorted(log.records, key=lambda r: (r.probed_target, r.source)), fh)
     status = "complete" if log.complete else "ABORTED (partial log)"
     skipped = "".join(
@@ -280,7 +299,7 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
     result = classify.classify_log(
         records, seeds=seeds.prefixes, rng_seed=cfg["rng_seed"]
     )
-    with _write_stage(cfg, "classified.csv") as fh:
+    with _write_stage(cfg, "classify", "classified.csv") as fh:
         classify.write_classification(result.classified, fh)
     labels = collections.Counter(c.label for c in result.classified)
     stats = {
@@ -292,7 +311,7 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
         ),
         "anomalous": len(result.anomalous),
     }
-    _write_json(cfg, "classify_stats.json", stats)
+    _write_json(cfg, "classify", "classify_stats.json", stats)
     print(
         f"classify: {stats['internal']} internal, {stats['external']} external, "
         f"{len(result.aliased_nets)} aliased /56s, {stats['anomalous']} anomalous"
@@ -321,7 +340,7 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
         timeout=float(cfg["grab_timeout_s"]),
         label=label,
     )
-    with _write_stage(cfg, "grabs.csv") as fh:
+    with _write_stage(cfg, "grab", "grabs.csv") as fh:
         grab.write_grab_log(records, fh)
     responded = sum(1 for r in records if r.outcome == grab.OUTCOME_RESPONDED)
     print(f"grab: {len(records)} attempts over {len(addresses)} addresses, {responded} responded")
@@ -333,14 +352,14 @@ def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
 
     grabs = _read_stage(cfg, "grabs.csv", grab.read_grab_log)
     hits = fingerprint.fingerprint_records(grabs)
-    with _write_stage(cfg, "fingerprints.csv") as fh:
+    with _write_stage(cfg, "fingerprint", "fingerprints.csv") as fh:
         fingerprint.write_fingerprints(hits, fh)
 
     printers = sorted(
         fingerprint.dedupe_printers(fingerprint.collect_hp_printers(grabs)),
         key=lambda p: (p.serial, p.address),
     )
-    with _write_stage(cfg, "hp_printers.csv") as fh:
+    with _write_stage(cfg, "fingerprint", "hp_printers.csv") as fh:
         write_rows(
             fh,
             ((p.address, p.model, p.serial, p.build or "") for p in printers),
@@ -356,7 +375,7 @@ def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
             continue
         vendor = fingerprint.oui_vendor(mac, oui_db) or ""
         rows.append((format_address(c.address), mac, vendor))
-    with _write_stage(cfg, "eui64.csv") as fh:
+    with _write_stage(cfg, "fingerprint", "eui64.csv") as fh:
         write_rows(fh, sorted(set(rows)), header=("address", "mac", "vendor"))
     print(
         f"fingerprint: {len(hits)} device hits, {len(printers)} distinct printers, "
@@ -380,6 +399,8 @@ def cmd_report(cfg: dict, args: argparse.Namespace) -> int:
         report.load_asn_geo(geo_path),
         seed_total=None if seeds is None else len(seeds),
     )
+    for name in tables:
+        _stage_path(cfg, "report", f"report/{name}")
     outdir = os.path.join(cfg["output_dir"], "report")
     files = report.emit(tables, outdir)
     print(f"report: {len(files)} tables under {outdir}")
@@ -421,7 +442,7 @@ def cmd_simnet_gen(cfg: dict, args: argparse.Namespace) -> int:
         "oui.csv": sim.oui_lines(),
     }
     for name, text in emitted.items():
-        with _write_stage(cfg, name) as fh:
+        with _write_stage(cfg, "simnet-gen", name) as fh:
             fh.write(text)
     config = dict(DEFAULT_CONFIG)
     config.update(
@@ -436,7 +457,7 @@ def cmd_simnet_gen(cfg: dict, args: argparse.Namespace) -> int:
             "output_dir": outdir,
         }
     )
-    _write_json(cfg, "config.json", config)
+    _write_json(cfg, "simnet-gen", "config.json", config)
     n_hosts = sum(len(sub.hosts) for net in scenario.nets for sub in net.subnets)
     print(
         f"simnet-gen: {len(scenario.nets)} /48s, {n_hosts} hosts; "

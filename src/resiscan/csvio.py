@@ -23,12 +23,14 @@ def open_output(path: str):
     """``path`` opened for writing UTF-8 text with ``newline=""``, its directory
     made as needed. The text goes to ``<path>.tmp``, which replaces ``path``
     only when the block ends without error and is removed otherwise, so
-    ``path`` holds one whole write or is left as it was."""
+    ``path`` holds one whole write or is left as it was, after a crash too."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())  # on disk before the rename, so a crash leaves no torn file
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write or the rename failed

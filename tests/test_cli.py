@@ -829,6 +829,33 @@ class TestStageOutputs:
         # Only this stage's outputs are gone, and no .tmp is left.
         assert _tree(run_dir) == {p for p in before if p.split(os.sep)[0] not in outputs}
 
+    def test_outputs_table_lists_every_file_a_stage_writes(self, pipeline):
+        listed = {os.path.normpath(n) for names in cli_mod._OUTPUTS.values() for n in names}
+        assert _tree(pipeline.dir) == listed
+
+    def test_an_unlisted_name_is_refused(self, tmp_path):
+        cfg = {"output_dir": str(tmp_path)}
+        with pytest.raises(RuntimeError, match="seeds.txt is not among the outputs of grab"):
+            cli_mod._write_stage(cfg, "grab", "seeds.txt")
+        with pytest.raises(RuntimeError, match="seed.txt is not among the outputs of any stage"):
+            cli_mod._read_stage(cfg, "seed.txt", None)
+        assert os.listdir(tmp_path) == []
+
+    def test_report_leaves_other_files_under_its_directory(self, pipeline, run_dir, monkeypatch):
+        foreign = os.path.join(run_dir, "report", "notes.txt")
+        with open(foreign, "w", encoding="utf-8") as fh:
+            fh.write("kept\n")
+        monkeypatch.setattr(report_mod, "write_rows", _fail_on_call(report_mod.write_rows, 4))
+        res = run_cli("--config", pipeline.config, "--out", run_dir, "report")
+        assert (res.code, res.err) == (1, "error: injected fault\n")
+        assert os.listdir(os.path.dirname(foreign)) == ["notes.txt"]
+        monkeypatch.undo()
+        res = run_cli("--config", pipeline.config, "--out", run_dir, "report")
+        assert res.code == 0, res.err
+        assert len(os.listdir(os.path.dirname(foreign))) == 12
+        with open(foreign, encoding="utf-8") as fh:
+            assert fh.read() == "kept\n"
+
     def test_writer_raising_after_n_rows_leaves_no_output(self, pipeline, run_dir, monkeypatch):
         real = grab_mod.write_grab_log
 
