@@ -9,8 +9,8 @@ inspected, and resumed between stages:
 seed/AS/connection/registry/OUI files) so the full pipeline can run
 end-to-end with no network access and fully reproducible output.
 
-Each ``cmd_*`` imports the modules of its own stage, so that a stage
-process loads only what it runs.
+Each ``cmd_*`` imports the modules of its own stage, the simulator's
+included, so that a stage process loads only what it runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import os
 import sys
 
-from . import seedprep
 from .addrs import format_address
 from .csvio import open_output, write_rows
 
@@ -151,12 +150,13 @@ def _read_stage(cfg: dict, name: str, reader, optional: bool = False):
         return reader(fh)
 
 
-def _read_seeds(fh) -> seedprep.SeedSet:
+def _read_seeds(fh):
+    from . import seedprep
+
     try:
-        text = fh.read()
-    except UnicodeDecodeError as exc:
+        return seedprep.parse_prefix_list(fh.read())
+    except ValueError as exc:  # a line that does not parse, or text that is not UTF-8
         raise ValueError(f"{fh.name}: {exc}") from None
-    return seedprep.parse_prefix_list(text)
 
 
 def _stage_path(cfg: dict, stage: str | None, name: str) -> str:
@@ -195,15 +195,15 @@ def _remove_outputs(cfg: dict, stage: str) -> None:
 
 # The stages reach the simulator through these two; perfbench's tracer wraps them.
 def SimTransport(scenario):
-    from . import simnet
+    from .simnet import transport
 
-    return simnet.SimTransport(scenario)
+    return transport.SimTransport(scenario)
 
 
 def load_scenario(path: str):
-    from . import simnet
+    from .simnet import scenario
 
-    return simnet.load_scenario(path)
+    return scenario.load_scenario(path)
 
 
 def _sim_scenario(cfg: dict):
@@ -217,6 +217,8 @@ def _sim_scenario(cfg: dict):
 
 
 def cmd_seed_filter(cfg: dict, args: argparse.Namespace) -> int:
+    from . import seedprep
+
     seed_path = _require(cfg, "seed_list", "path to the /48 seed list")
     as_path = _require(cfg, "as_map", "prefix-to-AS category map")
     conn_path = _require(cfg, "conn_map", "prefix-to-connection-type map")
@@ -329,9 +331,9 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
         label = f"{grab.USER_AGENT} (+{_require_operator_contact(cfg)})"
         connector = grab.live_connector
     else:
-        from . import simnet
+        from .simnet.services import SimServices
 
-        connector = simnet.SimServices(_sim_scenario(cfg)).connector()
+        connector = SimServices(_sim_scenario(cfg)).connector()
     records = grab.run_grab_campaign(
         addresses,
         services.default_services(),

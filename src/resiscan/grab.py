@@ -417,14 +417,15 @@ def run_grab_campaign(
 ) -> list[GrabRecord]:
     """Grab every (address, service) pair exactly once; order-stable output.
 
-    ``parallelism`` worker threads (at least one, at most one per pair) take
-    pairs one at a time from a shared iterator, so at most that many
-    connections are open and nothing is queued per pair. If a worker cannot
-    be started, the ones that did start do the work, or the calling thread if
-    none did. Failures are per-pair: one hung or broken endpoint can't sink
-    the campaign, and results come back sorted by (address, service). A
-    ``RuntimeError`` or ``MemoryError`` is a failure of this process, not of
-    the peer: no worker takes another pair, and it is raised once all stop.
+    Up to ``parallelism`` worker threads (at least one, at most one per pair)
+    take pairs one at a time from a shared iterator, so at most that many
+    connections are open and nothing is queued per pair. No worker is started
+    once every pair has been taken. If a worker cannot be started, the ones
+    that did start do the work, or the calling thread if none did. Failures
+    are per-pair: one hung or broken endpoint can't sink the campaign, and
+    results come back sorted by (address, service). A ``RuntimeError`` or
+    ``MemoryError`` is a failure of this process, not of the peer: no worker
+    takes another pair, and it is raised once all stop.
     """
     addresses = list(dict.fromkeys(addresses))
     specs = list(specs)
@@ -432,12 +433,15 @@ def run_grab_campaign(
     pairs = enumerate(itertools.product(addresses, specs))
     lock = threading.Lock()
     failures: list[BaseException] = []
+    taken = False  # every pair is taken, or a failure stops the campaign
 
     def work() -> None:
+        nonlocal taken
         while True:
             with lock:
                 task = None if failures else next(pairs, None)
             if task is None:
+                taken = True
                 return
             i, (a, s) = task
             try:
@@ -454,6 +458,8 @@ def run_grab_campaign(
     n_workers = max(1, min(parallelism, len(records)))
     workers = []
     for _ in range(n_workers):
+        if taken:
+            break
         t = threading.Thread(target=work)
         try:
             t.start()
@@ -500,7 +506,7 @@ def write_grab_log(records, fh) -> None:
                 r.tls_subject_cn or "",
                 "" if r.mqtt_return_code is None else r.mqtt_return_code,
                 r.lockdown_product_version or "",
-                base64.b64encode(r.banner).decode("ascii"),
+                base64.b64encode(r.banner).decode("ascii") if r.banner else "",
             )
             for r in records
         ),
@@ -509,16 +515,12 @@ def write_grab_log(records, fh) -> None:
 
 
 def _grab_record(row: list[str]) -> GrabRecord:
+    # Positional, in GrabRecord's field order: address, service, outcome,
+    # detail, banner, then the protocol extras in _LOG_FIELDS' order.
     return GrabRecord(
-        address=row[0],
-        service=row[1],
-        outcome=row[2],
-        detail=row[3],
-        http_server_header=row[4] or None,
-        tls_subject_cn=row[5] or None,
-        mqtt_return_code=int(row[6]) if row[6] else None,
-        lockdown_product_version=row[7] or None,
-        banner=base64.b64decode(row[8], validate=True),
+        row[0], row[1], row[2], row[3],
+        base64.b64decode(row[8], validate=True) if row[8] else b"",
+        row[4] or None, row[5] or None, int(row[6]) if row[6] else None, row[7] or None,
     )
 
 

@@ -758,6 +758,15 @@ class TestHostileFiles:
             "invalid start byte\n"
         )
 
+    @pytest.mark.parametrize("stage", ["seed-filter", "plan"])
+    def test_seed_line_that_does_not_parse_names_its_file(self, tmp_path, stage):
+        path = tmp_path / ("seeds_all.txt" if stage == "seed-filter" else "seeds.txt")
+        path.write_text("2001:db8::/48\nbogus\n", encoding="utf-8")
+        lists = {"seed_list": str(path), "as_map": "as.csv", "conn_map": "conn.csv"}
+        res = run_cli("--config", write_config(str(tmp_path), lists), "--out", str(tmp_path), stage)
+        assert res.code == 1
+        assert res.err.startswith(f"error: {path}: line 2: not an IPv6 prefix: 'bogus'")
+
     def test_oversized_field_fails_stage_with_message(self, tmp_path):
         gen = run_cli("--out", str(tmp_path), "simnet-gen")
         assert gen.code == 0, gen.err

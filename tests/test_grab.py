@@ -1090,6 +1090,27 @@ class TestCampaign:
         assert records == expected
         assert f"{started} of 8 workers started" in caplog.text
 
+    def test_no_worker_starts_after_the_pairs_run_out(self, monkeypatch):
+        # Each start runs its worker to the end before the next start, so the
+        # first worker takes every pair and no other may be started.
+        connector, _state = self._refusing_connector([])
+        addresses = [f"2001:db8:9::{i:x}" for i in range(1, 5)]
+        specs = default_services()[:3]
+        expected = run_grab_campaign(addresses, specs, connector=connector, parallelism=256)
+        real_start = threading.Thread.start
+        starts = []
+
+        def start_and_finish(thread):
+            starts.append(thread)
+            real_start(thread)
+            thread.join()
+
+        monkeypatch.setattr(threading.Thread, "start", start_and_finish)
+        records = run_grab_campaign(addresses, specs, connector=connector, parallelism=256)
+        assert len(starts) == 1
+        assert records == expected
+        assert {r.outcome for r in records} == {OUTCOME_REFUSED}
+
     def test_every_pair_grabbed_once_under_contention(self):
         # More workers than cores and a short switch interval, so a pair taken twice
         # or lost between workers would show.

@@ -33,9 +33,13 @@ NOT_LOADED = {
     + TLS,
     "fingerprint": SIMNET + ("resiscan.probe", "resiscan.targetgen") + TLS,
     "report": SIMNET + ("resiscan.probe", "resiscan.targetgen") + TLS,
-    "scan": ("resiscan.classify", "resiscan.fingerprint", "resiscan.report") + TLS,
+    "scan": (
+        "resiscan.simnet.services", "resiscan.grab", "resiscan.classify", "resiscan.fingerprint",
+        "resiscan.report",
+    )
+    + TLS,
     # The deployment below has a TLS endpoint, so this grab makes and reads a certificate.
-    "grab": ("cryptography",),
+    "grab": ("resiscan.probe", "resiscan.targetgen", "resiscan.simnet.transport", "cryptography"),
 }
 TLS_CN = "imports.example"
 
@@ -102,7 +106,22 @@ def test_stage_loads_only_what_it_runs(added, case):
 
 def test_sim_stages_load_the_simulator(added):
     # The guard above would pass vacuously if the child saw no modules.
-    assert "resiscan.simnet" in added["scan"]
-    assert "resiscan.simnet" in added["grab"]
+    assert "resiscan.simnet.transport" in added["scan"]
+    assert "resiscan.simnet.services" in added["grab"]
     assert "resiscan.cli" in added["import"]
     assert TLS_CN in added["grab common names"]
+
+
+def test_every_simulator_name_imports():
+    # The package loads each submodule on first use; every exported name resolves.
+    import resiscan.simnet as simnet
+
+    assert simnet.__all__
+    for name in simnet.__all__:
+        namespace = {}
+        exec(f"from resiscan.simnet import {name}", namespace)
+        assert namespace[name].__module__.startswith("resiscan.simnet."), name
+    with pytest.raises(ImportError):
+        exec("from resiscan.simnet import NoSuchName", {})
+    with pytest.raises(AttributeError):
+        simnet.NoSuchName
