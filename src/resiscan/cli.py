@@ -22,8 +22,8 @@ import json
 import os
 import sys
 
-from .addrs import format_address
-from .csvio import open_output, write_rows
+from .addrs import format_address, parse_prefix
+from .csvio import open_output, read_rows, write_rows
 
 # Each config key once: its default, the JSON types it takes with their name
 # in errors, and for a number that must be finite, the bound it must lie
@@ -121,9 +121,9 @@ def _check_type(key: str, value, types: tuple, what: str) -> None:
         raise ConfigError(f"config value {key!r} must be {what}, got {json.dumps(value)}")
 
 
-def _require(cfg: dict, key: str, what: str) -> str:
+def _require(cfg: dict, key: str, what: str):
     value = cfg.get(key)
-    if not value:
+    if value is None or value == "":
         raise ConfigError(f"missing config value {key!r} ({what})")
     return value
 
@@ -150,13 +150,18 @@ def _read_stage(cfg: dict, name: str, reader, optional: bool = False):
         return reader(fh)
 
 
-def _read_seeds(fh):
-    from . import seedprep
+def _read_seeds(fh) -> tuple[int, ...]:
+    """The /48s of seeds.txt, a network per row, each listed once."""
+    seen: set[int] = set()
 
-    try:
-        return seedprep.parse_prefix_list(fh.read())
-    except ValueError as exc:  # a line that does not parse, or text that is not UTF-8
-        raise ValueError(f"{fh.name}: {exc}") from None
+    def parse(row: list[str]) -> int:
+        p48 = parse_prefix(row[0], 48)
+        if p48 in seen:
+            raise ValueError(f"{row[0]!r} is listed twice")
+        seen.add(p48)
+        return p48
+
+    return tuple(read_rows(fh, f"{fh.name}:", 1, parse=parse))
 
 
 def _stage_path(cfg: dict, stage: str | None, name: str) -> str:
@@ -223,13 +228,15 @@ def cmd_seed_filter(cfg: dict, args: argparse.Namespace) -> int:
     as_path = _require(cfg, "as_map", "prefix-to-AS category map")
     conn_path = _require(cfg, "conn_map", "prefix-to-connection-type map")
     with open(seed_path, encoding="utf-8") as fh:
-        seeds = _read_seeds(fh)
+        try:
+            seeds = seedprep.parse_prefix_list(fh.read())
+        except ValueError as exc:  # a line that does not parse, or text that is not UTF-8
+            raise ValueError(f"{seed_path}: {exc}") from None
     filtered = seedprep.filter_seeds(
         seeds, seedprep.load_as_map(as_path), seedprep.load_connection_map(conn_path)
     )
     with _write_stage(cfg, "seed-filter", "seeds.txt") as fh:
-        for p48 in filtered.prefixes:
-            fh.write(f"{format_address(p48)}/48\n")
+        write_rows(fh, ((f"{format_address(p48)}/48",) for p48 in filtered.prefixes))
     stats = dict(seeds.provenance)
     stats.update(filtered.provenance)
     _write_json(cfg, "seed-filter", "seed_stats.json", stats)
@@ -260,13 +267,15 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     plan = targetgen.build_plan(seeds, cfg["rng_seed"])
     print(f"scan: {len(plan.seeds)} seeds, budget {plan.budget} probes")
 
+    mode = cfg["transport"]["mode"]
+    if mode == "live":
+        contact = _require_operator_contact(cfg)
+        _require(cfg, "rate_pps", "live probing requires a rate cap")
     rate = None
     if cfg["rate_pps"] is not None:
         rate = probe.RateLimiter(int(cfg["rate_pps"]))
-
-    mode = cfg["transport"]["mode"]
     if mode == "live":
-        transport = probe.LiveTransport(_require_operator_contact(cfg))
+        transport = probe.LiveTransport(contact)
     else:
         transport = SimTransport(_sim_scenario(cfg))
     try:
@@ -298,9 +307,7 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
 
     seeds = _read_stage(cfg, "seeds.txt", _read_seeds)
     records = _read_stage(cfg, "responses.csv", probe.read_response_log)
-    result = classify.classify_log(
-        records, seeds=seeds.prefixes, rng_seed=cfg["rng_seed"]
-    )
+    result = classify.classify_log(records, seeds=seeds, rng_seed=cfg["rng_seed"])
     with _write_stage(cfg, "classify", "classified.csv") as fh:
         classify.write_classification(result.classified, fh)
     labels = collections.Counter(c.label for c in result.classified)
@@ -412,53 +419,34 @@ def cmd_report(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_simnet_gen(cfg: dict, args: argparse.Namespace) -> int:
     from .simnet import scenario as sim
 
-    params = sim.ScenarioParams(
-        n48=args.n48,
-        subnets_per_48=args.subnets,
-        hosts_per_subnet=(1.0, 2.0),
-        aliased_fraction=0.1,
-        deny_fraction=0.3,
-        slaac_fraction=0.3,
-        extra_hops_weights={0: 0.83, 1: 0.10, 2: 0.05, 3: 0.02},
-        wan_mode_weights={"eui64": 0.4, "random_iid": 0.4, "low_iid": 0.2},
-        host_service_probability={
-            "telnet": 0.30,
-            "ssh": 0.20,
-            "http": 0.35,
-            "hp_printer_http": 0.10,
-            "mqtt_broker": 0.15,
-            "lockdown": 0.10,
-        },
-        cpe_service_probability=0.5,
-        nonresidential_fraction=0.2,
-    )
+    params = sim.ScenarioParams(n48=args.n48, subnets_per_48=args.subnets)
     scenario = sim.generate_scenario(params, cfg["rng_seed"])
     outdir = cfg["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
-    sim.save_scenario(scenario, os.path.join(outdir, "scenario.json"))
-    emitted = {
-        "seeds_all.txt": sim.seed_lines(scenario),
-        "as_map.csv": sim.as_map_lines(scenario),
-        "conn_map.csv": sim.connection_map_lines(scenario),
-        "asn_geo.csv": sim.asn_geo_lines(scenario),
-        "oui.csv": sim.oui_lines(),
-    }
-    for name, text in emitted.items():
-        with _write_stage(cfg, "simnet-gen", name) as fh:
-            fh.write(text)
-    config = dict(DEFAULT_CONFIG)
-    config.update(
-        {
-            "seed_list": os.path.join(outdir, "seeds_all.txt"),
-            "as_map": os.path.join(outdir, "as_map.csv"),
-            "conn_map": os.path.join(outdir, "conn_map.csv"),
-            "oui_db": os.path.join(outdir, "oui.csv"),
-            "asn_geo": os.path.join(outdir, "asn_geo.csv"),
-            "rng_seed": cfg["rng_seed"],
-            "transport": {"mode": "sim", "scenario": os.path.join(outdir, "scenario.json")},
-            "output_dir": outdir,
-        }
+    scenario_json, seeds_all, as_map, conn_map, asn_geo, oui, _config = (
+        os.path.join(outdir, name) for name in _OUTPUTS["simnet-gen"]
     )
+    os.makedirs(outdir, exist_ok=True)
+    sim.save_scenario(scenario, scenario_json)
+    for path, text in (
+        (seeds_all, sim.seed_lines(scenario)),
+        (as_map, sim.as_map_lines(scenario)),
+        (conn_map, sim.connection_map_lines(scenario)),
+        (asn_geo, sim.asn_geo_lines(scenario)),
+        (oui, sim.oui_lines()),
+    ):
+        with open_output(path) as fh:
+            fh.write(text)
+    config = {
+        **DEFAULT_CONFIG,
+        "seed_list": seeds_all,
+        "as_map": as_map,
+        "conn_map": conn_map,
+        "oui_db": oui,
+        "asn_geo": asn_geo,
+        "rng_seed": cfg["rng_seed"],
+        "transport": {"mode": "sim", "scenario": scenario_json},
+        "output_dir": outdir,
+    }
     _write_json(cfg, "simnet-gen", "config.json", config)
     n_hosts = sum(len(sub.hosts) for net in scenario.nets for sub in net.subnets)
     print(

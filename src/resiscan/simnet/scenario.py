@@ -342,7 +342,7 @@ def load_scenario(path: str) -> Scenario:
 
 @dataclass(slots=True)
 class ScenarioParams:
-    """Knobs for the scenario generator; every mix is realized by quota.
+    """Knobs for the scenario generator, defaulting to the mix ``simnet-gen`` deploys.
 
     Fractions are turned into exact counts with largest-remainder rounding
     and then shuffled into place with the scenario seed, so a requested mix
@@ -351,11 +351,13 @@ class ScenarioParams:
 
     n48: int = 4
     subnets_per_48: int = 8
-    hosts_per_subnet: tuple[float, ...] = (1.0,)  # weights for 1, 2, ... hosts
-    aliased_fraction: float = 0.0
-    deny_fraction: float = 0.2
-    slaac_fraction: float = 0.0
-    extra_hops_weights: dict[int, float] = field(default_factory=lambda: {0: 1.0})
+    hosts_per_subnet: tuple[float, ...] = (1.0, 2.0)  # weights for 1, 2, ... hosts
+    aliased_fraction: float = 0.1
+    deny_fraction: float = 0.3
+    slaac_fraction: float = 0.3
+    extra_hops_weights: dict[int, float] = field(
+        default_factory=lambda: {0: 0.83, 1: 0.10, 2: 0.05, 3: 0.02}
+    )
     host_profile_weights: dict[int, float] = field(
         default_factory=lambda: {64: 0.5, 128: 0.3, 255: 0.2}
     )
@@ -363,11 +365,20 @@ class ScenarioParams:
         default_factory=lambda: {64: 0.3, 255: 0.7}
     )
     wan_mode_weights: dict[str, float] = field(
-        default_factory=lambda: {WAN_EUI64: 0.4, WAN_RANDOM: 0.5, WAN_LOW_IID: 0.1}
+        default_factory=lambda: {WAN_EUI64: 0.4, WAN_RANDOM: 0.4, WAN_LOW_IID: 0.2}
     )
-    host_service_probability: dict[str, float] = field(default_factory=dict)
-    cpe_service_probability: float = 0.0
-    nonresidential_fraction: float = 0.0
+    host_service_probability: dict[str, float] = field(
+        default_factory=lambda: {
+            "telnet": 0.30,
+            "ssh": 0.20,
+            "http": 0.35,
+            "hp_printer_http": 0.10,
+            "mqtt_broker": 0.15,
+            "lockdown": 0.10,
+        }
+    )
+    cpe_service_probability: float = 0.5
+    nonresidential_fraction: float = 0.2
 
     def validate(self) -> None:
         if self.n48 < 1:

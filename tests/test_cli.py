@@ -556,13 +556,24 @@ class TestLiveModeGuards:
 
         monkeypatch.setattr(probe_mod, "LiveTransport", FakeLiveTransport)
         settings = {
-            **LIVE, "operator_contact_url": "https://example.org/optout", "probe_timeout_s": 0.01
+            **LIVE,
+            "operator_contact_url": "https://example.org/optout",
+            "probe_timeout_s": 0.01,
+            # A live scan needs a rate cap; this one does not slow the fake socket.
+            "rate_pps": fault if isinstance(fault, int) else 1_000_000,
         }
-        if isinstance(fault, int):
-            settings["rate_pps"] = fault
         res = run_cli("--config", write_config(seeded_dir, settings), "--out", seeded_dir, "scan")
         assert res.code == code, res.err
         assert [t.closed for t in transports] == closed
+
+    def test_scan_requires_rate_cap(self, seeded_dir, monkeypatch):
+        monkeypatch.setattr(probe_mod, "LiveTransport", None)  # no socket may be opened
+        settings = {**LIVE, "operator_contact_url": "https://example.org/optout"}
+        res = run_cli("--config", write_config(seeded_dir, settings), "--out", seeded_dir, "scan")
+        assert (res.code, res.err) == (
+            2, "config error: missing config value 'rate_pps' (live probing requires a rate cap)\n"
+        )
+        assert not os.path.exists(os.path.join(seeded_dir, "responses.csv"))
 
     def test_grab_requires_contact_url(self, seeded_dir):
         with open(os.path.join(seeded_dir, "classified.csv"), "w") as fh:
@@ -746,26 +757,63 @@ class TestHostileFiles:
         assert (res.code, res.err) == (1, "error: can't start new thread\n")
         assert not (tmp_path / "grabs.csv").exists()
 
-    @pytest.mark.parametrize("stage", ["seed-filter", "plan"])
-    def test_seed_text_not_utf8_names_its_file(self, tmp_path, stage):
+    # seeds.txt is a stage file, so its reader names the line as every stage
+    # file's does; the raw seed list keeps its own grammar and messages.
+    @pytest.mark.parametrize(
+        "stage, line", [("seed-filter", ""), ("plan", "line 1: ")], ids=["seed-filter", "plan"]
+    )
+    def test_seed_text_not_utf8_names_its_file(self, tmp_path, stage, line):
         path = tmp_path / ("seeds_all.txt" if stage == "seed-filter" else "seeds.txt")
         path.write_bytes(b"2001:db8::/48\n\xff\n")
         lists = {"seed_list": str(path), "as_map": "as.csv", "conn_map": "conn.csv"}
         res = run_cli("--config", write_config(str(tmp_path), lists), "--out", str(tmp_path), stage)
         assert res.code == 1
         assert res.err == (
-            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 14: "
+            f"error: {path}: {line}'utf-8' codec can't decode byte 0xff in position 14: "
             "invalid start byte\n"
         )
 
-    @pytest.mark.parametrize("stage", ["seed-filter", "plan"])
-    def test_seed_line_that_does_not_parse_names_its_file(self, tmp_path, stage):
+    @pytest.mark.parametrize(
+        "stage, message",
+        [("seed-filter", "not an IPv6 prefix: 'bogus'"), ("plan", "At least 3 parts expected")],
+        ids=["seed-filter", "plan"],
+    )
+    def test_seed_line_that_does_not_parse_names_its_file(self, tmp_path, stage, message):
         path = tmp_path / ("seeds_all.txt" if stage == "seed-filter" else "seeds.txt")
         path.write_text("2001:db8::/48\nbogus\n", encoding="utf-8")
         lists = {"seed_list": str(path), "as_map": "as.csv", "conn_map": "conn.csv"}
         res = run_cli("--config", write_config(str(tmp_path), lists), "--out", str(tmp_path), stage)
         assert res.code == 1
-        assert res.err.startswith(f"error: {path}: line 2: not an IPv6 prefix: 'bogus'")
+        assert res.err.startswith(f"error: {path}: line 2: {message}")
+
+    @pytest.mark.parametrize(
+        "line2, message",
+        [
+            ("2001:db8::/32", "'2001:db8::/32' is not a /48 network"),
+            ("2001:db8:2:100::/56", "'2001:db8:2:100::/56' is not a /48 network"),
+            ("2001:db8:3::1/48", "'2001:db8:3::1/48' is not a /48 network"),
+            (None, "is listed twice"),  # line 1 again
+        ],
+        ids=["short", "long", "host-bits", "repeated"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["plan", "--dump", "5"], ["scan"], ["classify"], ["report"]], ids=lambda a: a[0]
+    )
+    def test_seeds_txt_holds_only_distinct_48s(self, pipeline, tmp_path, argv, line2, message):
+        # seeds.txt follows the stage-file rules, not the raw seed list's: a
+        # row that is not a /48 network, or a /48 listed twice, is refused.
+        out = str(tmp_path / "run")
+        shutil.copytree(pipeline.dir, out)
+        path = os.path.join(out, "seeds.txt")
+        line1 = read_lines(path)[0]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{line1}\n{line2 or line1}\n")
+        res = run_cli("--config", pipeline.config, "--out", out, *argv)
+        assert res.code == 1
+        assert res.err.startswith(f"error: {path}: line 2: "), res.err
+        assert message in res.err
+        outputs = cli_mod._OUTPUTS[argv[0]]
+        assert not any(os.path.exists(os.path.join(out, name)) for name in outputs)
 
     def test_oversized_field_fails_stage_with_message(self, tmp_path):
         gen = run_cli("--out", str(tmp_path), "simnet-gen")

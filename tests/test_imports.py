@@ -29,13 +29,13 @@ NOT_LOADED = {
     "import": SIMNET + STAGE_MODULES + TLS + ("plistlib",),
     "seed-filter": SIMNET + STAGE_MODULES + TLS + ("plistlib",),
     "classify": SIMNET
-    + ("resiscan.grab", "resiscan.fingerprint", "resiscan.report")
+    + ("resiscan.grab", "resiscan.fingerprint", "resiscan.report", "resiscan.seedprep")
     + TLS,
     "fingerprint": SIMNET + ("resiscan.probe", "resiscan.targetgen") + TLS,
-    "report": SIMNET + ("resiscan.probe", "resiscan.targetgen") + TLS,
+    "report": SIMNET + ("resiscan.probe", "resiscan.targetgen", "resiscan.seedprep") + TLS,
     "scan": (
         "resiscan.simnet.services", "resiscan.grab", "resiscan.classify", "resiscan.fingerprint",
-        "resiscan.report",
+        "resiscan.report", "resiscan.seedprep",
     )
     + TLS,
     # The deployment below has a TLS endpoint, so this grab makes and reads a certificate.

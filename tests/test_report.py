@@ -207,6 +207,36 @@ class TestAggregate:
         assert table_rows(t, "internal_only.csv") == [] and values["internal_only_exposures"] == 0
 
 
+class TestSkewedCampaign:
+    """One country over two /48s, unequal internal and external counts, and
+    two pairs with the same delta: a table that swaps, dedupes or miscounts
+    these reads differently, where the symmetric fixture above reads the same."""
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        net_c, net_d = parse_address("2001:db8:c:100::"), parse_address("2001:db8:d:200::")
+        classified = [
+            internal(net_c, parse_address("2001:db8:c:100::1"), 4),
+            internal(net_c, parse_address("2001:db8:c:100::2"), 4),
+            external(net_c, parse_address("3fff:c:0:1::7"), 3),
+            internal(net_d, parse_address("2001:db8:d:200::1"), 5),
+        ]
+        lpm = LongestPrefixMap()
+        for prefix in ("2001:db8:c::/48", "2001:db8:d::/48", "3fff:c::/32"):
+            lpm.insert(prefix, AsnGeoRecord(64502, "Gamma Net", "nl"))
+        return aggregate(classified, [], [], lpm)
+
+    def test_country_columns_are_internal_then_external(self, skewed):
+        assert table_rows(skewed, "country_split.csv") == [["nl", 3, 1]]
+
+    def test_delta_pairs_counts_pairs_not_deltas(self, skewed):
+        assert table_rows(skewed, "delta_hist.csv") == [(1, 2)]
+        assert summary(skewed)["delta_pairs"] == 2
+
+    def test_responsive_48s_counts_48s_not_countries(self, skewed):
+        assert summary(skewed)["responsive_48s"] == 2
+
+
 class TestYieldCdf:
     def test_exact_rows(self):
         # Two /48s with [2,2] and [1,1] responsive addresses.

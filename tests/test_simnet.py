@@ -302,6 +302,10 @@ class TestScenarioFile:
             },
             cpe_service_probability=0.5,
             nonresidential_fraction=0.34,
+            # Set here, so the pin does not follow ScenarioParams' defaults.
+            deny_fraction=0.2,
+            extra_hops_weights={0: 1.0},
+            wan_mode_weights={"eui64": 0.4, "random_iid": 0.5, "low_iid": 0.1},
         )
         path = tmp_path / "scenario.json"
         save_scenario(generate_scenario(params, 19), str(path))
@@ -645,6 +649,14 @@ class TestGenerator:
             subnets_per_48=10,
             deny_fraction=0.0,
             extra_hops_weights={0: 0.5, 2: 0.5},
+            # Set here, so the scenario does not follow ScenarioParams' defaults.
+            hosts_per_subnet=(1.0,),
+            aliased_fraction=0.0,
+            slaac_fraction=0.0,
+            wan_mode_weights={"eui64": 0.4, "random_iid": 0.5, "low_iid": 0.1},
+            host_service_probability={},
+            cpe_service_probability=0.0,
+            nonresidential_fraction=0.0,
         )
         scenario = generate_scenario(params, 11)
         extras = [h.extra_hops for net in scenario.nets for s in net.subnets for h in s.hosts]
