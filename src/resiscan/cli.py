@@ -23,7 +23,7 @@ import os
 import sys
 
 from .addrs import format_address, parse_prefix
-from .csvio import open_output, read_rows, write_rows
+from .csvio import open_output, read_rows, undecodable_line, write_rows
 
 # Each config key once: its default, the JSON types it takes with their name
 # in errors, and for a number that must be finite, the bound it must lie
@@ -230,7 +230,9 @@ def cmd_seed_filter(cfg: dict, args: argparse.Namespace) -> int:
     with open(seed_path, encoding="utf-8") as fh:
         try:
             seeds = seedprep.parse_prefix_list(fh.read())
-        except ValueError as exc:  # a line that does not parse, or text that is not UTF-8
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{seed_path}: line {undecodable_line(exc)}: {exc}") from None
+        except ValueError as exc:  # a line that does not parse
             raise ValueError(f"{seed_path}: {exc}") from None
     filtered = seedprep.filter_seeds(
         seeds, seedprep.load_as_map(as_path), seedprep.load_connection_map(conn_path)

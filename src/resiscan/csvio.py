@@ -3,9 +3,10 @@ the one way a stage output is opened for writing (``open_output``).
 
 Rows end in ``\n`` and fields are quoted only where they must be. Readers
 skip blank rows and rows whose first field starts with ``#``; a wrong
-header, a wrong field count, text the csv module rejects or a field the
-format module cannot map raises ``ValueError("<what> line N: ...")``, so a
-bad file ends a stage with a message. Open files with ``newline=""``, so a
+header, a wrong field count, a byte that is not UTF-8, text the csv module
+rejects or a field the format module cannot map raises
+``ValueError("<what> line N: ...")`` for the line that holds it, so a bad
+file ends a stage with a message. Open files with ``newline=""``, so a
 quoted line end reads back as written. Format modules supply only the
 mapping between a record and its row.
 """
@@ -73,8 +74,15 @@ def read_rows(
             if width is not None and len(row) != width:
                 raise ValueError(f"expected {width} fields, got {len(row)}")
             yield row if parse is None else parse(row)
+    except UnicodeDecodeError as exc:  # in a chunk read past the lines the reader counted
+        raise ValueError(f"{what} line {undecodable_line(exc, reader.line_num)}: {exc}") from None
     except (csv.Error, ValueError) as exc:
         raise ValueError(f"{what} line {max(reader.line_num, 1)}: {exc}") from None
+
+
+def undecodable_line(exc: UnicodeDecodeError, lines_before: int = 0) -> int:
+    """The line of the byte ``exc`` failed on, ``exc.object`` following ``lines_before`` lines."""
+    return lines_before + exc.object.count(b"\n", 0, exc.start) + 1
 
 
 def table_rows(

@@ -23,25 +23,12 @@ REASON_NO_CONNECTION = "no_connection_mapping"
 REASON_CONNECTION = "connection_type"
 
 
-class SeedParseError(ValueError):
-    """Malformed seed-list line; the message starts with its 1-based line number."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-
-
 @dataclass(slots=True)
 class SeedSet:
     """Ordered, duplicate-free /48 seed prefixes plus provenance counters."""
 
     prefixes: tuple[int, ...]
     provenance: dict[str, int] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.prefixes)
-
-    def __iter__(self):
-        return iter(self.prefixes)
 
 
 def parse_prefix_list(text: str) -> SeedSet:
@@ -51,8 +38,8 @@ def parse_prefix_list(text: str) -> SeedSet:
     truncated to their covering /48 (counted in provenance); prefixes shorter
     than /48 are rejected with a counted reason rather than truncated, since
     widening a seed would invent address space we were never given. Anything
-    unparsable raises SeedParseError with its line number. First occurrence
-    wins; later duplicates are counted and dropped.
+    unparsable raises ``ValueError("line N: ...")``. First occurrence wins;
+    later duplicates are counted and dropped.
     """
     seen: set[int] = set()
     ordered: list[int] = []
@@ -68,7 +55,7 @@ def parse_prefix_list(text: str) -> SeedSet:
         try:
             net = ipaddress.IPv6Network(line, strict=False)
         except ValueError as exc:
-            raise SeedParseError(lineno, f"not an IPv6 prefix: {line!r} ({exc})") from None
+            raise ValueError(f"line {lineno}: not an IPv6 prefix: {line!r} ({exc})") from None
         if net.prefixlen < 48:
             rejected_short += 1
             continue

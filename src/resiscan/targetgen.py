@@ -71,34 +71,24 @@ def alias_target_for(net56: int, rng_seed: int) -> int:
         counter += 1
 
 
-def _is_prime(n: int) -> bool:
-    # Trial division by odd d up to sqrt(n): ~42k steps for a prime near the
-    # paper's 7.04 B-probe budget, paid once per plan.
-    if n < 4:
-        return n >= 2
+def _least_factor(n: int) -> int:
+    """The smallest prime factor of ``n`` >= 2, by trial division up to sqrt(n):
+    ~42k steps for a prime near the paper's 7.04 B-probe budget, once per plan."""
     if n % 2 == 0:
-        return False
-    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+        return 2
+    return next((d for d in range(3, math.isqrt(n) + 1, 2) if n % d == 0), n)
 
 
 def _next_prime(n: int) -> int:
-    candidate = n + 1
-    while not _is_prime(candidate):
-        candidate += 1
-    return candidate
+    return next(c for c in itertools.count(n + 1) if _least_factor(c) == c)
 
 
 def _prime_factors(n: int) -> list[int]:
     factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append(n)
+    while n > 1:
+        factors.append(_least_factor(n))
+        while n % factors[-1] == 0:
+            n //= factors[-1]
     return factors
 
 
@@ -196,7 +186,7 @@ class ScanPlan:
 def build_plan(seeds, rng_seed: int) -> ScanPlan:
     """Build the scan plan for an ordered seed collection.
 
-    ``seeds`` may be a SeedSet or any iterable of distinct /48 network ints.
+    ``seeds`` is any iterable of distinct /48 network ints.
     Budget is always len(seeds) * 2816; no target is materialized.
     """
     return ScanPlan(tuple(seeds), rng_seed)

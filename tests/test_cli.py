@@ -295,6 +295,13 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(str(p))
 
+    @pytest.mark.parametrize("text", ["[]", '"out"', "null"])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, text):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="must hold a JSON object"):
+            load_config(str(p))
+
     def test_transport_merge_keeps_defaults(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text('{"transport": {"scenario": "s.json"}}')
@@ -757,21 +764,50 @@ class TestHostileFiles:
         assert (res.code, res.err) == (1, "error: can't start new thread\n")
         assert not (tmp_path / "grabs.csv").exists()
 
-    # seeds.txt is a stage file, so its reader names the line as every stage
-    # file's does; the raw seed list keeps its own grammar and messages.
-    @pytest.mark.parametrize(
-        "stage, line", [("seed-filter", ""), ("plan", "line 1: ")], ids=["seed-filter", "plan"]
-    )
-    def test_seed_text_not_utf8_names_its_file(self, tmp_path, stage, line):
+    # A byte that is not UTF-8 is reported at the line that holds it, in the
+    # raw seed list (read whole) and in seeds.txt (read as a stage file) alike.
+    @pytest.mark.parametrize("stage", ["seed-filter", "plan"])
+    def test_seed_text_not_utf8_names_its_file(self, tmp_path, stage):
         path = tmp_path / ("seeds_all.txt" if stage == "seed-filter" else "seeds.txt")
         path.write_bytes(b"2001:db8::/48\n\xff\n")
         lists = {"seed_list": str(path), "as_map": "as.csv", "conn_map": "conn.csv"}
         res = run_cli("--config", write_config(str(tmp_path), lists), "--out", str(tmp_path), stage)
         assert res.code == 1
         assert res.err == (
-            f"error: {path}: {line}'utf-8' codec can't decode byte 0xff in position 14: "
+            f"error: {path}: line 2: 'utf-8' codec can't decode byte 0xff in position 14: "
             "invalid start byte\n"
         )
+
+    def test_seeds_txt_not_utf8_past_line_1(self, tmp_path):
+        (tmp_path / "seeds.txt").write_bytes(b"2001:db8::/48\n2001:db8:1::/48\n\xff\n")
+        res = run_cli("--out", str(tmp_path), "plan")
+        assert res.code == 1
+        assert res.err.startswith(f"error: {tmp_path / 'seeds.txt'}: line 3: 'utf-8' codec")
+
+    # The text reader decodes a whole chunk of the file (8 KiB) before the csv
+    # reader counts its lines: the line is counted from the bytes before the
+    # bad one, in a small file and in one that spans many chunks.
+    @pytest.mark.parametrize("rows", [2, 2001])
+    def test_stage_file_not_utf8_names_its_line(self, tmp_path, rows):
+        host = classify_mod.ClassifiedAddress(
+            parse_address("2001:db8:7:100::"), parse_address("2001:db8:7:100::1"),
+            classify_mod.LABEL_INTERNAL, 64, 3,
+        )
+        path = tmp_path / "classified.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            classify_mod.write_classification([host] * rows, fh)
+        assert rows == 2 or path.stat().st_size > 8192  # many decode chunks
+        path.write_bytes(path.read_bytes()[:-1] + b"\xff\n")  # the last row ends in 0xff
+        res = run_cli("--out", str(tmp_path), "grab")
+        assert res.code == 1
+        assert res.err.startswith(f"error: classification line {rows}: 'utf-8' codec")
+        assert not (tmp_path / "grabs.csv").exists()
+
+    def test_reference_table_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "as_map.csv"
+        path.write_bytes(b"2001:db8::/32,64500,isp,de\n3fff::/20,64501,isp\xff,de\n")
+        with pytest.raises(ValueError, match="^as map line 2: 'utf-8' codec"):
+            seedprep_mod.load_as_map(str(path))
 
     @pytest.mark.parametrize(
         "stage, message",

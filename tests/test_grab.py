@@ -166,6 +166,29 @@ class _ClockJumpingSocket:
         return data
 
 
+class _ResettingSocket:
+    """A client socket whose first ``recv`` returns what the peer sent and
+    whose every later one finds the stream reset."""
+
+    def __init__(self, sock):
+        self._sock, self._reads = sock, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._sock.close()
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def recv(self, n):
+        self._reads += 1
+        if self._reads > 1:
+            raise ConnectionResetError(errno.ECONNRESET, "Connection reset by peer")
+        return self._sock.recv(n)
+
+
 def _grab_as_deadline_passes(monkeypatch, spec, reply: bytes):
     """One grab of a peer that has already written ``reply`` and stopped sending,
     under a ``grab.time.monotonic`` that only ``recv`` advances."""
@@ -340,6 +363,21 @@ class TestReadDeadlines:
         script = [(0, b"220-first\r\n"), (0.05, b"220 second\r\n")]
         rec, _took = _paced_grab(spec_by_name("ftp"), script, timeout=5.0)
         assert rec.banner == b"220-first\r\n220 second\r\n"
+
+    def test_stream_broken_after_first_bytes_keeps_them(self):
+        # No greeting end arrives, so the read asks again and meets a reset.
+        peers = []
+        scripted = _scripted_connector(b"SSH-2.0-cut", peers)
+
+        def connector(address, port, timeout, udp=False):
+            return _ResettingSocket(scripted(address, port, timeout, udp))
+
+        try:
+            rec = grab(V6, spec_by_name("ssh"), connector=connector, timeout=5.0)
+        finally:
+            for peer in peers:
+                peer.close()
+        assert (rec.outcome, rec.banner) == (OUTCOME_RESPONDED, b"SSH-2.0-cut")
 
     def test_pause_past_idle_deadline_cuts_banner(self):
         # The documented live trade-off: a banner that pauses this long is cut.
@@ -550,6 +588,9 @@ class TestHttpGrabs:
         assert (status, headers["server"], body) == (200, "X", b"hi")
         assert parse_http_response(b"junk")[0] is None
         assert parse_http_response(b"")[0] is None
+        # A whole head whose status line is not HTTP's, or whose status is no number.
+        assert parse_http_response(b"RTSP/1.0 200 OK\r\nServer: X\r\n\r\nhi") == (None, {}, b"")
+        assert parse_http_response(b"HTTP/1.1 OK\r\nServer: X\r\n\r\nhi") == (None, {}, b"")
 
 
 class TestMqtt:

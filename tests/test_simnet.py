@@ -16,6 +16,7 @@ from conftest import (
     make_subnet,
 )
 from resiscan.addrs import SUBNET_SHIFT, format_address, parse_address
+from resiscan.fingerprint import extract_eui64
 from resiscan.probe import ICMP6_DEST_UNREACH, ICMP6_ECHO_REPLY
 from resiscan.seedprep import load_as_map, load_connection_map, parse_prefix_list
 from resiscan.simnet import (
@@ -120,8 +121,22 @@ class TestDerivedIid:
             raw = iid.to_bytes(8, "big")
             assert not (raw[3] == 0xFF and raw[4] == 0xFE)
 
+    def test_eui64_infix_cleared(self):
+        # This digest carries ff:fe at bytes 3-4; the IID keeps it with byte 3 zeroed.
+        key = (1).to_bytes(8, "big")
+        digest = hashlib.blake2b(b"slaac" + (75425).to_bytes(8, "big"), key=key, digest_size=8)
+        assert digest.hexdigest() == "f5afe2fffe9f972f"
+        assert derived_iid(1, b"slaac", 75425) == 0xF5AFE200FE9F972F
+        assert extract_eui64(derived_iid(1, b"slaac", 75425)) is None
+
 
 class TestValidation:
+    def test_bits_below_48_rejected(self):
+        # The file decoder refuses such a prefix first; a scenario built in code is checked too.
+        net = make_net("2001:db8:1:1::", [make_subnet(0, hosts=[make_host(1)])])
+        with pytest.raises(ScenarioError, match="bits below /48"):
+            make_scenario([net])
+
     def test_duplicate_48_rejected(self):
         net = make_net("2001:db8:1::", [make_subnet(0, hosts=[make_host(1)])])
         dup = make_net("2001:db8:1::", [make_subnet(1, hosts=[make_host(1)])])
@@ -244,6 +259,23 @@ class TestScenarioFile:
                 assert str(exc).startswith("malformed scenario document: "), doc
             else:
                 pytest.fail(f"accepted {doc}")
+
+        # a document that decodes but that the scenario refuses, by its message
+        low_iid_wan = {"wan_mode": "low_iid", "wan_iid": 11}
+        refused = [
+            (broken(lambda d: d.update(nets=[])), "no networks"),
+            (broken(lambda d: d.update(wan_base="2001:db8::")), "overlaps the WAN"),
+            (broken(lambda d: subnet(d).update(index=256)), "subnet index 256 out of range"),
+            (broken(lambda d: subnet(d).update(index=-1)), "subnet index -1 out of range"),
+            (broken(lambda d: subnet(d)["cpe"].update(firewall="open")), "bad firewall 'open'"),
+            (broken(lambda d: subnet(d)["cpe"].update(wan_mode="dhcp")), "bad wan mode 'dhcp'"),
+            (broken(lambda d: subnet(d)["cpe"].update(low_iid_wan)), "wan_iid in 1..10"),
+            (broken(lambda d: subnet(d)["cpe"].update(initial_hop_limit=100)), "cpe initial_hop"),
+            (broken(lambda d: host(d).update(iid_mode="static")), "bad iid_mode 'static'"),
+        ]
+        for doc, message in refused:
+            with pytest.raises(ScenarioError, match=message):
+                scenario_from_dict(doc)
 
     @pytest.mark.parametrize(
         "record",
@@ -700,6 +732,30 @@ class TestGenerator:
             ScenarioParams(aliased_fraction=0.7, deny_fraction=0.7).validate()
         with pytest.raises(ScenarioError):
             ScenarioParams(hosts_per_subnet=tuple([1.0] * 11)).validate()
+        refused = [
+            (dict(subnets_per_48=0), "subnets_per_48 must be in 1..256"),
+            (dict(subnets_per_48=257), "subnets_per_48 must be in 1..256"),
+            (dict(slaac_fraction=-0.1), "slaac_fraction must be in"),
+            (dict(nonresidential_fraction=1.5), "nonresidential_fraction must be in"),
+            (dict(hosts_per_subnet=(0.0, 0.0)), "hosts_per_subnet needs positive weight"),
+            (dict(hosts_per_subnet=()), "hosts_per_subnet needs positive weight"),
+        ]
+        for change, message in refused:
+            with pytest.raises(ScenarioError, match=message):
+                ScenarioParams(**change).validate()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(wan_mode_weights={"eui64": 0.0, "random_iid": 0.0}), "weights must sum"),
+            (dict(host_profile_weights={64: 0.0}), "weights must sum"),
+            (dict(n48=(1 << 16) + 1, subnets_per_48=1), "n48 exceeds the generator's /32"),
+        ],
+        ids=["wan_mode_mix", "host_profile_mix", "n48"],
+    )
+    def test_generator_refuses_params(self, change, message):
+        with pytest.raises(ScenarioError, match=message):
+            generate_scenario(ScenarioParams(**change), 1)
 
 
 class TestCompanionFiles:
@@ -709,7 +765,7 @@ class TestCompanionFiles:
         (tmp_path / "as.csv").write_text(as_map_lines(scenario))
         (tmp_path / "conn.csv").write_text(connection_map_lines(scenario))
         seeds = parse_prefix_list(seed_lines(scenario))
-        assert len(seeds) == 4
+        assert len(seeds.prefixes) == 4
         from resiscan.seedprep import filter_seeds
 
         kept = filter_seeds(

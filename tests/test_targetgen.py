@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resiscan.addrs import SUBNET_SHIFT, format_address, parse_address, prefix56_of
-from resiscan.seedprep import parse_prefix_list
 from resiscan.targetgen import (
     ALIAS_MIN_IID,
     LOW_IIDS_PER_56,
@@ -17,8 +16,9 @@ from resiscan.targetgen import (
     PlanError,
     ProbeTarget,
     ScanPlan,
-    _is_prime,
+    _least_factor,
     _next_prime,
+    _prime_factors,
     alias_target_for,
     build_plan,
     probed_low_iid,
@@ -102,9 +102,19 @@ class TestPrimes:
         assert _next_prime(2816) == 2819
         assert _next_prime(28160) == 28163
         for p in (2, 3, 5, 7, 97, 2819, 1_000_003):
-            assert _is_prime(p)
-        for c in (0, 1, 4, 9, 91, 2817, 561, 41041, 25326001):  # incl. Carmichael numbers
-            assert not _is_prime(c)
+            assert _least_factor(p) == p
+        composites = {4: 2, 9: 3, 91: 7, 2817: 3, 561: 3, 41041: 7, 25326001: 2251}
+        for c, least in composites.items():  # incl. Carmichael numbers
+            assert _least_factor(c) == least
+
+    def test_prime_factors_are_distinct_and_ascending(self):
+        # The group orders of the plan moduli above, then every n against a brute force.
+        assert _prime_factors(2818) == [2, 1409]
+        assert _prime_factors(180232) == [2, 13, 1733]
+        assert _prime_factors(7_040_000_002) == [2, 7, 3517, 142979]
+        for n in range(1, 600):
+            primes = [q for q in range(2, n + 1) if n % q == 0 and _least_factor(q) == q]
+            assert _prime_factors(n) == primes
 
     def test_plan_moduli_known_answers(self):
         # Budgets of 1, 2, 64 and 200 seeds and the paper's 7.04 B probes.
@@ -126,7 +136,7 @@ class TestPrimes:
             if sieve[i]:
                 for j in range(i * i, limit, i):
                     sieve[j] = False
-        assert [_is_prime(i) for i in range(limit)] == sieve
+        assert [i >= 2 and _least_factor(i) == i for i in range(limit)] == sieve
         primes = [i for i, is_p in enumerate(sieve) if is_p]
         random_points = random.Random(1).sample(range(limit - 200), 50)
         for n in random_points:
@@ -143,12 +153,6 @@ class TestScanPlan:
     def test_rejects_empty_seed_set(self):
         with pytest.raises(PlanError):
             build_plan([], 1)
-
-    def test_accepts_seedset_objects(self):
-        seeds = parse_prefix_list("2001:db8:1::/48\n2001:db8:2::/48\n")
-        plan = build_plan(seeds, 7)
-        assert plan.budget == 2 * TARGETS_PER_48
-        assert plan.seeds == seeds.prefixes
 
     def test_permutation_covers_exact_target_multiset(self):
         # Independent oracle: construct the full expected multiset directly
