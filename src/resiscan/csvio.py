@@ -81,8 +81,9 @@ def read_rows(
 
 
 def undecodable_line(exc: UnicodeDecodeError, lines_before: int = 0) -> int:
-    """The line of the byte ``exc`` failed on, ``exc.object`` following ``lines_before`` lines."""
-    return lines_before + exc.object.count(b"\n", 0, exc.start) + 1
+    """The line of the byte ``exc`` failed on, ``exc.object`` following ``lines_before`` lines
+    that end in ``\\r\\n``, ``\\r`` or ``\\n``, as the csv reader counts them."""
+    return lines_before + len(exc.object[: exc.start + 1].splitlines())  # that byte ends no line
 
 
 def table_rows(

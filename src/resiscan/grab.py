@@ -417,11 +417,11 @@ def run_grab_campaign(
 ) -> list[GrabRecord]:
     """Grab every (address, service) pair exactly once; order-stable output.
 
-    Up to ``parallelism`` worker threads (at least one, at most one per pair)
-    take pairs one at a time from a shared iterator, so at most that many
-    connections are open and nothing is queued per pair. No worker is started
-    once every pair has been taken. If a worker cannot be started, the ones
-    that did start do the work, or the calling thread if none did. Failures
+    Up to ``parallelism`` workers (at least one, at most one per pair), the
+    calling thread and the threads it starts, take pairs one at a time from a
+    shared iterator, so at most that many connections are open and nothing is
+    queued per pair. No thread is started once every pair has been taken, and
+    if one cannot be started, those that did and the caller do the work. Failures
     are per-pair: one hung or broken endpoint can't sink the campaign, and
     results come back sorted by (address, service). A ``RuntimeError`` or
     ``MemoryError`` is a failure of this process, not of the peer: no worker
@@ -457,7 +457,7 @@ def run_grab_campaign(
 
     n_workers = max(1, min(parallelism, len(records)))
     workers = []
-    for _ in range(n_workers):
+    for _ in range(n_workers - 1):  # the calling thread is the last worker
         if taken:
             break
         t = threading.Thread(target=work)
@@ -467,8 +467,7 @@ def run_grab_campaign(
             log.warning("grab: %s; %d of %d workers started", exc, len(workers), n_workers)
             break
         workers.append(t)
-    if not workers:
-        work()
+    work()
     for t in workers:
         t.join()
     if failures:

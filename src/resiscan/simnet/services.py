@@ -158,7 +158,7 @@ def _server_context(common_name: str) -> ssl.SSLContext:
 
 # ---------------------------------------------------------------------------
 # Behaviors. Each takes the recording connection and its params dict;
-# _run_handler closes the connection when the behavior returns.
+# _run_handler closes the connection when the behavior returns or raises.
 
 
 def _drain_until_close(conn: _Conn, limit: float) -> None:
@@ -257,10 +257,7 @@ def h_tls_http(conn: _Conn, params: dict) -> None:
         return
     with _server_context_lock:
         ctx = _server_context(str(params.get("common_name", "simnet test")))
-    try:
-        conn.sock = ctx.wrap_socket(conn.sock, server_side=True)
-    except OSError:  # ssl.SSLError included
-        return
+    conn.sock = ctx.wrap_socket(conn.sock, server_side=True)
     h_http(conn, params)
 
 
@@ -290,30 +287,27 @@ def h_mqtt_broker(conn: _Conn, params: dict) -> None:
 def h_lockdown(conn: _Conn, params: dict) -> None:
     import plistlib
 
-    try:
-        raw_len = recv_exact(conn, 4)
-        if len(raw_len) < 4:
-            return
-        (length,) = struct.unpack(">I", raw_len)
-        if length > 1 << 20:
-            return
-        body = recv_exact(conn, length)
-        if len(body) < length:
-            return
-        request = plistlib.loads(body)
-        if not isinstance(request, dict):
-            return
-        mode = params.get("mode", "normal")
-        if mode == "hostile_length":
-            conn.sendall(struct.pack(">I", 0x7FFFFFFF) + b"\x00" * 16)
-            return
-        reply: dict = {"Request": request.get("Request", "GetValue"), "Key": request.get("Key", "")}
-        if mode != "no_value" and request.get("Key") == "ProductVersion":
-            reply["Value"] = str(params.get("product_version", "18.2"))
-        payload = plistlib.dumps(reply, fmt=plistlib.FMT_XML)
-        conn.sendall(struct.pack(">I", len(payload)) + payload)
-    except (OSError, plistlib.InvalidFileException, ValueError):
-        pass
+    raw_len = recv_exact(conn, 4)
+    if len(raw_len) < 4:
+        return
+    (length,) = struct.unpack(">I", raw_len)
+    if length > 1 << 20:
+        return
+    body = recv_exact(conn, length)
+    if len(body) < length:
+        return
+    request = plistlib.loads(body)
+    if not isinstance(request, dict):
+        return
+    mode = params.get("mode", "normal")
+    if mode == "hostile_length":
+        conn.sendall(struct.pack(">I", 0x7FFFFFFF) + b"\x00" * 16)
+        return
+    reply: dict = {"Request": request.get("Request", "GetValue"), "Key": request.get("Key", "")}
+    if mode != "no_value" and request.get("Key") == "ProductVersion":
+        reply["Value"] = str(params.get("product_version", "18.2"))
+    payload = plistlib.dumps(reply, fmt=plistlib.FMT_XML)
+    conn.sendall(struct.pack(">I", len(payload)) + payload)
 
 
 def h_ntp(conn: _Conn, params: dict) -> None:

@@ -180,11 +180,9 @@ class TestPipelineStages:
             for line in read_lines(os.path.join(pipeline.dir, "seeds.txt"))
         }
         expected = expected_grab_outcomes(pipeline.scenario, default_services(), seeds)
-        with open(os.path.join(pipeline.dir, "grabs.csv")) as fh:
-            actual = {
-                (parse_address(g.address), g.service): g.outcome
-                for g in grab_mod.read_grab_log(fh)
-            }
+        with open(os.path.join(pipeline.dir, "grabs.csv"), encoding="utf-8", newline="") as fh:
+            grabs = grab_mod.read_grab_log(fh)
+        actual = {(parse_address(g.address), g.service): g.outcome for g in grabs}
         mismatches = {
             key: (want, actual[key])
             for key, want in expected.items()
@@ -193,6 +191,14 @@ class TestPipelineStages:
         assert mismatches == {}
         # every truth address was classified, so every expectation was exercised
         assert set(expected) <= set(actual)
+        # An ssh peer sends its version line and holds the connection: the
+        # read ends at that line's end and keeps it whole.
+        ssh = [g for g in grabs if g.service == "ssh"]
+        answered = [g for g in ssh if g.outcome != grab_mod.OUTCOME_REFUSED]
+        assert answered
+        for g in answered:
+            assert g.outcome == grab_mod.OUTCOME_RESPONDED, g
+            assert g.banner.startswith(b"SSH-2.0-") and g.banner.endswith(b"\r\n"), g
 
     def test_fingerprint_outputs(self, pipeline):
         eui = read_lines(os.path.join(pipeline.dir, "eui64.csv"))
@@ -766,10 +772,15 @@ class TestHostileFiles:
 
     # A byte that is not UTF-8 is reported at the line that holds it, in the
     # raw seed list (read whole) and in seeds.txt (read as a stage file) alike.
-    @pytest.mark.parametrize("stage", ["seed-filter", "plan"])
-    def test_seed_text_not_utf8_names_its_file(self, tmp_path, stage):
+    # Lines may end in a bare "\r", as the csv reader and str.splitlines count them.
+    @pytest.mark.parametrize(
+        "stage, end",
+        [("seed-filter", b"\n"), ("plan", b"\n"), ("seed-filter", b"\r"), ("plan", b"\r")],
+        ids=["seed-filter", "plan", "seed-filter-cr", "plan-cr"],
+    )
+    def test_seed_text_not_utf8_names_its_file(self, tmp_path, stage, end):
         path = tmp_path / ("seeds_all.txt" if stage == "seed-filter" else "seeds.txt")
-        path.write_bytes(b"2001:db8::/48\n\xff\n")
+        path.write_bytes(b"2001:db8::/48" + end + b"\xff" + end)
         lists = {"seed_list": str(path), "as_map": "as.csv", "conn_map": "conn.csv"}
         res = run_cli("--config", write_config(str(tmp_path), lists), "--out", str(tmp_path), stage)
         assert res.code == 1
@@ -786,9 +797,13 @@ class TestHostileFiles:
 
     # The text reader decodes a whole chunk of the file (8 KiB) before the csv
     # reader counts its lines: the line is counted from the bytes before the
-    # bad one, in a small file and in one that spans many chunks.
-    @pytest.mark.parametrize("rows", [2, 2001])
-    def test_stage_file_not_utf8_names_its_line(self, tmp_path, rows):
+    # bad one, in a small file and in one that spans many chunks, with lines
+    # that end in "\n" or in a bare "\r".
+    @pytest.mark.parametrize(
+        "rows, end", [(2, b"\n"), (2001, b"\n"), (2, b"\r"), (2001, b"\r")],
+        ids=["2", "2001", "2-cr", "2001-cr"],
+    )
+    def test_stage_file_not_utf8_names_its_line(self, tmp_path, rows, end):
         host = classify_mod.ClassifiedAddress(
             parse_address("2001:db8:7:100::"), parse_address("2001:db8:7:100::1"),
             classify_mod.LABEL_INTERNAL, 64, 3,
@@ -797,7 +812,8 @@ class TestHostileFiles:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             classify_mod.write_classification([host] * rows, fh)
         assert rows == 2 or path.stat().st_size > 8192  # many decode chunks
-        path.write_bytes(path.read_bytes()[:-1] + b"\xff\n")  # the last row ends in 0xff
+        text = path.read_bytes().replace(b"\n", end)
+        path.write_bytes(text[:-1] + b"\xff" + end)  # the last row ends in 0xff
         res = run_cli("--out", str(tmp_path), "grab")
         assert res.code == 1
         assert res.err.startswith(f"error: classification line {rows}: 'utf-8' codec")

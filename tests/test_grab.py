@@ -702,12 +702,29 @@ class TestBehaviorBytes:
             ),
             ("lockdown", {}, b"\x00\x00", b""),  # length prefix cut short
             ("lockdown", {}, b"\x00\x00\x00\x09<?x", b""),  # body cut short
+            ("lockdown", {}, b"\x00\x00\x00\x03abc", b""),  # whole body, not a plist
         ],
         ids=[
-            "dahua", "nanoleaf", "mqtt", "mqtt-short", "lockdown", "lockdown-short", "lockdown-body"
+            "dahua", "nanoleaf", "mqtt", "mqtt-short", "lockdown", "lockdown-short",
+            "lockdown-body", "lockdown-not-plist",
         ],
     )
     def test_reply_and_transcript(self, behavior, params, request_bytes, reply):
+        backend, received = self._exchange(behavior, params, request_bytes)
+        assert received == reply
+        (transcript,) = backend.transcripts_for(V6, 9000)
+        assert transcript.data == request_bytes
+
+    def test_tls_http_hangs_up_on_a_failed_handshake(self):
+        # A TLS record that holds no ClientHello fails the handshake: the
+        # endpoint closes without serving its page. The alert it may send
+        # first depends on the OpenSSL version.
+        _backend, received = self._exchange("tls_http", {}, b"\x16\x03\x01\x00\x05hello")
+        assert b"HTTP/" not in received
+
+    @staticmethod
+    def _exchange(behavior, params, request_bytes):
+        """A simulated endpoint's backend, and all it sent back to ``request_bytes``."""
         backend = SimServices(make_scenario([make_net("2001:db8:5::", [make_subnet(1)])]))
         backend.add_endpoint(V6, 9000, behavior, params)
         sock = backend.connect(V6, 9000, timeout=5.0)
@@ -717,9 +734,7 @@ class TestBehaviorBytes:
         while chunk := sock.recv(4096):
             received += chunk
         sock.close()
-        assert received == reply
-        (transcript,) = backend.transcripts_for(V6, 9000)
-        assert transcript.data == request_bytes
+        return backend, received
 
     def test_lockdown_ignores_a_plist_that_is_not_a_dict(self):
         ours, theirs = socket.socketpair()
@@ -1151,6 +1166,19 @@ class TestCampaign:
         assert len(starts) == 1
         assert records == expected
         assert {r.outcome for r in records} == {OUTCOME_REFUSED}
+
+    def test_one_worker_is_the_calling_thread(self, monkeypatch):
+        # At parallelism 1 the campaign starts no thread: the caller takes every pair.
+        connector, _state = self._refusing_connector([])
+        addresses = [f"2001:db8:9::{i:x}" for i in range(1, 5)]
+        specs = default_services()[:3]
+        expected = run_grab_campaign(addresses, specs, connector=connector, parallelism=8)
+        real_start = threading.Thread.start
+        starts = []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or real_start(t))
+        records = run_grab_campaign(addresses, specs, connector=connector, parallelism=1)
+        assert starts == []
+        assert records == expected
 
     def test_every_pair_grabbed_once_under_contention(self):
         # More workers than cores and a short switch interval, so a pair taken twice
