@@ -19,8 +19,11 @@ PREFIX56_MASK = ((1 << 56) - 1) << 72
 
 
 def parse_address(text: str) -> int:
-    """Parse IPv6 text to its 128-bit integer value."""
-    text = text.strip()
+    """Parse IPv6 text, whitespace around it ignored, to its 128-bit integer value."""
+    return _address(text.strip())
+
+
+def _address(text: str) -> int:
     try:
         return int.from_bytes(socket.inet_pton(socket.AF_INET6, text), "big")
     except (OSError, ValueError):
@@ -37,12 +40,22 @@ def format_address(value: int) -> str:
     return socket.inet_ntop(socket.AF_INET6, value.to_bytes(16, "big"))
 
 
+def parse_cidr(text: str) -> tuple[int, int]:
+    """The address and length of ``address/length`` text, as ``IPv6Network(text,
+    strict=False)`` reads it but with bits below the length kept; a bare address is a /128."""
+    address, slash, length = text.partition("/")
+    plen = 128
+    # int() alone would also take " 48", "+48", "4_8" and other scripts' digits.
+    if slash and not (length.isascii() and length.isdigit() and (plen := int(length)) <= 128):
+        raise ValueError(f"{text!r} has no prefix length from 0 to 128")
+    return _address(address), plen
+
+
 def parse_prefix(text: str, length: int) -> int:
     """The network of ``address/length`` text; any other length, or a bit
     set below it, raises ValueError."""
-    address, _, plen = text.partition("/")
-    network = parse_address(address)
-    if plen != str(length) or network & ((1 << (128 - length)) - 1):
+    network, plen = parse_cidr(text)
+    if plen != length or network & ((1 << (128 - length)) - 1):
         raise ValueError(f"{text!r} is not a /{length} network")
     return network
 
@@ -56,7 +69,7 @@ def prefix56_of(address: int) -> int:
 
 
 class LongestPrefixMap:
-    """Longest-prefix-match lookup over IPv6 CIDR entries.
+    """Longest-prefix-match lookup over IPv6 networks of any length, none with host bits set.
 
     Entries are bucketed by prefix length; a lookup masks the address at each
     populated length, longest first. Fine for offline datasets of the sizes
@@ -81,12 +94,14 @@ class LongestPrefixMap:
         return table
 
     def insert(self, cidr: str, value: object) -> None:
-        net = ipaddress.IPv6Network(cidr.strip())
-        bucket = self._by_len.get(net.prefixlen)
+        network, plen = parse_cidr(cidr)
+        if network & ((1 << (128 - plen)) - 1):
+            raise ValueError(f"{cidr!r} has host bits set")
+        bucket = self._by_len.get(plen)
         if bucket is None:
-            bucket = self._by_len[net.prefixlen] = {}
+            bucket = self._by_len[plen] = {}
             self._lens_desc = sorted(self._by_len, reverse=True)
-        bucket[int(net.network_address)] = value
+        bucket[network] = value
 
     def lookup(self, address: int) -> object | None:
         for plen in self._lens_desc:

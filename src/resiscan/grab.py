@@ -464,7 +464,7 @@ def run_grab_campaign(
         try:
             t.start()
         except RuntimeError as exc:  # "can't start new thread"
-            log.warning("grab: %s; %d of %d workers started", exc, len(workers), n_workers)
+            log.warning("grab: %s; %d of %d workers started", exc, len(workers) + 1, n_workers)
             break
         workers.append(t)
     work()

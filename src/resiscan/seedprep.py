@@ -8,10 +8,10 @@ Both datasets are offline snapshot files; no network lookups happen here.
 
 from __future__ import annotations
 
-import ipaddress
+import re
 from dataclasses import dataclass, field
 
-from .addrs import PREFIX48_MASK, LongestPrefixMap
+from .addrs import PREFIX48_MASK, LongestPrefixMap, parse_cidr
 
 RESIDENTIAL_CATEGORY = "internet service provider"
 RESIDENTIAL_CONNECTIONS = frozenset({"cable_dsl", "dialup"})
@@ -34,45 +34,40 @@ class SeedSet:
 def parse_prefix_list(text: str) -> SeedSet:
     """Parse a one-CIDR-per-line seed list into /48 granularity.
 
-    Blank lines and ``#`` comments are skipped. Prefixes longer than /48 are
+    Lines end at ``\n`` only, as in text read with universal newlines. Blank
+    lines and ``#`` comments are skipped. Prefixes longer than /48 are
     truncated to their covering /48 (counted in provenance); prefixes shorter
     than /48 are rejected with a counted reason rather than truncated, since
     widening a seed would invent address space we were never given. Anything
     unparsable raises ``ValueError("line N: ...")``. First occurrence wins;
     later duplicates are counted and dropped.
     """
-    seen: set[int] = set()
-    ordered: list[int] = []
+    ordered: dict[int, None] = {}  # a repeat keeps the place of its first occurrence
     lines = 0
-    duplicates = 0
     truncated = 0
     rejected_short = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    # A line at a time, as a paper-scale list holds millions; the last match may be empty.
+    for lineno, match in enumerate(re.finditer(r"[^\n]*\n?", text), start=1):
+        line = match[0].split("#", 1)[0].strip()
         if not line:
             continue
         lines += 1
         try:
-            net = ipaddress.IPv6Network(line, strict=False)
+            address, plen = parse_cidr(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: not an IPv6 prefix: {line!r} ({exc})") from None
-        if net.prefixlen < 48:
+        if plen < 48:
             rejected_short += 1
             continue
-        if net.prefixlen > 48:
+        if plen > 48:
             truncated += 1
-        p48 = int(net.network_address) & PREFIX48_MASK
-        if p48 in seen:
-            duplicates += 1
-            continue
-        seen.add(p48)
-        ordered.append(p48)
+        ordered[address & PREFIX48_MASK] = None
     return SeedSet(
         prefixes=tuple(ordered),
         provenance={
             "lines": lines,
             "prefixes": len(ordered),
-            "duplicates": duplicates,
+            "duplicates": lines - rejected_short - len(ordered),
             "truncated": truncated,
             "rejected_short": rejected_short,
         },

@@ -1,7 +1,8 @@
 import ipaddress
+import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resiscan.addrs import (
@@ -11,6 +12,8 @@ from resiscan.addrs import (
     LongestPrefixMap,
     format_address,
     parse_address,
+    parse_cidr,
+    parse_prefix,
     prefix48_of,
     prefix56_of,
 )
@@ -82,6 +85,79 @@ def test_parse_keeps_ipaddress_only_forms_and_errors():
         parse_address("::01.2.3.4")
     with pytest.raises(ValueError):
         format_address(1 << 128)
+
+
+# Address text of every form, then a length part that int() would read and
+# ipaddress refuses, or one at an edge of 0-128.
+CIDR_TEXT = st.builds(
+    operator.add,
+    st.one_of(
+        ANY_ADDRESS.map(format_address),
+        ANY_ADDRESS.map(lambda v: ipaddress.IPv6Address(v).exploded),
+        st.sampled_from(["fe80::1%eth0", "fe80::1% ", "::ffff:1.2.3.4", " ::1", "::1 ", ""]),
+        st.text(alphabet="0123456789abcdef:.% ", max_size=24),
+    ),
+    st.one_of(
+        st.sampled_from(["", "/", "/048", "/+48", "/ 48", "/48 ", "/4_8", "/\u0664\u0668", "/129", "//48"]),
+        st.integers(min_value=0, max_value=200).map("/{}".format),
+        st.text(max_size=4).map("/{}".format),
+    ),
+)
+
+
+def _cidr_network(text: str) -> tuple[int, int] | None:
+    try:
+        address, length = parse_cidr(text)
+    except ValueError:
+        return None
+    return address >> (128 - length) << (128 - length), length
+
+
+def _ipaddress_network(text: str) -> tuple[int, int] | None:
+    try:
+        net = ipaddress.IPv6Network(text, strict=False)
+    except ValueError:
+        return None
+    return int(net.network_address), net.prefixlen
+
+
+@settings(max_examples=1000)
+@given(CIDR_TEXT)
+@example("2001:db8::/048")
+@example("2001:db8::/")
+@example("2001:db8::/+48")
+@example("2001:db8::/ 48")
+@example("2001:db8::/4_8")
+@example("2001:db8::/\u0664\u0668")  # Arabic-Indic 48
+@example("2001:db8::/129")
+@example("2001:db8:://48")
+@example("2001:db8::1")
+@example("fe80::1%eth0/64")
+@example("::ffff:1.2.3.4/128")
+def test_parse_cidr_agrees_with_ipaddress(text):
+    # Same network and length for every text ipaddress accepts, ValueError for the rest.
+    assert _cidr_network(text) == _ipaddress_network(text)
+
+
+def test_parse_prefix_needs_the_exact_length_and_no_host_bits():
+    # Stage files and the scenario.
+    assert parse_prefix("2001:db8:1::/048", 48) == parse_address("2001:db8:1::")
+    for text in ("2001:db8:1::/47", "2001:db8:1::/56", "2001:db8:1::", "2001:db8:1::1/48"):
+        with pytest.raises(ValueError, match="is not a /48 network"):
+            parse_prefix(text, 48)
+
+
+def test_lpm_takes_any_length_and_no_host_bits():
+    # The reference tables.
+    table = LongestPrefixMap()
+    table.insert("2001:db8::/032", "wide")
+    table.insert("2001:db8::5", "host")  # a bare address is a /128
+    assert table.lookup(parse_address("2001:db8::5")) == "host"
+    assert table.lookup(parse_address("2001:db8::6")) == "wide"
+    with pytest.raises(ValueError, match="has host bits set"):
+        table.insert("2001:db8::1/32", "x")
+    with pytest.raises(ValueError, match="no prefix length from 0 to 128"):
+        table.insert("2001:db8::/129", "x")
 
 
 def test_iid_and_prefix_slicing():

@@ -703,7 +703,7 @@ class TestHostileFiles:
         "loader, bad_row, error",
         [
             (seedprep_mod.load_as_map, "2001:db8::/32,x64496,isp,de", "invalid literal"),
-            (seedprep_mod.load_connection_map, "2001:db8::/129,cable_dsl", "netmask"),
+            (seedprep_mod.load_connection_map, "2001:db8::/129,cable_dsl", "prefix length"),
             (report_mod.load_asn_geo, "2001:db8:zz::/48,64496,Net,de", "hex digits"),
             (seedprep_mod.load_connection_map, "2001:db8::/32,fiber", "unknown connection type"),
             (report_mod.load_asn_geo, "2001:db8::1/32,64496,Net,de", "has host bits set"),

@@ -1144,7 +1144,7 @@ class TestCampaign:
         with caplog.at_level("WARNING", logger="resiscan.grab"):
             records = run_grab_campaign(addresses, specs, connector=connector, parallelism=8)
         assert records == expected
-        assert f"{started} of 8 workers started" in caplog.text
+        assert f"{started + 1} of 8 workers started" in caplog.text  # the caller is one
 
     def test_no_worker_starts_after_the_pairs_run_out(self, monkeypatch):
         # Each start runs its worker to the end before the next start, so the

@@ -74,6 +74,27 @@ class TestParsePrefixList:
         assert format_address(seeds.prefixes[0]) == "2001:db8:7::"
         assert seeds.provenance["truncated"] == 1
 
+    def test_length_grammar(self):
+        # Any length of the one CIDR grammar; longer ones truncate, shorter ones are counted.
+        seeds = parse_prefix_list("2001:db8:1:ff00::1/0128\n2001:db8:2::/048\n2001:db8::/047\n")
+        assert [format_address(p) for p in seeds.prefixes] == ["2001:db8:1::", "2001:db8:2::"]
+        assert (seeds.provenance["truncated"], seeds.provenance["rejected_short"]) == (1, 1)
+        for length in ("/129", "/+48", "/ 48", "/4_8", "/\u0664\u0668"):
+            with pytest.raises(ValueError, match="^line 2: not an IPv6 prefix"):
+                parse_prefix_list(f"2001:db8:1::/48\n2001:db8::{length}\n")
+
+    @pytest.mark.parametrize("end", ["\u2028", "\x85", "\x0c"], ids=["u2028", "x85", "x0c"])
+    def test_only_newline_ends_a_line(self, end):
+        # A /48 commented out after another line break stays commented out.
+        seeds = parse_prefix_list(f"# note{end} 2001:db8:1::/48\n2001:db8:2::/48{end}\n")
+        assert [format_address(p) for p in seeds.prefixes] == ["2001:db8:2::"]
+        assert seeds.provenance["lines"] == 1
+        # A fault is named by its "\n" line.
+        with pytest.raises(ValueError, match="^line 2: not an IPv6 prefix: 'bogus'"):
+            parse_prefix_list(f"# c{end}# d\nbogus\n")
+        with pytest.raises(ValueError, match="^line 1: not an IPv6 prefix"):
+            parse_prefix_list(f"2001:db8:1::/48{end}2001:db8:2::/48\n")
+
 
 @pytest.fixture
 def maps(tmp_path):
