@@ -135,16 +135,13 @@ def _require_operator_contact(cfg: dict) -> str:
     )
 
 
-def _read_stage(cfg: dict, name: str, reader, optional: bool = False):
-    """Records of a stage file under output_dir, read by ``reader``; None if
-    an ``optional`` file is missing."""
+def _read_stage(cfg: dict, name: str, reader):
+    """Records of a stage file under output_dir, read by ``reader``."""
     writer = next((stage for stage, names in _OUTPUTS.items() if name in names), None)
     path = _stage_path(cfg, writer, name)
     try:
         fh = open(path, encoding="utf-8", newline="")
     except FileNotFoundError:
-        if optional:
-            return None
         raise FileNotFoundError(f"no {name} at {path}; run {writer} first") from None
     with fh:
         return reader(fh)
@@ -361,7 +358,10 @@ def cmd_grab(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
     from . import classify, fingerprint, grab
 
+    oui_path = _require(cfg, "oui_db", "OUI-to-vendor table")
     grabs = _read_stage(cfg, "grabs.csv", grab.read_grab_log)
+    classified = _read_stage(cfg, "classified.csv", classify.read_classification)
+    oui_db = fingerprint.load_oui_db(oui_path)
     hits = fingerprint.fingerprint_records(grabs)
     with _write_stage(cfg, "fingerprint", "fingerprints.csv") as fh:
         fingerprint.write_fingerprints(hits, fh)
@@ -377,8 +377,6 @@ def cmd_fingerprint(cfg: dict, args: argparse.Namespace) -> int:
             header=("address", "model", "serial", "build"),
         )
 
-    oui_db = fingerprint.load_oui_db(cfg["oui_db"]) if cfg.get("oui_db") else {}
-    classified = _read_stage(cfg, "classified.csv", classify.read_classification)
     rows = []
     for c in classified:
         mac = fingerprint.extract_eui64(c.address)
@@ -401,14 +399,10 @@ def cmd_report(cfg: dict, args: argparse.Namespace) -> int:
     geo_path = _require(cfg, "asn_geo", "prefix/ASN/name/country registry table")
     classified = _read_stage(cfg, "classified.csv", classify.read_classification)
     grabs = _read_stage(cfg, "grabs.csv", grab.read_grab_log)
-    hits = _read_stage(cfg, "fingerprints.csv", fingerprint.read_fingerprints, optional=True)
-    seeds = _read_stage(cfg, "seeds.txt", _read_seeds, optional=True)
+    hits = _read_stage(cfg, "fingerprints.csv", fingerprint.read_fingerprints)
+    seeds = _read_stage(cfg, "seeds.txt", _read_seeds)
     tables = report.aggregate(
-        classified,
-        grabs,
-        hits or [],
-        report.load_asn_geo(geo_path),
-        seed_total=None if seeds is None else len(seeds),
+        classified, grabs, hits, report.load_asn_geo(geo_path), seed_total=len(seeds)
     )
     for name in tables:
         _stage_path(cfg, "report", f"report/{name}")

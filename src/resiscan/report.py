@@ -69,7 +69,7 @@ def aggregate(
     hits: Iterable[FingerprintHit],
     asn_geo: LongestPrefixMap,
     *,
-    seed_total: int | None = None,
+    seed_total: int,
 ) -> dict[str, tuple[list[str], list]]:
     """The report tables, file name -> (header, rows), in the order emit writes them."""
     classified = list(classified)
@@ -123,7 +123,7 @@ def aggregate(
                 ["internal_addresses", totals[0]],
                 ["external_addresses", totals[1]],
                 ["responsive_48s", len(per48)],
-                ["seed_total", "" if seed_total is None else seed_total],
+                ["seed_total", seed_total],
                 ["delta_pairs", sum(deltas.values())],
                 ["internal_only_exposures", len(exposures)],
             ],

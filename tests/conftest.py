@@ -7,6 +7,8 @@ readable right next to the topology that produces it.
 
 from __future__ import annotations
 
+import os
+import re
 import threading
 
 import pytest
@@ -117,6 +119,23 @@ def no_handler_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_stage_table() -> dict[str, tuple[list[str], list[str]]]:
+    """The README's stage table: each stage with the files its ``reads`` and
+    ``writes`` cells name. A file is a backticked word; the rest of a cell is
+    prose or names a reference table, which the config gives."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Pipeline stages\n", 1)[1]
+    rows = section.strip().split("\n\n", 1)[0].splitlines()[2:]  # after the header
+    table = {}
+    for row in rows:
+        stage, reads, writes = (re.findall(r"`([^`\s]+)`", c) for c in row.strip("|").split("|"))
+        table[stage[0]] = (reads, writes)
+    return table
+
+
 __all__ = [
     "FIREWALL_ALLOW",
     "FIREWALL_DENY",
@@ -127,4 +146,5 @@ __all__ = [
     "make_net",
     "make_scenario",
     "make_subnet",
+    "readme_stage_table",
 ]

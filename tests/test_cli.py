@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SimService, make_host, make_net, make_scenario, make_subnet
+from conftest import (
+    README, SimService, make_host, make_net, make_scenario, make_subnet, readme_stage_table,
+)
 from resiscan import classify as classify_mod
 from resiscan import cli as cli_mod
 from resiscan import fingerprint as fingerprint_mod
@@ -33,7 +35,6 @@ from resiscan.simnet import load_scenario, save_scenario
 from resiscan.simnet.scenario import expected_grab_outcomes, ground_truth
 
 PROBES_PER_SEED = 2816
-README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run_cli(*argv):
@@ -44,6 +45,15 @@ def run_cli(*argv):
 
 
 STAGES = ["seed-filter", "scan", "classify", "grab", "fingerprint", "report"]
+# What each pipeline stage reads and writes, by the README, and every file they write.
+STAGE_TABLE = readme_stage_table()
+STAGE_FILES = [name for stage in STAGE_TABLE for name in cli_mod._OUTPUTS[stage]]
+
+
+def run_stage(config, outdir, stage):
+    """``stage`` as the pipeline runs it: ``plan`` with a preview to write."""
+    argv = ["plan", "--dump", "20"] if stage == "plan" else [stage]
+    return run_cli("--config", config, "--out", outdir, *argv)
 
 
 def run_stages(config_path, outdir, stages=STAGES):
@@ -67,6 +77,14 @@ def pipeline(tmp_path_factory):
         results[extra[0]] = extra[1]
     scenario = load_scenario(os.path.join(base, "scenario.json"))
     return SimpleNamespace(dir=base, config=config, results=results, scenario=scenario)
+
+
+@pytest.fixture()
+def run_dir(pipeline, tmp_path):
+    """A copy of the pipeline's outputs, every stage's among them."""
+    out = str(tmp_path / "run")
+    shutil.copytree(pipeline.dir, out)
+    return out
 
 
 def read_lines(path):
@@ -423,7 +441,7 @@ class TestConfigHandling:
         (tmp_path / "grabs.csv").write_text(
             ",".join(grab_mod._LOG_FIELDS) + "\n2001:db8::5,ssh,responded,,,,,,U1NI*LTIu\n"
         )
-        res = run_cli("--out", str(tmp_path), "fingerprint")
+        res = run_cli("--config", oui_config(tmp_path), "--out", str(tmp_path), "fingerprint")
         assert res.code == 1
         assert res.err.startswith("error: grab log line 2:")
 
@@ -437,7 +455,7 @@ class TestConfigHandling:
             grab_mod.write_grab_log([printer], fh)
         with open(tmp_path / "classified.csv", "w", encoding="utf-8") as fh:
             classify_mod.write_classification([], fh)
-        res = run_cli("--out", str(tmp_path), "fingerprint")
+        res = run_cli("--config", oui_config(tmp_path), "--out", str(tmp_path), "fingerprint")
         assert res.code == 0, res.err
         with open(tmp_path / "hp_printers.csv", encoding="utf-8", newline="") as fh:
             assert list(csv.reader(fh))[1] == ["2001:db8::5", "Evil\rModel", "CN1", ""]
@@ -450,26 +468,46 @@ class TestConfigHandling:
         assert res.code == 1
         assert res.err.startswith("error:")
 
+    def test_readme_stage_table_matches_the_outputs_table(self):
+        assert set(STAGE_TABLE) == set(cli_mod._OUTPUTS) - {"simnet-gen"}
+        for stage, (reads, writes) in STAGE_TABLE.items():
+            # A directory stands for the files the table lists under it.
+            listed = {re.sub(r"/.*", "/", name) for name in cli_mod._OUTPUTS[stage]}
+            assert set(writes) == listed, stage
+            assert set(reads) <= set(STAGE_FILES), stage
+
     @pytest.mark.parametrize(
         "stage, missing, producer",
         [
-            ("plan", "seeds.txt", "seed-filter"),
-            ("scan", "seeds.txt", "seed-filter"),
-            ("classify", "seeds.txt", "seed-filter"),
-            ("classify", "responses.csv", "scan"),
-            ("grab", "classified.csv", "classify"),
-            ("fingerprint", "grabs.csv", "grab"),
-            ("report", "classified.csv", "classify"),
+            (stage, name, writer)
+            for stage, (reads, _writes) in STAGE_TABLE.items()
+            for name in reads
+            for writer, (_reads, writes) in STAGE_TABLE.items()
+            if name in writes
         ],
     )
-    def test_missing_stage_file_names_its_stage(self, tmp_path, stage, missing, producer):
-        if missing != "seeds.txt":
-            (tmp_path / "seeds.txt").write_text("2001:db8::/48\n")
-        config = write_config(str(tmp_path), {"asn_geo": str(tmp_path / "asn_geo.csv")})
-        res = run_cli("--config", config, "--out", str(tmp_path), stage)
-        assert res.code == 1
-        path = tmp_path / missing
-        assert res.err == f"error: no {missing} at {path}; run {producer} first\n"
+    def test_missing_stage_file_names_its_stage(
+        self, pipeline, run_dir, stage, missing, producer
+    ):
+        os.remove(os.path.join(run_dir, missing))
+        res = run_stage(pipeline.config, run_dir, stage)
+        path = os.path.join(run_dir, missing)
+        assert (res.code, res.err) == (1, f"error: no {missing} at {path}; run {producer} first\n")
+        left = _tree(run_dir)
+        assert not [n for n in cli_mod._OUTPUTS[stage] if {n, f"{n}.tmp"} & left]
+
+    @pytest.mark.parametrize("stage", list(STAGE_TABLE))
+    def test_stage_needs_no_stage_file_it_does_not_read(self, pipeline, run_dir, stage):
+        reads, _writes = STAGE_TABLE[stage]
+        for name in set(STAGE_FILES) - set(reads):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(run_dir, name))
+        res = run_stage(pipeline.config, run_dir, stage)
+        assert res.code == 0, res.err
+        for name in cli_mod._OUTPUTS[stage]:
+            assert filecmp.cmp(
+                os.path.join(run_dir, name), os.path.join(pipeline.dir, name), shallow=False
+            ), name
 
     def test_unknown_simulated_behavior_fails_grab(self, tmp_path):
         typo = [SimService(80, "htpp", {})]
@@ -483,22 +521,6 @@ class TestConfigHandling:
         assert res.code == 1
         assert res.err == "error: unknown behavior 'htpp' at 2001:db8:7:100::1 port 80\n"
         assert not (tmp_path / "grabs.csv").exists()
-
-    def test_report_runs_without_its_optional_inputs(self, tmp_path):
-        # No seeds.txt and no fingerprints.csv: the seed total and the
-        # fingerprint counts are left empty.
-        with open(tmp_path / "classified.csv", "w", encoding="utf-8") as fh:
-            classify_mod.write_classification([], fh)
-        with open(tmp_path / "grabs.csv", "w", encoding="utf-8", newline="") as fh:
-            grab_mod.write_grab_log([], fh)
-        (tmp_path / "asn_geo.csv").write_text("")
-        config = write_config(str(tmp_path), {"asn_geo": str(tmp_path / "asn_geo.csv")})
-        res = run_cli("--config", config, "--out", str(tmp_path), "report")
-        assert res.code == 0, res.err
-        report_dir = tmp_path / "report"
-        assert "seed_total,\n" in (report_dir / "summary.csv").read_text(encoding="utf-8")
-        fingerprints = (report_dir / "fingerprints_summary.csv").read_text(encoding="utf-8")
-        assert fingerprints == "kind,count\n"
 
     def test_negative_dump_count_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "seeds.txt").write_text("2001:db8::/48\n")
@@ -514,6 +536,13 @@ def write_config(directory: str, settings: dict) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(settings, fh)
     return path
+
+
+def oui_config(directory) -> str:
+    """A config whose ``oui_db``, which ``fingerprint`` requires, is an empty table."""
+    oui = os.path.join(directory, "oui.csv")
+    open(oui, "w", encoding="utf-8").close()
+    return write_config(str(directory), {"oui_db": oui})
 
 
 LIVE = {"transport": {"mode": "live"}}
@@ -670,7 +699,7 @@ class TestHostileFiles:
             grab_mod.write_grab_log([printer], fh)
         with open(tmp_path / "classified.csv", "w", encoding="utf-8") as fh:
             classify_mod.write_classification([], fh)
-        res = run_cli("--out", str(tmp_path), "fingerprint")
+        res = run_cli("--config", oui_config(tmp_path), "--out", str(tmp_path), "fingerprint")
         assert res.code == 0, res.err
         with open(tmp_path / "hp_printers.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -899,13 +928,6 @@ def _tree(root):
 class TestStageOutputs:
     """An output is there only when its stage wrote it whole."""
 
-    @pytest.fixture()
-    def run_dir(self, pipeline, tmp_path):
-        """A copy of the pipeline's outputs, every stage's among them."""
-        out = str(tmp_path / "run")
-        shutil.copytree(pipeline.dir, out)
-        return out
-
     @pytest.mark.parametrize(
         "argv, module, name, n, outputs",
         [
@@ -1001,7 +1023,10 @@ class TestStageOutputs:
         assert not os.path.exists(os.path.join(run_dir, "grabs.csv.tmp"))
 
     def test_fingerprint_after_a_failed_grab_asks_for_grab(self, tmp_path, run_dir):
-        missing = {"transport": {"mode": "sim", "scenario": str(tmp_path / "missing.json")}}
+        missing = {
+            "transport": {"mode": "sim", "scenario": str(tmp_path / "missing.json")},
+            "oui_db": os.path.join(run_dir, "oui.csv"),
+        }
         config = write_config(str(tmp_path), missing)
         res = run_cli("--config", config, "--out", run_dir, "grab")
         assert res.code == 1 and res.err.startswith("error: ")
@@ -1009,6 +1034,25 @@ class TestStageOutputs:
         res = run_cli("--config", config, "--out", run_dir, "fingerprint")
         path = os.path.join(run_dir, "grabs.csv")
         assert (res.code, res.err) == (1, f"error: no grabs.csv at {path}; run grab first\n")
+
+    @pytest.mark.parametrize(
+        "stage, key, missing",
+        [("fingerprint", "oui_db", "fingerprints.csv"), ("seed-filter", "seed_list", "seeds.txt")],
+        ids=["fingerprint", "seed-filter"],
+    )
+    def test_report_after_a_failed_stage_asks_for_it(
+        self, pipeline, tmp_path, run_dir, stage, key, missing
+    ):
+        # The device table must not read "no devices" because fingerprint failed.
+        config = read_json(pipeline.config)
+        config[key] = str(tmp_path / "absent.csv")
+        config = write_config(str(tmp_path), config)
+        res = run_cli("--config", config, "--out", run_dir, stage)
+        assert res.code == 1 and res.err.startswith("error: ")
+        res = run_cli("--config", config, "--out", run_dir, "report")
+        path = os.path.join(run_dir, missing)
+        assert (res.code, res.err) == (1, f"error: no {missing} at {path}; run {stage} first\n")
+        assert not os.path.exists(os.path.join(run_dir, "report"))
 
 
 class TestEntryPoints:

@@ -414,6 +414,14 @@ class TestReadDeadlines:
         rec = _grab_as_deadline_passes(monkeypatch, spec_by_name("mqtt"), b"\x20\x02\x00\x00")
         assert (rec.outcome, rec.mqtt_return_code) == (OUTCOME_RESPONDED, 0)
 
+    def test_budget_spent_after_first_bytes_keeps_them(self, monkeypatch):
+        # The budget runs out between two reads: the read ends with what came,
+        # and the peer's close is never read.
+        reply = b"HTTP/1.1 200 OK\r\nServer: late\r\n\r\n<p>"
+        rec = _grab_as_deadline_passes(monkeypatch, spec_by_name("http"), reply)
+        assert (rec.outcome, rec.banner) == (OUTCOME_RESPONDED, reply)
+        assert rec.http_server_header == "late"
+
     def test_header_complete_at_the_deadline_times_out(self, monkeypatch):
         # The body is still missing when the budget is spent: no recv, so the
         # peer's close is not read as connection_closed.

@@ -447,6 +447,29 @@ class TestSendErrnoPolicy:
         assert log.send_errors == {}
 
 
+    def test_failed_abort_drain_keeps_what_was_validated(self, tiny_scenario, plan, full):
+        # A send fails with EPERM, and the drain of what is pending fails too:
+        # the scan still ends, with the replies the periodic drain validated.
+        class PollFailsAfterFirst(FaultyTransport):
+            polls = 0
+
+            def poll(self, max_wait):
+                self.polls += 1
+                if self.polls > 1:
+                    raise OSError(errno.ENETDOWN, "injected")
+                return super().poll(max_wait)
+
+        dst = [t.address for t in plan][1500]
+        transport = PollFailsAfterFirst(tiny_scenario, {dst: [_oserror(errno.EPERM)]})
+        log = run_scan(plan.addresses(), transport, SECRET, quiescence_s=30)
+        assert not log.complete
+        assert (log.sent, transport.polls) == (1500, 2)
+        first = {t.address for _, t in zip(range(1024), plan)}  # drained at 1024 sends
+        expected = [r for r in full.records if r.probed_target in first]
+        assert 0 < len(expected) < len(full.records)
+        assert log.records == expected
+
+
 class TestResponseLog:
     def test_roundtrip_all_kinds(self):
         records = [

@@ -165,7 +165,7 @@ class TestAggregate:
         assert summary(tables)["internal_only_exposures"] == 1
 
     def test_unknown_attribution(self):
-        t = aggregate(CLASSIFIED, [], [], LongestPrefixMap())
+        t = aggregate(CLASSIFIED, [], [], LongestPrefixMap(), seed_total=7)
         assert table_rows(t, "country_split.csv") == [["unknown", 3, 3]]
         assert table_rows(t, "asn_split.csv") == [["unknown", "", 3, 3]]  # no AS name
 
@@ -196,10 +196,10 @@ class TestAggregate:
         assert sum(delta_counts) == values["delta_pairs"]
 
     def test_empty_campaign(self):
-        t = aggregate([], [], [], LongestPrefixMap())
+        t = aggregate([], [], [], LongestPrefixMap(), seed_total=0)
         values = summary(t)
         assert values["internal_addresses"] == 0 and values["external_addresses"] == 0
-        assert values["seed_total"] == ""
+        assert values["seed_total"] == 0
         assert table_rows(t, "country_split.csv") == []
         assert table_rows(t, "delta_hist.csv") == [] and values["delta_pairs"] == 0
         assert table_rows(t, "iid_hist.csv") == [(n, 0) for n in range(1, 11)]
@@ -224,7 +224,7 @@ class TestSkewedCampaign:
         lpm = LongestPrefixMap()
         for prefix in ("2001:db8:c::/48", "2001:db8:d::/48", "3fff:c::/32"):
             lpm.insert(prefix, AsnGeoRecord(64502, "Gamma Net", "nl"))
-        return aggregate(classified, [], [], lpm)
+        return aggregate(classified, [], [], lpm, seed_total=2)
 
     def test_country_columns_are_internal_then_external(self, skewed):
         assert table_rows(skewed, "country_split.csv") == [["nl", 3, 1]]
@@ -265,7 +265,8 @@ class TestYieldCdf:
 
     def test_empty(self):
         assert yield_cdf([]) == []
-        assert table_rows(aggregate([], [], [], LongestPrefixMap()), "yield_cdf.csv") == []
+        tables = aggregate([], [], [], LongestPrefixMap(), seed_total=0)
+        assert table_rows(tables, "yield_cdf.csv") == []
 
 
 class TestInternalOnly:
@@ -376,7 +377,7 @@ class TestEmit:
         ]
 
     def test_empty_campaign_emits_headers(self, tmp_path):
-        written = emit(aggregate([], [], [], LongestPrefixMap()), str(tmp_path))
+        written = emit(aggregate([], [], [], LongestPrefixMap(), seed_total=0), str(tmp_path))
         assert written == EXPECTED_FILES
         assert read_rows(tmp_path / "yield_cdf.csv") == [
             ["addresses", "internal_cdf", "external_cdf"]

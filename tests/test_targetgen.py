@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resiscan import targetgen
 from resiscan.addrs import SUBNET_SHIFT, format_address, parse_address, prefix56_of
 from resiscan.targetgen import (
     ALIAS_MIN_IID,
@@ -73,6 +74,32 @@ class TestAliasProbe:
         # Any address inside the /56 names the same alias target.
         net56 = SEED48 | (9 << SUBNET_SHIFT)
         assert alias_target_for(net56 | 0x1234, 4) == alias_target_for(net56, 4)
+
+    @pytest.mark.parametrize("first_iid", [0, ALIAS_MIN_IID - 1])
+    def test_low_iid_digest_is_drawn_again(self, monkeypatch, first_iid):
+        # A digest whose IID could shadow a low-IID target is rejected, and the
+        # next counter's digest gives the address.
+        class Digests:
+            """A keyed hash whose digest is chosen by the counter last hashed in."""
+
+            def __init__(self):
+                self.counters = []
+
+            def copy(self):
+                return self
+
+            def update(self, data):
+                self.counters.append(int.from_bytes(data[-2:], "big"))
+
+            def digest(self):
+                selector, iid = [(0x42, first_iid), (0x07, ALIAS_MIN_IID)][self.counters[-1]]
+                return bytes([selector]) + iid.to_bytes(8, "big")
+
+        digests = Digests()
+        monkeypatch.setattr(targetgen, "_alias_hash_state", lambda rng_seed: digests)
+        net56 = SEED48 | (9 << SUBNET_SHIFT)
+        assert alias_target_for(net56, 1) == net56 | (0x07 << 64) | ALIAS_MIN_IID
+        assert digests.counters == [0, 1]
 
 
 def test_alias_probe_known_answers():
