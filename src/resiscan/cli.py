@@ -21,16 +21,22 @@ import contextlib
 import json
 import os
 import sys
+import threading
 
 from .addrs import format_address, parse_prefix
 from .csvio import open_output, read_rows, undecodable_line, write_rows
 
 # Each config key once: its default, the JSON types it takes with their name
-# in errors, and for a number that must be finite, the bound it must lie
-# above. A bool is not a number here, although Python counts it as an int.
+# in errors, and for a number, its bounds: it must be finite, above the first
+# and at most the second. A bool is not a number here, although Python counts
+# it as an int.
 _TEXT = ((str, type(None)), "a string or null")
 _NUMBER = ((int, float), "a number")
 _INTEGER = ((int,), "an integer")
+_FINITE = (-float("inf"), float("inf"))
+_POSITIVE = (0, float("inf"))
+# A socket, select() and a lock each refuse to wait longer than this.
+_TIMEOUT = (0, threading.TIMEOUT_MAX)
 _CONFIG = {
     "seed_list": (None, _TEXT, None),
     "as_map": (None, _TEXT, None),
@@ -39,10 +45,10 @@ _CONFIG = {
     "asn_geo": (None, _TEXT, None),
     "rng_seed": (1, _INTEGER, None),
     # The rate limiter refuses a rate below 1/s; a rate no number can hold fails here.
-    "rate_pps": (None, ((int, float, type(None)), "a number or null"), -float("inf")),
-    "probe_timeout_s": (8.0, _NUMBER, 0),
-    "grab_timeout_s": (5.0, _NUMBER, 0),
-    "grab_parallelism": (256, _INTEGER, 0),
+    "rate_pps": (None, ((int, float, type(None)), "a number or null"), _FINITE),
+    "probe_timeout_s": (8.0, _NUMBER, _TIMEOUT),
+    "grab_timeout_s": (5.0, _NUMBER, _TIMEOUT),
+    "grab_parallelism": (256, _INTEGER, _POSITIVE),
     "transport": ({"mode": "sim", "scenario": None}, ((dict,), "an object"), None),
     "output_dir": ("out", ((str,), "a string"), None),
     "operator_contact_url": (None, _TEXT, None),
@@ -108,11 +114,19 @@ def load_config(path: str | None) -> dict:
     if mode not in ("sim", "live"):
         raise ConfigError(f"transport.mode must be 'sim' or 'live', got {mode!r}")
     _check_type("transport.scenario", cfg["transport"]["scenario"], *_TEXT)
-    for key, (_default, _types, low) in _CONFIG.items():
+    for key, (_default, _types, bounds) in _CONFIG.items():
         value = cfg[key]
-        if low is not None and value is not None and not low < value < float("inf"):  # NaN too
+        if bounds is None or value is None:
+            continue
+        low, most = bounds
+        if not low < value < float("inf"):  # NaN too
             what = "positive and finite" if low == 0 else "finite"
             raise ConfigError(f"config value {key!r} must be {what}, got {json.dumps(value)}")
+        if value > most:
+            raise ConfigError(
+                f"config value {key!r} must be at most {most:.0f}, the longest wait a socket"
+                f" takes, got {json.dumps(value)}"
+            )
     return cfg
 
 

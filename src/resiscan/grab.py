@@ -171,6 +171,64 @@ def _tls_context():
     return ctx
 
 
+class TlsLayer:
+    """TLS over memory buffers, carried over any connection that has ``recv``,
+    ``sendall``, ``gettimeout`` and ``settimeout``: a live socket, or a
+    simulated one. The handshake runs when it is built, each read and write
+    of it waiting at most the connection's timeout, as ``wrap_socket`` does.
+    ``received`` holds bytes of the peer's already read off the connection.
+    """
+
+    def __init__(self, ctx, conn, *, server_side: bool = False, received: bytes = b""):
+        import ssl
+
+        self._conn = conn
+        self._incoming, self._outgoing = ssl.MemoryBIO(), ssl.MemoryBIO()
+        self._incoming.write(received)
+        self._tls = ctx.wrap_bio(self._incoming, self._outgoing, server_side=server_side)
+        self._run(self._tls.do_handshake)
+
+    def _run(self, op, *args):
+        """``op`` of the TLS object, feeding it the connection's bytes until it
+        needs no more, and sending every record it makes."""
+        import ssl
+
+        while True:
+            try:
+                return op(*args)
+            except ssl.SSLWantReadError:
+                pass
+            finally:
+                if self._outgoing.pending:
+                    self._conn.sendall(self._outgoing.read())
+            data = self._conn.recv(16384)
+            if data:
+                self._incoming.write(data)
+            else:
+                self._incoming.write_eof()  # the next op raises instead of asking again
+
+    def recv(self, n: int) -> bytes:
+        import ssl
+
+        try:
+            return self._run(self._tls.read, n)
+        except ssl.SSLEOFError:  # closed without close_notify: EOF, as a socket reads it
+            return b""
+
+    def sendall(self, data: bytes) -> None:
+        self._run(self._tls.write, data)
+
+    def gettimeout(self) -> float | None:
+        return self._conn.gettimeout()
+
+    def settimeout(self, timeout: float | None) -> None:
+        self._conn.settimeout(timeout)
+
+    def peer_certificate(self) -> bytes | None:
+        """The peer's certificate, DER, or None if it sent none."""
+        return self._tls.getpeercert(binary_form=True)
+
+
 # The string types a common name may take, by DER tag, and how each decodes.
 # A T61String is read as UTF-8, as common X.509 parsers read it; text that does
 # not decode leaves the name unread.
@@ -238,11 +296,6 @@ def _subject_common_name(der: bytes) -> str | None:
     return None
 
 
-def _peer_common_name(tls_sock) -> str | None:
-    der = tls_sock.getpeercert(binary_form=True)
-    return _subject_common_name(der) if der else None
-
-
 def _grab_banner(sock, rec: GrabRecord, cap: int, label: str) -> None:
     rec.banner = _read_until_close(sock, cap, IDLE_READ_S, _GREETING_ENDS.get(rec.service))
 
@@ -266,13 +319,13 @@ def _grab_http(sock, rec: GrabRecord, cap: int, label: str) -> None:
 
 def _grab_tls_http(sock, rec: GrabRecord, cap: int, label: str) -> None:
     try:
-        tls = _tls_context().wrap_socket(sock)
+        tls = TlsLayer(_tls_context(), sock)
     except OSError:  # ssl.SSLError and a handshake timeout included
         raise _NoResponse("tls_handshake") from None
-    with tls:
-        rec.tls_subject_cn = _peer_common_name(tls)
-        tls.sendall(_http_request(rec.address, label))
-        _finish_http(rec, _read_until_close(tls, cap))
+    der = tls.peer_certificate()
+    rec.tls_subject_cn = _subject_common_name(der) if der else None
+    tls.sendall(_http_request(rec.address, label))
+    _finish_http(rec, _read_until_close(tls, cap))
 
 
 def _recv_all(sock, n: int, deadline: float) -> bytes:

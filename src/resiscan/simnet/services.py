@@ -2,20 +2,29 @@
 
 Each configured service is reachable through a connector with the same shape
 as the live one: ``connect(address, port, timeout, udp=False) -> socket``.
-A connection hands the caller one end of a socketpair while a short-lived
-thread speaks the service behavior on the other end, so grabbers exercise
-real socket I/O (including genuine TLS handshakes, over certificates for a
-fixed test key, unsigned because the grab client never checks a signature)
-without touching the network. Firewalls apply to connections exactly as they
-do to probes: services behind a default-deny CPE refuse, and so does every
-address of an aliased /56, which echoes every probe but serves no port.
+A connection hands the caller one end of an in-memory pipe while a
+short-lived thread speaks the service behavior on the other end, so grabbers
+run their socket code unchanged (TLS included, over certificates for a fixed
+test key, unsigned because the grab client never checks a signature) without
+touching the network. Firewalls apply to connections exactly as they do to
+probes: services behind a default-deny CPE refuse, and so does every address
+of an aliased /56, which echoes every probe but serves no port.
 
-Every byte a behavior reads from a client is recorded in a transcript, which
-is how the tests enforce that grabs stay minimal.
+Each pipe keeps its own virtual clock. A read waits in real time only while
+the other end is still working; once both ends wait to read, the clock
+jumps to the earlier of their deadlines and that read times out. So a
+simulated timeout costs no wall time: a silent peer that outlasts
+``grab_timeout_s``, or a telnet read that waits ``IDLE_READ_S`` for more,
+ends as soon as both ends are waiting.
+
+Every byte a behavior reads from a client is recorded in a transcript, and
+so is every byte left unread when the behavior returns, which is how the
+tests enforce that grabs stay minimal.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 import socket
@@ -25,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..addrs import format_address
+from ..grab import TlsLayer
 from .scenario import FIREWALL_ALLOW, Scenario, ScenarioError, SimService
 
 if TYPE_CHECKING:
@@ -49,11 +59,121 @@ class Transcript:
         return b"".join(self.chunks)
 
 
-class _Conn:
-    """Socket wrapper that records everything the service reads."""
+class _End:
+    """One end of a ``_Pipe``, with the blocking ``recv``/``sendall`` of a socket.
 
-    def __init__(self, sock: socket.socket, transcript: Transcript):
-        self.sock = sock
+    Sends never block. A ``recv`` with timeout *t* waits for bytes or for EOF
+    with a deadline *t* after the pipe's virtual now; in datagram mode each
+    ``recv`` returns one message, and the other end's close gives no EOF,
+    so a read then runs to its deadline, as on a datagram socket.
+    """
+
+    def __init__(self, pipe: _Pipe):
+        self._pipe = pipe
+        self.peer: _End  # the other end, set by _Pipe
+        self.inbox = collections.deque() if pipe.datagram else bytearray()
+        self.eof = False  # the other end sends nothing more
+        self.closed = False
+        self.deadline: float | None = None  # set while a recv waits; None again once it expires
+        self._timeout: float | None = None
+        self._unread = None  # takes what the other end sends after this end is closed
+
+    def settimeout(self, timeout: float | None) -> None:
+        self._timeout = timeout
+
+    def gettimeout(self) -> float | None:
+        return self._timeout
+
+    def recv(self, n: int) -> bytes:
+        pipe = self._pipe
+        with pipe.cond:
+            if not (self.inbox or self.eof):
+                wait = float("inf") if self._timeout is None else self._timeout
+                self.deadline = pipe.now + wait
+                try:
+                    while not (self.inbox or self.eof):
+                        pipe.advance()
+                        if self.deadline is None:
+                            raise TimeoutError("timed out")
+                        pipe.cond.wait()
+                finally:
+                    self.deadline = None
+            if not self.inbox:
+                return b""
+            if pipe.datagram:
+                return self.inbox.popleft()[:n]
+            data = bytes(self.inbox[:n])
+            del self.inbox[:n]
+            return data
+
+    def sendall(self, data: bytes) -> None:
+        with self._pipe.cond:
+            peer = self.peer
+            if peer.closed:
+                if peer._unread is not None:
+                    peer._unread(bytes(data))
+            elif self._pipe.datagram:
+                peer.inbox.append(bytes(data))
+            else:
+                peer.inbox += data
+            self._pipe.cond.notify_all()
+
+    def shutdown(self, how: int) -> None:
+        """Stop sending, whatever ``how`` says: the other end reads EOF once it
+        has read what came before."""
+        with self._pipe.cond:
+            self.peer.eof = not self._pipe.datagram
+            self._pipe.cond.notify_all()
+
+    def close(self, unread=None) -> None:
+        """Close this end. ``unread``, if given, takes what was sent to it and
+        never read, now and later."""
+        with self._pipe.cond:
+            self.closed, self._unread = True, unread
+            if unread is not None:
+                for chunk in self.inbox if self._pipe.datagram else [self.inbox]:
+                    if chunk:
+                        unread(bytes(chunk))
+            self.inbox.clear()
+            self.shutdown(socket.SHUT_RDWR)
+
+    def __enter__(self) -> _End:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class _Pipe:
+    """One in-memory connection with a virtual clock: ``ends`` is (client, peer)."""
+
+    def __init__(self, datagram: bool):
+        self.datagram = datagram
+        self.cond = threading.Condition()
+        self.now = 0.0  # virtual seconds since the connect
+        self.ends = client, peer = _End(self), _End(self)
+        client.peer, peer.peer = peer, client
+
+    def advance(self) -> None:
+        """With the condition held: if each end is closed or waits in ``recv`` with
+        nothing to read, jump the clock to the earlier deadline and expire that
+        read. On a tie the peer's comes first."""
+        client, peer = self.ends
+        if all(end.closed or end.deadline is not None and not (end.inbox or end.eof)
+               for end in self.ends):
+            first = min((end for end in (peer, client) if end.deadline is not None),
+                        key=lambda end: end.deadline)
+            if first.deadline < float("inf"):
+                self.now, first.deadline = first.deadline, None
+                self.cond.notify_all()
+
+
+class _Conn:
+    """The peer's end of a connection, recording everything the behavior reads."""
+
+    def __init__(self, end: _End, transcript: Transcript):
+        self.end = end
+        self.sock = end  # what the behavior speaks over: the end, or TLS over it
         self.transcript = transcript
 
     def recv(self, n: int) -> bytes:
@@ -69,21 +189,8 @@ class _Conn:
         self.sock.settimeout(t)
 
     def close(self) -> None:
-        # Orderly teardown: EOF the peer first, then absorb whatever it sent
-        # that the behavior never read (recording it - those bytes are part
-        # of what the client transmitted). Closing a stream socket with
-        # unread peer data surfaces as ECONNRESET on the other side, which
-        # would make grab outcomes depend on thread timing.
-        try:
-            if self.sock.type == socket.SOCK_STREAM:
-                self.sock.shutdown(socket.SHUT_WR)
-                _drain_until_close(self, 1.0)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        # Bytes the client sent that the behavior never read are part of what it transmitted.
+        self.end.close(unread=self.transcript.chunks.append)
 
 
 # The simulator's P-256 test key: its private value and its uncompressed
@@ -181,8 +288,8 @@ def recv_exact(conn: _Conn, n: int) -> bytes:
     return buf
 
 
-def _read_http_request(conn: _Conn, limit: int = 16384) -> bytes:
-    buf = b""
+def _read_http_request(conn: _Conn, buf: bytes = b"", limit: int = 16384) -> bytes:
+    """The request head, after ``buf`` already read of it."""
     try:
         while b"\r\n\r\n" not in buf and len(buf) < limit:
             data = conn.recv(4096)
@@ -248,16 +355,17 @@ def _fixed_page(server: str, body: str):
 
 def h_tls_http(conn: _Conn, params: dict) -> None:
     """HTTPS endpoint; a plaintext client gets a TLS alert and nothing else."""
-    first = conn.sock.recv(1, socket.MSG_PEEK)
+    first = conn.end.recv(1)  # past the recorder: a handshake byte is not plaintext
     if not first:
         return
     if first[0] != 0x16:  # not a TLS ClientHello: scold and hang up
-        _read_http_request(conn)
+        conn.transcript.chunks.append(first)
+        _read_http_request(conn, first)
         conn.sendall(TLS_ALERT_HANDSHAKE_FAILURE)
         return
     with _server_context_lock:
         ctx = _server_context(str(params.get("common_name", "simnet test")))
-    conn.sock = ctx.wrap_socket(conn.sock, server_side=True)
+    conn.sock = TlsLayer(ctx, conn.end, server_side=True, received=first)
     h_http(conn, params)
 
 
@@ -376,18 +484,11 @@ class SimServices:
         if served is None:
             raise ConnectionRefusedError(f"{address}:{port} closed")
         handler, params = served
-        kind = socket.SOCK_DGRAM if udp else socket.SOCK_STREAM
-        client, server = socket.socketpair(socket.AF_UNIX, kind)
+        client, server = _Pipe(datagram=udp).ends
         server.settimeout(_SERVE_TIMEOUT_S)
         transcript = Transcript(key, port)
         conn = _Conn(server, transcript)
-        t = threading.Thread(target=_run_handler, args=(handler, conn, params), daemon=True)
-        try:
-            t.start()
-        except RuntimeError:  # "can't start new thread": no one serves this pair
-            client.close()
-            server.close()
-            raise
+        threading.Thread(target=_run_handler, args=(handler, conn, params), daemon=True).start()
         with self._lock:
             self.transcripts.append(transcript)
         client.settimeout(timeout)

@@ -7,9 +7,12 @@ import io
 import json
 import os
 import re
+import select
 import shutil
+import socket
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -384,6 +387,17 @@ class TestConfigHandling:
             ('{"rate_pps": 1e999}', "'rate_pps' must be finite, got Infinity"),
             ('{"rate_pps": -1e999}', "'rate_pps' must be finite, got -Infinity"),
             ('{"rate_pps": NaN}', "'rate_pps' must be finite, got NaN"),
+            # longer than any socket, select() or lock can wait
+            (
+                '{"probe_timeout_s": 1e10}',
+                "'probe_timeout_s' must be at most 9223372036, the longest wait a socket takes,"
+                " got 10000000000.0",
+            ),
+            (
+                '{"grab_timeout_s": 1e10}',
+                "'grab_timeout_s' must be at most 9223372036, the longest wait a socket takes,"
+                " got 10000000000.0",
+            ),
         ],
     )
     def test_value_no_stage_can_use_rejected(self, tmp_path, text, message):
@@ -394,6 +408,19 @@ class TestConfigHandling:
         res = run_cli("--config", str(p), "scan")
         assert res.code == 2
         assert res.err.startswith("config error:") and message in res.err
+
+    @pytest.mark.parametrize("key", ["probe_timeout_s", "grab_timeout_s"])
+    def test_timeout_at_the_bound_accepted(self, tmp_path, key):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({key: threading.TIMEOUT_MAX}))
+        assert load_config(str(p))[key] == threading.TIMEOUT_MAX
+        # A socket, as a grab uses it, and select(), as a live scan polls, both take it.
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            ours.settimeout(threading.TIMEOUT_MAX)
+            theirs.sendall(b"x")
+            assert select.select([ours], [], [], threading.TIMEOUT_MAX)[0] == [ours]
+            assert ours.recv(1) == b"x"
 
     def test_cli_exit_codes(self, tmp_path):
         p = tmp_path / "c.json"

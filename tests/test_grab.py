@@ -463,12 +463,14 @@ class TestReadDeadlines:
         ],
     )
     def test_sim_server_speaks_first_grab_is_quick(self, env, service, banner):
-        # The behaviour holds the connection for 1.0 s; the grab does not wait for it.
+        # The behaviour holds the connection for 1.0 s, and a telnet read waits
+        # IDLE_READ_S after the banner, both in the connection's virtual time:
+        # the grab waits out neither in wall time.
         spec = spec_by_name(service)
         before = len(env.transcripts_for(V6, spec.port))
         t0 = time.monotonic()
         rec = do_grab(env, V6, spec, timeout=5.0)
-        assert time.monotonic() - t0 < 0.5
+        assert time.monotonic() - t0 < IDLE_READ_S
         assert (rec.outcome, rec.banner) == (OUTCOME_RESPONDED, banner)
         transcripts = env.transcripts_for(V6, spec.port)
         assert len(transcripts) == before + 1
@@ -677,6 +679,8 @@ class TestBehaviorBytes:
         {"Key": "ProductVersion", "Request": "GetValue"}, fmt=plistlib.FMT_XML
     )
     MQTT_CONNECT = b"\x10\x14\x00\x04MQTT\x04\x02\x00\x3c\x00\x08rs-probe"
+    # Remaining length 130 takes two bytes: 0x82 (2, more follows), then 0x01 (1 * 128).
+    MQTT_CONNECT_LONG = b"\x10\x82\x01\x00\x04MQTT\x04\x02\x00\x3c\x00\x76" + b"c" * 118
 
     @pytest.mark.parametrize(
         "behavior, params, request_bytes, reply",
@@ -711,10 +715,25 @@ class TestBehaviorBytes:
             ("lockdown", {}, b"\x00\x00", b""),  # length prefix cut short
             ("lockdown", {}, b"\x00\x00\x00\x09<?x", b""),  # body cut short
             ("lockdown", {}, b"\x00\x00\x00\x03abc", b""),  # whole body, not a plist
+            ("lockdown", {}, _framed(plistlib.dumps(["x"])), b""),  # a plist, not a dict
+            ("mqtt_broker", {}, MQTT_CONNECT_LONG, b"\x20\x02\x00\x00"),
+            ("mqtt_broker", {}, b"\x30\x00", b""),  # a PUBLISH first, not a CONNECT
+            ("mqtt_broker", {}, b"\x10\x82", b""),  # remaining length cut short
+            ("lockdown", {}, b"\x7f\xff\xff\xff", b""),  # a length over 1 MiB
+            ("ntp", {}, b"\x23" + bytes(10), b""),  # a client query shorter than 48 bytes
+            ("tls_http", {}, b"", b""),  # EOF before any byte
+            # EOF before the request head ends: the page is served all the same
+            (
+                "http", {}, b"GET / HTTP/1.1\r\n",
+                b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 0\r\n"
+                b"Connection: close\r\n\r\n",
+            ),
         ],
         ids=[
             "dahua", "nanoleaf", "mqtt", "mqtt-short", "lockdown", "lockdown-short",
-            "lockdown-body", "lockdown-not-plist",
+            "lockdown-body", "lockdown-not-plist", "lockdown-not-dict", "mqtt-two-byte-length",
+            "mqtt-not-connect", "mqtt-length-short", "lockdown-too-long", "ntp-short", "tls-eof",
+            "http-cut-short",
         ],
     )
     def test_reply_and_transcript(self, behavior, params, request_bytes, reply):
@@ -744,18 +763,57 @@ class TestBehaviorBytes:
         sock.close()
         return backend, received
 
-    def test_lockdown_ignores_a_plist_that_is_not_a_dict(self):
-        ours, theirs = socket.socketpair()
-        try:
-            ours.sendall(_framed(plistlib.dumps(["x"])))
-            conn = sim_services._Conn(theirs, sim_services.Transcript(V6, 62078))
-            sim_services.h_lockdown(conn, {})  # returns without a reply instead of raising
-            theirs.shutdown(socket.SHUT_WR)
-            ours.settimeout(2.0)
-            assert ours.recv(4096) == b""
-        finally:
-            ours.close()
-            theirs.close()
+
+class TestVirtualClock:
+    """A simulated connection's waits run on its own clock, not in wall time."""
+
+    @staticmethod
+    def backend(port, behavior, params=None):
+        backend = SimServices(make_scenario([make_net("2001:db8:5::", [make_subnet(1)])]))
+        backend.add_endpoint(V6, port, behavior, params)
+        return backend
+
+    def test_silent_peer_times_out_in_no_wall_time(self):
+        backend = self.backend(21, "silent", {"hold_s": 60.0})
+        t0 = time.monotonic()
+        rec = do_grab(backend, V6, spec_by_name("ftp"), timeout=30.0)
+        assert time.monotonic() - t0 < 1.0
+        assert (rec.outcome, rec.banner) == (OUTCOME_TIMEOUT, b"")
+
+    def test_peer_that_holds_shorter_closes_first(self):
+        # The peer's hold runs out before the client's timeout: it hangs up.
+        backend = self.backend(21, "silent", {"hold_s": 10.0})
+        rec = do_grab(backend, V6, spec_by_name("ftp"), timeout=30.0)
+        assert (rec.outcome, rec.detail) == (OUTCOME_ERROR, "connection_closed")
+
+    def test_tied_deadlines_expire_the_peer_first(self):
+        # A web server waits for a request and a banner read waits for a banner,
+        # both for the same time: the server gives up first and hangs up, every run.
+        timeout = sim_services._SERVE_TIMEOUT_S
+        backend = self.backend(21, "http", {"server": "x"})
+        outcomes = {
+            (rec.outcome, rec.detail)
+            for rec in (do_grab(backend, V6, spec_by_name("ftp"), timeout=timeout) for _ in range(20))
+        }
+        assert outcomes == {(OUTCOME_ERROR, "connection_closed")}
+
+    def test_datagram_peer_that_closes_gives_a_timeout(self):
+        # As on a datagram socket, a peer that hangs up sends no EOF.
+        backend = self.backend(123, "ntp")
+        t0 = time.monotonic()
+        with backend.connect(V6, 123, timeout=30.0, udp=True) as sock:
+            sock.sendall(b"\x23" + bytes(10))  # too short: the peer closes without a reply
+            with pytest.raises(TimeoutError):
+                sock.recv(512)
+        assert time.monotonic() - t0 < 1.0
+        assert backend.transcripts_for(V6, 123)[0].data == b"\x23" + bytes(10)
+
+    def test_bytes_sent_after_the_peer_returns_are_recorded(self):
+        # The banner peer returns at once; the request that follows is still in the transcript.
+        backend = self.backend(8000, "banner", {"data_hex": b"NOT HTTP".hex()})
+        rec = do_grab(backend, V6, spec_by_name("http-8000"), timeout=5.0)
+        assert (rec.outcome, rec.banner) == (OUTCOME_ERROR, b"NOT HTTP")
+        assert backend.transcripts_for(V6, 8000)[0].data.startswith(b"GET / HTTP/1.1\r\n")
 
 
 class TestTlsCertificates:
@@ -824,6 +882,39 @@ class TestTlsCertificates:
         assert (rec.outcome, rec.tls_subject_cn, rec.http_server_header) == (
             OUTCOME_RESPONDED, None, "x"
         )
+
+    def test_client_against_stock_ssl_server(self):
+        # The client's TLS layer over a real socket, against the ssl module's own
+        # server socket: the simulator runs that layer on both ends, so check it here.
+        ctx = sim_services._server_context("stock.example")
+        served = []
+
+        def serve(sock):
+            with ctx.wrap_socket(sock, server_side=True) as tls:
+                request = b""
+                while b"\r\n\r\n" not in request and (chunk := tls.recv(4096)):
+                    request += chunk
+                served.append(request)
+                tls.sendall(b"HTTP/1.1 200 OK\r\nServer: stock-ssl\r\n\r\nok")
+
+        peers = []
+
+        def connector(address, port, timeout, udp=False):
+            ours, theirs = socket.socketpair()
+            theirs.settimeout(5.0)
+            server = threading.Thread(target=serve, args=(theirs,))
+            server.start()
+            peers.append(server)
+            return ours
+
+        rec = grab(V6, spec_by_name("https"), connector=connector, timeout=5.0)
+        for server in peers:
+            server.join(timeout=10)
+            assert not server.is_alive()
+        assert (rec.outcome, rec.tls_subject_cn, rec.http_server_header) == (
+            OUTCOME_RESPONDED, "stock.example", "stock-ssl"
+        )
+        assert [r.count(b"GET / HTTP/1.1") for r in served] == [1]
 
 
 SIM_CERT = sim_services._self_signed("walk.example")[0]

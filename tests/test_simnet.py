@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import socket
 import threading
 
 import pytest
@@ -532,23 +531,16 @@ class TestServiceLookup:
         with pytest.raises(ConnectionRefusedError):
             backend.connect("2001:db8:9::1", 80)
 
-    def test_handler_thread_failure_closes_both_ends(self, monkeypatch):
+    def test_handler_thread_failure_records_no_transcript(self, monkeypatch):
+        # The connection is a pipe in memory, so it holds no descriptor to close.
         backend = self.backend()
-        pairs = []
-        real_socketpair = socket.socketpair
-
-        def tracked_socketpair(*args):
-            pairs.append(real_socketpair(*args))
-            return pairs[-1]
 
         def no_thread(thread):
             raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(socket, "socketpair", tracked_socketpair)
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         with pytest.raises(RuntimeError, match="can't start new thread"):
             backend.connect("2001:db8:7:100::1", 23)
-        assert [end.fileno() for pair in pairs for end in pair] == [-1, -1]
         assert backend.transcripts == []
 
     def test_aliased_net_refuses_every_connection(self, tiny_scenario):
