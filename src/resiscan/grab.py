@@ -96,6 +96,15 @@ class _TlsOnPlainPort(Exception):
     """A plaintext web port answered with a TLS record."""
 
 
+def _budget(sock):
+    """The seconds left of ``sock``'s timeout from now, as a function. They are
+    counted on the clock the connection carries, if any (``now``: a simulated
+    connection's, or TLS over one), else in real time."""
+    clock = (lambda: sock.now) if hasattr(sock, "now") else time.monotonic
+    deadline = clock() + sock.gettimeout()
+    return lambda: deadline - clock()
+
+
 def _read_until_close(sock, cap: int, idle: float | None = None, complete=None) -> bytes:
     """Read at most cap bytes until the peer closes, within the socket's timeout in all.
 
@@ -104,7 +113,7 @@ def _read_until_close(sock, cap: int, idle: float | None = None, complete=None) 
     does a peer quiet for ``idle`` seconds when ``idle`` is given, and bytes
     that ``complete(buf, seen)`` finds whole, ``seen`` of them checked before.
     """
-    deadline = time.monotonic() + sock.gettimeout()
+    left = _budget(sock)
     buf = bytearray()
     while len(buf) < cap:
         try:
@@ -121,7 +130,7 @@ def _read_until_close(sock, cap: int, idle: float | None = None, complete=None) 
         buf += data
         if complete is not None and complete(buf, seen):
             break
-        wait = deadline - time.monotonic()
+        wait = left()
         if idle is not None:
             wait = min(idle, wait)
         if wait <= 0:
@@ -171,26 +180,25 @@ def _tls_context():
     return ctx
 
 
-class TlsLayer:
-    """TLS over memory buffers, carried over any connection that has ``recv``,
-    ``sendall``, ``gettimeout`` and ``settimeout``: a live socket, or a
-    simulated one. The handshake runs when it is built, each read and write
-    of it waiting at most the connection's timeout, as ``wrap_socket`` does.
-    ``received`` holds bytes of the peer's already read off the connection.
+class TlsCore:
+    """One connection's TLS, sans-I/O: an ``SSLObject`` over two memory buffers.
+
+    ``handshake`` and ``read`` are generators: each yields ``(16384, wait)``
+    for the peer's next bytes, sent in by its caller (b"" at EOF), and returns
+    the result or raises, ``ssl.SSLEOFError`` at an EOF without close_notify.
+    Every record goes out through ``send``, a plain call. The grab client
+    (``TlsLayer``) and the simulated TLS peer drive this one core.
     """
 
-    def __init__(self, ctx, conn, *, server_side: bool = False, received: bytes = b""):
+    def __init__(self, ctx, send, *, server_side: bool = False, received: bytes = b""):
         import ssl
 
-        self._conn = conn
+        self._send = send
         self._incoming, self._outgoing = ssl.MemoryBIO(), ssl.MemoryBIO()
         self._incoming.write(received)
-        self._tls = ctx.wrap_bio(self._incoming, self._outgoing, server_side=server_side)
-        self._run(self._tls.do_handshake)
+        self.tls = ctx.wrap_bio(self._incoming, self._outgoing, server_side=server_side)
 
-    def _run(self, op, *args):
-        """``op`` of the TLS object, feeding it the connection's bytes until it
-        needs no more, and sending every record it makes."""
+    def _run(self, op, *args, wait: float | None):
         import ssl
 
         while True:
@@ -200,33 +208,55 @@ class TlsLayer:
                 pass
             finally:
                 if self._outgoing.pending:
-                    self._conn.sendall(self._outgoing.read())
-            data = self._conn.recv(16384)
+                    self._send(self._outgoing.read())
+            data = yield 16384, wait
             if data:
                 self._incoming.write(data)
             else:
                 self._incoming.write_eof()  # the next op raises instead of asking again
 
-    def recv(self, n: int) -> bytes:
-        import ssl
+    def handshake(self, wait: float | None = None):
+        return self._run(self.tls.do_handshake, wait=wait)
 
+    def read(self, n: int, wait: float | None = None):
+        return self._run(self.tls.read, n, wait=wait)
+
+    def write(self, data: bytes) -> None:
+        # A plain call: a grab writes once, right after its handshake, and no end renegotiates.
+        self.tls.write(data)
+        self._send(self._outgoing.read())
+
+
+class TlsLayer:
+    """Client TLS over a connection with blocking ``recv`` and ``sendall``, a
+    live socket or a simulated one. The handshake runs when it is built, as
+    ``wrap_socket`` does. The connection's other attributes, its timeout and
+    the clock a simulated one carries, are the layer's own.
+    """
+
+    def __init__(self, ctx, conn):
+        self._conn = conn
+        self.core = TlsCore(ctx, conn.sendall)
+        self._drive(self.core.handshake())
+
+    def _drive(self, op):
+        """Run ``op``, a core operation, reading what it asks for off the connection."""
+        data = None
         try:
-            return self._run(self._tls.read, n)
-        except ssl.SSLEOFError:  # closed without close_notify: EOF, as a socket reads it
-            return b""
+            while True:
+                n, _wait = op.send(data)
+                data = self._conn.recv(n)
+        except StopIteration as done:
+            return done.value
+
+    def recv(self, n: int) -> bytes:
+        return self._drive(self.core.read(n))
 
     def sendall(self, data: bytes) -> None:
-        self._run(self._tls.write, data)
+        self.core.write(data)
 
-    def gettimeout(self) -> float | None:
-        return self._conn.gettimeout()
-
-    def settimeout(self, timeout: float | None) -> None:
-        self._conn.settimeout(timeout)
-
-    def peer_certificate(self) -> bytes | None:
-        """The peer's certificate, DER, or None if it sent none."""
-        return self._tls.getpeercert(binary_form=True)
+    def __getattr__(self, name: str):
+        return getattr(self._conn, name)
 
 
 # The string types a common name may take, by DER tag, and how each decodes.
@@ -322,22 +352,25 @@ def _grab_tls_http(sock, rec: GrabRecord, cap: int, label: str) -> None:
         tls = TlsLayer(_tls_context(), sock)
     except OSError:  # ssl.SSLError and a handshake timeout included
         raise _NoResponse("tls_handshake") from None
-    der = tls.peer_certificate()
+    der = tls.core.tls.getpeercert(binary_form=True)  # None if it sent none
     rec.tls_subject_cn = _subject_common_name(der) if der else None
     tls.sendall(_http_request(rec.address, label))
     _finish_http(rec, _read_until_close(tls, cap))
 
 
-def _recv_all(sock, n: int, deadline: float) -> bytes:
-    """Exactly ``n`` bytes by ``deadline``, a ``time.monotonic()`` value, however
+def _recv_all(sock, n: int, left) -> bytes:
+    """Exactly ``n`` bytes before ``left()``, a ``_budget``, runs out, however
     the peer spaces them."""
     buf = b""
     while len(buf) < n:
-        left = deadline - time.monotonic()
-        if left <= 0:
+        wait = left()
+        if wait <= 0:
             raise TimeoutError
-        sock.settimeout(left)
-        data = sock.recv(n - len(buf))
+        sock.settimeout(wait)
+        try:
+            data = sock.recv(n - len(buf))
+        except ConnectionResetError:  # a peer that hangs up on an unread request resets
+            data = b""
         if not data:
             raise _NoResponse("connection_closed")
         buf += data
@@ -349,7 +382,7 @@ def _grab_mqtt(sock, rec: GrabRecord, cap: int, label: str) -> None:
     client_id = b"rs-probe"
     var = b"\x00\x04MQTT\x04\x02\x00\x3c" + struct.pack(">H", len(client_id)) + client_id
     sock.sendall(bytes([0x10, len(var)]) + var)
-    reply = _recv_all(sock, 4, time.monotonic() + sock.gettimeout())
+    reply = _recv_all(sock, 4, _budget(sock))
     if reply[0] != 0x20 or reply[1] != 0x02:
         raise _NoResponse("not_connack")
     rec.mqtt_return_code = reply[3]
@@ -364,11 +397,11 @@ def _grab_lockdown(sock, rec: GrabRecord, cap: int, label: str) -> None:
         fmt=plistlib.FMT_XML,
     )
     sock.sendall(struct.pack(">I", len(request)) + request)
-    deadline = time.monotonic() + sock.gettimeout()
-    (length,) = struct.unpack(">I", _recv_all(sock, 4, deadline))
+    left = _budget(sock)
+    (length,) = struct.unpack(">I", _recv_all(sock, 4, left))
     if length == 0 or length > LOCKDOWN_REPLY_CAP:
         raise _NoResponse("bounds")
-    body = _recv_all(sock, length, deadline)
+    body = _recv_all(sock, length, left)
     try:
         reply = plistlib.loads(body)
     except Exception:

@@ -2,24 +2,21 @@
 
 Each configured service is reachable through a connector with the same shape
 as the live one: ``connect(address, port, timeout, udp=False) -> socket``.
-A connection hands the caller one end of an in-memory pipe while a
-short-lived thread speaks the service behavior on the other end, so grabbers
-run their socket code unchanged (TLS included, over certificates for a fixed
-test key, unsigned because the grab client never checks a signature) without
-touching the network. Firewalls apply to connections exactly as they do to
-probes: services behind a default-deny CPE refuse, and so does every address
-of an aliased /56, which echoes every probe but serves no port.
+The caller gets a pipe in memory with a socket's blocking calls, and the
+service behavior on its other end is a generator that the pipe steps in the
+caller's own thread. So grabbers run their socket code unchanged (TLS
+included, over certificates for a fixed test key, unsigned because the grab
+client never checks a signature), with no network and no thread. Firewalls
+apply to connections exactly as they do to probes: services behind a
+default-deny CPE refuse, and so does every address of an aliased /56, which
+echoes every probe but serves no port.
 
-Each pipe keeps its own virtual clock. A read waits in real time only while
-the other end is still working; once both ends wait to read, the clock
-jumps to the earlier of their deadlines and that read times out. So a
-simulated timeout costs no wall time: a silent peer that outlasts
-``grab_timeout_s``, or a telnet read that waits ``IDLE_READ_S`` for more,
-ends as soon as both ends are waiting.
-
-Every byte a behavior reads from a client is recorded in a transcript, and
-so is every byte left unread when the behavior returns, which is how the
-tests enforce that grabs stay minimal.
+Each pipe keeps its own virtual clock, so a simulated timeout costs no wall
+time: a silent peer that outlasts ``grab_timeout_s``, or a telnet read that
+waits ``IDLE_READ_S`` for more, ends at once. Every byte a behavior reads
+from a client is recorded in a transcript, and so is every byte left unread
+when the behavior returns, which is how the tests enforce that grabs stay
+minimal.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..addrs import format_address
-from ..grab import TlsLayer
+from ..grab import TlsCore
 from .scenario import FIREWALL_ALLOW, Scenario, ScenarioError, SimService
 
 if TYPE_CHECKING:
@@ -43,8 +40,8 @@ if TYPE_CHECKING:
 TLS_ALERT_HANDSHAKE_FAILURE = b"\x15\x03\x01\x00\x02\x02\x28"
 TELNET_NEGOTIATION = b"\xff\xfd\x18\xff\xfd\x20\xff\xfd\x23\xff\xfd\x27"
 
-# How long a behavior waits on each read or write of its client, unless it
-# sets a hold time of its own.
+# How long a behavior waits on each read of its client, unless it sets a
+# hold time of its own.
 _SERVE_TIMEOUT_S = 5.0
 
 
@@ -59,24 +56,56 @@ class Transcript:
         return b"".join(self.chunks)
 
 
-class _End:
-    """One end of a ``_Pipe``, with the blocking ``recv``/``sendall`` of a socket.
+class _Conn:
+    """The peer's side of a connection, as a behavior speaks it: ``sendall`` is
+    a plain call, and ``data = yield from recv(n, wait)`` yields ``(n, wait)``
+    to whatever steps it, which sends in up to ``n`` bytes, b"" at EOF, or throws in
+    TimeoutError once ``wait`` seconds pass with nothing to read. What it
+    reads is recorded. Once ``tls`` is set, reads and sends go through it."""
 
-    Sends never block. A ``recv`` with timeout *t* waits for bytes or for EOF
-    with a deadline *t* after the pipe's virtual now; in datagram mode each
-    ``recv`` returns one message, and the other end's close gives no EOF,
-    so a read then runs to its deadline, as on a datagram socket.
+    def __init__(self, send, transcript: Transcript):
+        self.send = send  # raw bytes to the client
+        self.transcript = transcript
+        self.tls: TlsCore | None = None
+
+    def recv(self, n: int, wait: float = _SERVE_TIMEOUT_S):
+        if self.tls is None:
+            data = yield n, wait
+        else:
+            data = yield from self.tls.read(n, wait)
+        if data:
+            self.transcript.chunks.append(data)
+        return data
+
+    def sendall(self, data: bytes) -> None:
+        (self.send if self.tls is None else self.tls.write)(data)
+
+
+class _Pipe:
+    """The client's end of one in-memory connection, with the blocking
+    ``recv``/``sendall``/``settimeout``/``shutdown``/``close`` of a socket.
+
+    The peer is a behavior's generator. It runs to its first read when the
+    pipe is made, and the pipe steps it on whenever ``recv`` finds nothing to
+    read, and on ``close``. Sends never block. A ``recv`` with timeout *t*
+    waits for bytes or EOF until *t* after the virtual ``now``. Time moves
+    only when both ends wait to read: the clock then jumps to the earlier
+    deadline, the peer's on a tie, and that read times out. In datagram mode
+    each read takes one message, and a close gives the other end no EOF, so
+    a read then runs to its deadline, as on a datagram socket.
     """
 
-    def __init__(self, pipe: _Pipe):
-        self._pipe = pipe
-        self.peer: _End  # the other end, set by _Pipe
-        self.inbox = collections.deque() if pipe.datagram else bytearray()
-        self.eof = False  # the other end sends nothing more
-        self.closed = False
-        self.deadline: float | None = None  # set while a recv waits; None again once it expires
+    def __init__(self, behavior, params: dict, transcript: Transcript, datagram: bool):
+        self.datagram = datagram
+        self.now = 0.0  # virtual seconds since the connect
         self._timeout: float | None = None
-        self._unread = None  # takes what the other end sends after this end is closed
+        self._transcript = transcript
+        self._inbox = collections.deque()  # what the peer sent and the client has not read
+        self._unread = collections.deque()  # what the client sent and the peer has not read
+        self._shut = False  # the peer reads EOF once it has read what came before
+        deliver = functools.partial(self._put, self._inbox)
+        self._peer = behavior(_Conn(deliver, transcript), params)  # None once it returns
+        self._step()
 
     def settimeout(self, timeout: float | None) -> None:
         self._timeout = timeout
@@ -84,113 +113,78 @@ class _End:
     def gettimeout(self) -> float | None:
         return self._timeout
 
+    def _put(self, buf, data: bytes) -> None:
+        if data or self.datagram:  # an empty stream send sends nothing
+            buf.append(bytes(data))
+
+    def _take(self, buf: collections.deque, n: int) -> bytes:
+        """Up to ``n`` bytes of the first chunk sent; in datagram mode, the rest of it is lost."""
+        if not buf:
+            return b""
+        data = buf.popleft()
+        if len(data) > n and not self.datagram:
+            buf.appendleft(data[n:])
+        return data[:n]
+
+    def _readable(self) -> bool:
+        """Whether a client read returns now: bytes, or EOF once the peer has returned."""
+        return bool(self._inbox) or self._peer is None and not self.datagram
+
+    def _step(self, data: bytes | None = None, exc: Exception | None = None) -> None:
+        """Resume the peer with ``data`` read, or with ``exc`` raised, up to its next read."""
+        try:
+            n, wait = self._peer.send(data) if exc is None else self._peer.throw(exc)
+        except Exception:  # noqa: BLE001 - returning, or a broken behavior, closes the connection
+            # Bytes the client sent that the behavior never read, now or later, are
+            # part of what it transmitted.
+            self._peer = None
+            self._transcript.chunks += self._unread
+            self._unread = self._transcript.chunks
+        else:
+            self._ask = n, self.now + wait  # the read the peer waits in
+
+    def _serve(self) -> None:
+        """Step the peer until it waits for bytes the client has not sent, or returns."""
+        while self._peer and (self._unread or self._shut):
+            self._step(self._take(self._unread, self._ask[0]))
+
+    def _expire(self) -> None:
+        """Both ends wait: jump the clock to the peer's deadline and time its read out."""
+        self.now = self._ask[1]
+        self._step(exc=TimeoutError("timed out"))
+        self._serve()
+
     def recv(self, n: int) -> bytes:
-        pipe = self._pipe
-        with pipe.cond:
-            if not (self.inbox or self.eof):
-                wait = float("inf") if self._timeout is None else self._timeout
-                self.deadline = pipe.now + wait
-                try:
-                    while not (self.inbox or self.eof):
-                        pipe.advance()
-                        if self.deadline is None:
-                            raise TimeoutError("timed out")
-                        pipe.cond.wait()
-                finally:
-                    self.deadline = None
-            if not self.inbox:
-                return b""
-            if pipe.datagram:
-                return self.inbox.popleft()[:n]
-            data = bytes(self.inbox[:n])
-            del self.inbox[:n]
-            return data
+        deadline = self.now + (float("inf") if self._timeout is None else self._timeout)
+        if not self._readable():
+            self._serve()
+        while not self._readable():
+            if not (self._peer and self._ask[1] <= deadline):  # the peer's read goes first on a tie
+                self.now = deadline
+                raise TimeoutError("timed out")
+            self._expire()
+        return self._take(self._inbox, n)
 
     def sendall(self, data: bytes) -> None:
-        with self._pipe.cond:
-            peer = self.peer
-            if peer.closed:
-                if peer._unread is not None:
-                    peer._unread(bytes(data))
-            elif self._pipe.datagram:
-                peer.inbox.append(bytes(data))
-            else:
-                peer.inbox += data
-            self._pipe.cond.notify_all()
+        self._put(self._unread, data)
 
     def shutdown(self, how: int) -> None:
-        """Stop sending, whatever ``how`` says: the other end reads EOF once it
-        has read what came before."""
-        with self._pipe.cond:
-            self.peer.eof = not self._pipe.datagram
-            self._pipe.cond.notify_all()
+        """Stop sending, whatever ``how`` says."""
+        self._shut = not self.datagram
 
-    def close(self, unread=None) -> None:
-        """Close this end. ``unread``, if given, takes what was sent to it and
-        never read, now and later."""
-        with self._pipe.cond:
-            self.closed, self._unread = True, unread
-            if unread is not None:
-                for chunk in self.inbox if self._pipe.datagram else [self.inbox]:
-                    if chunk:
-                        unread(bytes(chunk))
-            self.inbox.clear()
-            self.shutdown(socket.SHUT_RDWR)
+    def close(self) -> None:
+        """Close this end. The peer runs on to its end: it reads what was sent
+        and then EOF, and any read still waiting runs to its deadline."""
+        self.shutdown(socket.SHUT_RDWR)
+        self._serve()
+        while self._peer:
+            self._expire()
 
-    def __enter__(self) -> _End:
+    def __enter__(self) -> _Pipe:
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class _Pipe:
-    """One in-memory connection with a virtual clock: ``ends`` is (client, peer)."""
-
-    def __init__(self, datagram: bool):
-        self.datagram = datagram
-        self.cond = threading.Condition()
-        self.now = 0.0  # virtual seconds since the connect
-        self.ends = client, peer = _End(self), _End(self)
-        client.peer, peer.peer = peer, client
-
-    def advance(self) -> None:
-        """With the condition held: if each end is closed or waits in ``recv`` with
-        nothing to read, jump the clock to the earlier deadline and expire that
-        read. On a tie the peer's comes first."""
-        client, peer = self.ends
-        if all(end.closed or end.deadline is not None and not (end.inbox or end.eof)
-               for end in self.ends):
-            first = min((end for end in (peer, client) if end.deadline is not None),
-                        key=lambda end: end.deadline)
-            if first.deadline < float("inf"):
-                self.now, first.deadline = first.deadline, None
-                self.cond.notify_all()
-
-
-class _Conn:
-    """The peer's end of a connection, recording everything the behavior reads."""
-
-    def __init__(self, end: _End, transcript: Transcript):
-        self.end = end
-        self.sock = end  # what the behavior speaks over: the end, or TLS over it
-        self.transcript = transcript
-
-    def recv(self, n: int) -> bytes:
-        data = self.sock.recv(n)
-        if data:
-            self.transcript.chunks.append(data)
-        return data
-
-    def sendall(self, data: bytes) -> None:
-        self.sock.sendall(data)
-
-    def settimeout(self, t: float | None) -> None:
-        self.sock.settimeout(t)
-
-    def close(self) -> None:
-        # Bytes the client sent that the behavior never read are part of what it transmitted.
-        self.end.close(unread=self.transcript.chunks.append)
 
 
 # The simulator's P-256 test key: its private value and its uncompressed
@@ -264,35 +258,32 @@ def _server_context(common_name: str) -> ssl.SSLContext:
 
 
 # ---------------------------------------------------------------------------
-# Behaviors. Each takes the recording connection and its params dict;
-# _run_handler closes the connection when the behavior returns or raises.
+# Behaviors. Each is a generator function of the recording connection and its
+# params dict: it sends with conn.sendall and reads with
+# ``data = yield from conn.recv(n)``. Returning or raising closes the connection.
 
 
-def _drain_until_close(conn: _Conn, limit: float) -> None:
-    conn.settimeout(limit)
-    try:
-        while conn.recv(4096):
-            pass
-    except OSError:
+def _drain_until_close(conn: _Conn, limit: float):
+    while (yield from conn.recv(4096, limit)):
         pass
 
 
-def recv_exact(conn: _Conn, n: int) -> bytes:
-    """``n`` bytes from ``conn``, or fewer if the client stops sending first."""
+def recv_exact(conn: _Conn, n: int):
+    """``n`` bytes from ``conn``; EOFError, which closes it, if the client stops sending first."""
     buf = b""
     while len(buf) < n:
-        data = conn.recv(n - len(buf))
+        data = yield from conn.recv(n - len(buf))
         if not data:
-            return buf
+            raise EOFError
         buf += data
     return buf
 
 
-def _read_http_request(conn: _Conn, buf: bytes = b"", limit: int = 16384) -> bytes:
+def _read_http_request(conn: _Conn, buf: bytes = b"", limit: int = 16384):
     """The request head, after ``buf`` already read of it."""
     try:
         while b"\r\n\r\n" not in buf and len(buf) < limit:
-            data = conn.recv(4096)
+            data = yield from conn.recv(4096)
             if not data:
                 break
             buf += data
@@ -314,38 +305,37 @@ def _http_payload(params: dict) -> bytes:
     return b"\r\n".join(head) + b"\r\n\r\n" + body
 
 
-def h_banner(conn: _Conn, params: dict) -> None:
+def h_banner(conn: _Conn, params: dict):
     conn.sendall(bytes.fromhex(params.get("data_hex", "00")))
+    yield from ()  # reads nothing
 
 
-def h_silent(conn: _Conn, params: dict) -> None:
-    _drain_until_close(conn, limit=float(params.get("hold_s", 10.0)))
+def h_silent(conn: _Conn, params: dict):
+    yield from _drain_until_close(conn, limit=float(params.get("hold_s", 10.0)))
 
 
-def h_ssh(conn: _Conn, params: dict) -> None:
-    conn.sendall(f"SSH-2.0-{params.get('version', 'OpenSSH_9.6')}\r\n".encode())
-    _drain_until_close(conn, 1.0)
+def _speaks_first(greeting):
+    """A server that sends ``greeting(params)``, then reads until the client
+    hangs up or a second passes."""
+
+    def behavior(conn: _Conn, params: dict):
+        conn.sendall(greeting(params))
+        yield from _drain_until_close(conn, 1.0)
+
+    return behavior
 
 
-def h_telnet(conn: _Conn, params: dict) -> None:
-    conn.sendall(TELNET_NEGOTIATION + str(params.get("banner", "login: ")).encode())
-    _drain_until_close(conn, 1.0)
-
-
-def h_http(conn: _Conn, params: dict) -> None:
-    if _read_http_request(conn):
+def h_http(conn: _Conn, params: dict):
+    if (yield from _read_http_request(conn)):
         conn.sendall(_http_payload(params))
 
 
-def h_hp_printer_http(conn: _Conn, params: dict) -> None:
-    model = params.get("model", "HP DeskJet 2700 series")
-    serial = params.get("serial", "CN00000000")
-    built = params.get("built")
-    server = f"HP HTTP Server; {model}; Serial Number: {serial}"
-    if built:
-        server += f"; Built: {built}"
-    if _read_http_request(conn):
-        conn.sendall(_http_payload({**params, "server": server, "body": "<html>printer</html>"}))
+def h_hp_printer_http(conn: _Conn, params: dict):
+    server = f"HP HTTP Server; {params.get('model', 'HP DeskJet 2700 series')}"
+    server += f"; Serial Number: {params.get('serial', 'CN00000000')}"
+    if params.get("built"):
+        server += f"; Built: {params['built']}"
+    yield from h_http(conn, {**params, "server": server, "body": "<html>printer</html>"})
 
 
 def _fixed_page(server: str, body: str):
@@ -353,58 +343,47 @@ def _fixed_page(server: str, body: str):
     return lambda conn, params: h_http(conn, {"server": server, "body": body})
 
 
-def h_tls_http(conn: _Conn, params: dict) -> None:
+def h_tls_http(conn: _Conn, params: dict):
     """HTTPS endpoint; a plaintext client gets a TLS alert and nothing else."""
-    first = conn.end.recv(1)  # past the recorder: a handshake byte is not plaintext
+    first = yield 1, _SERVE_TIMEOUT_S  # past the recorder: a handshake byte is not plaintext
     if not first:
         return
     if first[0] != 0x16:  # not a TLS ClientHello: scold and hang up
         conn.transcript.chunks.append(first)
-        _read_http_request(conn, first)
+        yield from _read_http_request(conn, first)
         conn.sendall(TLS_ALERT_HANDSHAKE_FAILURE)
         return
     with _server_context_lock:
         ctx = _server_context(str(params.get("common_name", "simnet test")))
-    conn.sock = TlsLayer(ctx, conn.end, server_side=True, received=first)
-    h_http(conn, params)
+    conn.tls = TlsCore(ctx, conn.send, server_side=True, received=first)
+    yield from conn.tls.handshake(_SERVE_TIMEOUT_S)
+    yield from h_http(conn, params)
 
 
-def h_mqtt_broker(conn: _Conn, params: dict) -> None:
+def h_mqtt_broker(conn: _Conn, params: dict):
     if params.get("close_immediately"):
         return
-    head = conn.recv(1)
-    if not head or head[0] >> 4 != 1:  # only CONNECT is acceptable first
+    (head,) = yield from recv_exact(conn, 1)
+    if head >> 4 != 1:  # only CONNECT is acceptable first
         return
-    remaining = 0
-    shift = 0
+    remaining = shift = 0
     while True:
-        b = conn.recv(1)
-        if not b:
-            return
-        remaining |= (b[0] & 0x7F) << shift
-        if not b[0] & 0x80:
+        (b,) = yield from recv_exact(conn, 1)
+        remaining |= (b & 0x7F) << shift
+        if not b & 0x80:
             break
         shift += 7
-    got = recv_exact(conn, remaining)
-    if len(got) < remaining or not got.startswith(b"\x00\x04MQTT"):
-        return
-    rc = int(params.get("return_code", 0))
-    conn.sendall(bytes([0x20, 0x02, 0x00, rc]))
+    if (yield from recv_exact(conn, remaining)).startswith(b"\x00\x04MQTT"):
+        conn.sendall(bytes([0x20, 0x02, 0x00, int(params.get("return_code", 0))]))
 
 
-def h_lockdown(conn: _Conn, params: dict) -> None:
+def h_lockdown(conn: _Conn, params: dict):
     import plistlib
 
-    raw_len = recv_exact(conn, 4)
-    if len(raw_len) < 4:
-        return
-    (length,) = struct.unpack(">I", raw_len)
+    (length,) = struct.unpack(">I", (yield from recv_exact(conn, 4)))
     if length > 1 << 20:
         return
-    body = recv_exact(conn, length)
-    if len(body) < length:
-        return
-    request = plistlib.loads(body)
+    request = plistlib.loads((yield from recv_exact(conn, length)))
     if not isinstance(request, dict):
         return
     mode = params.get("mode", "normal")
@@ -418,8 +397,8 @@ def h_lockdown(conn: _Conn, params: dict) -> None:
     conn.sendall(struct.pack(">I", len(payload)) + payload)
 
 
-def h_ntp(conn: _Conn, params: dict) -> None:
-    query = conn.recv(512)
+def h_ntp(conn: _Conn, params: dict):
+    query = yield from conn.recv(512)
     if len(query) < 48 or query[0] & 0x07 != 3:  # client mode only
         return
     reply = bytearray(48)
@@ -431,8 +410,8 @@ def h_ntp(conn: _Conn, params: dict) -> None:
 BEHAVIORS = {
     "banner": h_banner,
     "silent": h_silent,
-    "ssh": h_ssh,
-    "telnet": h_telnet,
+    "ssh": _speaks_first(lambda p: f"SSH-2.0-{p.get('version', 'OpenSSH_9.6')}\r\n".encode()),
+    "telnet": _speaks_first(lambda p: TELNET_NEGOTIATION + str(p.get("banner", "login: ")).encode()),
     "http": h_http,
     "hp_printer_http": h_hp_printer_http,
     "dahua_http": _fixed_page("webserver", '<script>var appname="cameraNewConfig";</script>'),
@@ -448,13 +427,13 @@ BEHAVIORS = {
 
 class SimServices:
     """Endpoint registry + connector for one scenario. Each endpoint holds its
-    behavior's handler and params; a behavior with no handler fails the
+    behavior and params; a behavior that does not exist fails the
     registration with ScenarioError."""
 
     def __init__(self, scenario: Scenario):
         self.transcripts: list[Transcript] = []
         self._lock = threading.Lock()
-        self._endpoints: dict[tuple[int, int], tuple] = {}  # (handler, params)
+        self._endpoints: dict[tuple[int, int], tuple] = {}  # (behavior, params)
         for net, sub, _net56, wan in scenario.iter_subnets():
             # Every behavior resolves, served or not, so a misspelt one fails the load.
             cpe = {(wan, svc.port): _served(svc, wan) for svc in sub.cpe.services}
@@ -483,14 +462,10 @@ class SimServices:
         served = self._endpoints.get((key, port))
         if served is None:
             raise ConnectionRefusedError(f"{address}:{port} closed")
-        handler, params = served
-        client, server = _Pipe(datagram=udp).ends
-        server.settimeout(_SERVE_TIMEOUT_S)
         transcript = Transcript(key, port)
-        conn = _Conn(server, transcript)
-        threading.Thread(target=_run_handler, args=(handler, conn, params), daemon=True).start()
-        with self._lock:
+        with self._lock:  # grab workers connect from their own threads
             self.transcripts.append(transcript)
+        client = _Pipe(*served, transcript, datagram=udp)
         client.settimeout(timeout)
         return client
 
@@ -505,21 +480,12 @@ class SimServices:
 
 
 def _served(svc: SimService, address: int) -> tuple:
-    """(handler, params) of the endpoint ``svc`` at ``address``."""
-    handler = BEHAVIORS.get(svc.behavior)
-    if handler is None:
+    """(behavior, params) of the endpoint ``svc`` at ``address``."""
+    behavior = BEHAVIORS.get(svc.behavior)
+    if behavior is None:
         where = format_address(address)
         raise ScenarioError(f"unknown behavior {svc.behavior!r} at {where} port {svc.port}")
-    return handler, svc.params
-
-
-def _run_handler(handler, conn: _Conn, params: dict) -> None:
-    try:
-        handler(conn, params)
-    except Exception:  # noqa: BLE001 - a broken behavior only closes its connection
-        pass
-    finally:
-        conn.close()
+    return behavior, svc.params
 
 
 def _key(address: str) -> int:

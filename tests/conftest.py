@@ -104,17 +104,51 @@ def tiny_scenario():
     return make_scenario([net])
 
 
+# One endpoint of each simulated behavior, each on a catalog port whose grab it answers.
+EVERY_BEHAVIOR = [
+    SimService(21, "banner", {"data_hex": b"220 ready\r\n".hex()}),
+    SimService(22, "ssh", {"version": "dropbear_2022.83"}),
+    SimService(23, "telnet", {"banner": "router login: "}),
+    SimService(25, "silent", {}),
+    SimService(80, "hp_printer_http", {"model": "HP Smart Tank 580", "serial": "CN12345678"}),
+    SimService(123, "ntp", {}),
+    SimService(443, "tls_http", {"common_name": "gw.example", "server": "tls-ui"}),
+    SimService(1883, "mqtt_broker", {"return_code": 5}),
+    SimService(5000, "dahua_http", {}),
+    SimService(8000, "nanoleaf_http", {}),
+    SimService(8080, "http", {"server": "lighttpd/1.4.59", "body": "<html>ok</html>"}),
+    SimService(62078, "lockdown", {"product_version": "17.5"}),
+]
+
+
+def every_behavior_scenario():
+    """A host serving EVERY_BEHAVIOR, a CPE serving HTTP, and a host behind a
+    default-deny CPE, whose telnet is refused."""
+    net = make_net(
+        "2001:db8:5::",
+        [
+            make_subnet(
+                1,
+                hosts=[make_host(1, services=EVERY_BEHAVIOR)],
+                cpe_services=[SimService(7547, "http", {"server": "cwmp-agent/2.1"})],
+            ),
+            make_subnet(
+                2,
+                firewall=FIREWALL_DENY,
+                hosts=[make_host(1, services=[SimService(23, "telnet", {})])],
+            ),
+        ],
+    )
+    return make_scenario([net])
+
+
 @pytest.fixture
-def no_handler_threads(monkeypatch):
-    """Only the main thread can start a thread: a grab campaign's workers
-    start, but the simulator cannot start the thread that serves a
-    connection. No real thread or memory is exhausted."""
-    real_start = threading.Thread.start
+def no_threads(monkeypatch):
+    """No thread can start: each ``Thread.start`` raises as an exhausted
+    process's does. No real thread or memory is exhausted."""
 
     def start(thread):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("can't start new thread")
-        real_start(thread)
+        raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(threading.Thread, "start", start)
 
@@ -137,11 +171,13 @@ def readme_stage_table() -> dict[str, tuple[list[str], list[str]]]:
 
 
 __all__ = [
+    "EVERY_BEHAVIOR",
     "FIREWALL_ALLOW",
     "FIREWALL_DENY",
     "IID_DHCP_LOW",
     "IID_SLAAC_RANDOM",
     "SimService",
+    "every_behavior_scenario",
     "make_host",
     "make_net",
     "make_scenario",

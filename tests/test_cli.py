@@ -808,9 +808,13 @@ class TestHostileFiles:
         res = run_cli("--out", str(tmp_path), "grab")
         assert (res.code, res.err) == (1, f"error: {exc}\n")
 
-    def test_handler_thread_failure_fails_grab(self, tmp_path, no_handler_threads):
-        # The simulator cannot start the thread that serves a connection: grab
+    def test_connector_failure_fails_grab(self, tmp_path, monkeypatch):
+        # The simulated connector fails as a process out of threads does: grab
         # exits 1 and writes no grabs.csv, instead of rows of its own failure.
+        def exhausted(self, address, port, timeout=5.0, udp=False):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr("resiscan.simnet.services.SimServices.connect", exhausted)
         telnet = [SimService(23, "telnet", {})]
         net = make_net("2001:db8:7::", [make_subnet(1, hosts=[make_host(1, services=telnet)])])
         save_scenario(make_scenario([net]), str(tmp_path / "scenario.json"))

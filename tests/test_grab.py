@@ -15,13 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EVERY_BEHAVIOR,
     FIREWALL_DENY,
     SimService,
+    every_behavior_scenario,
     make_host,
     make_net,
     make_scenario,
     make_subnet,
 )
+from resiscan.addrs import format_address, parse_address
 from resiscan.grab import (
     _GREETING_ENDS,
     _LOG_FIELDS,
@@ -43,6 +46,7 @@ from resiscan.grab import (
 from resiscan.services import ServiceSpec, default_services
 from resiscan.simnet import SimServices
 from resiscan.simnet import services as sim_services
+from resiscan.simnet.scenario import expected_grab_outcomes
 from resiscan.simnet.services import TELNET_NEGOTIATION
 
 V6 = "2001:db8:5:100::1"
@@ -167,11 +171,11 @@ class _ClockJumpingSocket:
 
 
 class _ResettingSocket:
-    """A client socket whose first ``recv`` returns what the peer sent and
-    whose every later one finds the stream reset."""
+    """A client socket whose first ``good_reads`` calls of ``recv`` return what
+    the peer sent and whose every later one finds the stream reset."""
 
-    def __init__(self, sock):
-        self._sock, self._reads = sock, 0
+    def __init__(self, sock, good_reads: int = 1):
+        self._sock, self._reads, self._good_reads = sock, 0, good_reads
 
     def __enter__(self):
         return self
@@ -184,7 +188,7 @@ class _ResettingSocket:
 
     def recv(self, n):
         self._reads += 1
-        if self._reads > 1:
+        if self._reads > self._good_reads:
             raise ConnectionResetError(errno.ECONNRESET, "Connection reset by peer")
         return self._sock.recv(n)
 
@@ -849,19 +853,13 @@ class TestTlsCertificates:
         assert [r.tls_subject_cn for r in records] == ["once.example"] * 8
         assert builds == ["once.example"]
 
-    def test_failing_behavior_closes_quietly(self, monkeypatch):
+    def test_failing_behavior_closes_quietly(self, no_threads):
         # A lone surrogate cannot be encoded into the certificate, so the
-        # handler raises UnicodeEncodeError: the thread must not die with it.
-        hooked = []
-        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        # behavior raises UnicodeEncodeError: that only closes its connection.
         backend = SimServices(make_scenario([make_net("2001:db8:5::", [make_subnet(1)])]))
         backend.add_endpoint(V6, 443, "tls_http", {"common_name": "\ud800"})
-        before = set(threading.enumerate())
         rec = do_grab(backend, V6, spec_by_name("https"))
-        for handler in set(threading.enumerate()) - before:
-            handler.join(timeout=5.0)
         assert (rec.outcome, rec.detail) == (OUTCOME_ERROR, "tls_handshake")
-        assert hooked == []
 
     def test_unparsable_subject_still_responds(self, monkeypatch):
         # The common name becomes a T61String of Latin-1 bytes, in the issuer and
@@ -1096,6 +1094,23 @@ class TestOutcomePins:
             address=V6, service=spec.name, outcome=outcome, detail=detail, **fields
         )
 
+    @pytest.mark.parametrize("service", ["mqtt", "lockdown"])
+    def test_reset_after_the_request_is_connection_closed(self, service):
+        # A peer that hangs up with the request unread resets the stream (RFC
+        # 1122 section 4.2.2.13): it answered nothing, as a clean close does.
+        peers = []
+        scripted = _scripted_connector(b"", peers)
+
+        def connector(address, port, timeout, udp=False):
+            return _ResettingSocket(scripted(address, port, timeout, udp), good_reads=0)
+
+        try:
+            rec = grab(V6, spec_by_name(service), connector=connector, timeout=2.0)
+        finally:
+            for peer in peers:
+                peer.close()
+        assert (rec.outcome, rec.detail) == (OUTCOME_ERROR, "connection_closed")
+
     def test_connector_error_names_its_class(self):
         def connector(address, port, timeout, udp=False):
             raise ConnectionResetError("reset by peer")
@@ -1158,11 +1173,50 @@ class TestCampaign:
         assert by_service["telnet"].outcome == OUTCOME_ERROR
         assert by_service["telnet"].detail == repr(ValueError("driver exploded"))
 
-    def test_handler_thread_failure_ends_the_campaign(self, env, no_handler_threads):
-        # A simulator that cannot serve a connection is this process failing,
-        # not the peer answering, so it is raised and no row records it.
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            run_grab_campaign([V6], default_services(), connector=env.connector(), parallelism=4)
+    def test_simulated_campaign_starts_no_thread(self, no_threads):
+        # The simulator steps each peer in the thread that grabs it, so one
+        # worker grabs every behavior with no thread able to start.
+        assert {svc.behavior for svc in EVERY_BEHAVIOR} == set(sim_services.BEHAVIORS)
+        scenario = every_behavior_scenario()
+        expected = expected_grab_outcomes(scenario, default_services())
+        records = run_grab_campaign(
+            sorted({format_address(address) for address, _service in expected}),
+            default_services(), connector=SimServices(scenario).connector(), parallelism=1,
+        )
+        assert {(parse_address(r.address), r.service): r.outcome for r in records} == expected
+
+    def test_many_workers_give_the_one_worker_bytes(self):
+        # Each simulated deadline runs on its connection's clock, so however the
+        # host schedules 256 workers, a grab at a 5 ms timeout gives the same row.
+        services = [
+            SimService(62078, "lockdown", {}), SimService(1883, "mqtt_broker", {}),
+            SimService(80, "http", {}),
+        ]
+        subnets = [
+            make_subnet(j, hosts=[make_host(i, services=services) for i in range(1, 11)])
+            for j in range(1, 5)
+        ]
+        backend = SimServices(make_scenario([make_net("2001:db8:5::", subnets)]))
+        addresses = [f"2001:db8:5:{j:x}00::{i:x}" for j in range(1, 5) for i in range(1, 11)]
+
+        def grabs_csv(parallelism):
+            records = run_grab_campaign(
+                addresses, default_services(), connector=backend.connector(),
+                parallelism=parallelism, timeout=0.005,
+            )
+            buf = io.StringIO()
+            write_grab_log(records, buf)
+            return buf.getvalue()
+
+        one_worker = grabs_csv(1)
+        assert one_worker.count(",lockdown,responded,") == 40
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [grabs_csv(256) for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [one_worker] * 10
 
     @pytest.mark.parametrize("exc", [RuntimeError("can't start new thread"), MemoryError()])
     def test_own_failure_stops_taking_pairs(self, exc):

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import threading
 
 import pytest
 
@@ -530,18 +529,6 @@ class TestServiceLookup:
             backend.add_endpoint("2001:db8:9::1", 80, "htpp")
         with pytest.raises(ConnectionRefusedError):
             backend.connect("2001:db8:9::1", 80)
-
-    def test_handler_thread_failure_records_no_transcript(self, monkeypatch):
-        # The connection is a pipe in memory, so it holds no descriptor to close.
-        backend = self.backend()
-
-        def no_thread(thread):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            backend.connect("2001:db8:7:100::1", 23)
-        assert backend.transcripts == []
 
     def test_aliased_net_refuses_every_connection(self, tiny_scenario):
         # An aliased /56 echoes every probe, but no address in it serves a port.
