@@ -510,36 +510,34 @@ def run_grab_campaign(
     if one cannot be started, those that did and the caller do the work. Failures
     are per-pair: one hung or broken endpoint can't sink the campaign, and
     results come back sorted by (address, service). A ``RuntimeError`` or
-    ``MemoryError`` is a failure of this process, not of the peer: no worker
-    takes another pair, and it is raised once all stop.
+    ``MemoryError`` is a failure of this process, not of the peer: after it,
+    each worker makes at most one more grab, and it is raised once all stop.
+
+    The workers take no lock. ``next()`` on the C iterator of pairs and
+    ``list.append`` each run whole under CPython's GIL, so each pair is taken
+    once; a free-threaded build is not supported.
     """
     addresses = list(dict.fromkeys(addresses))
     specs = list(specs)
     records: list[GrabRecord | None] = [None] * (len(addresses) * len(specs))
     pairs = enumerate(itertools.product(addresses, specs))
-    lock = threading.Lock()
     failures: list[BaseException] = []
     taken = False  # every pair is taken, or a failure stops the campaign
 
     def work() -> None:
         nonlocal taken
-        while True:
-            with lock:
-                task = None if failures else next(pairs, None)
-            if task is None:
-                taken = True
-                return
+        while (task := None if failures else next(pairs, None)) is not None:
             i, (a, s) = task
             try:
                 records[i] = grab(a, s, connector=connector, timeout=timeout, label=label)
             except (RuntimeError, MemoryError) as exc:  # say, "can't start new thread"
-                with lock:
-                    failures.append(exc)
+                failures.append(exc)
             except Exception as exc:  # noqa: BLE001 - isolate per-pair failures
                 log.warning("grab %s/%s failed: %s", a, s.name, exc)
                 records[i] = GrabRecord(
                     address=a, service=s.name, outcome=OUTCOME_ERROR, detail=repr(exc)
                 )
+        taken = True
 
     n_workers = max(1, min(parallelism, len(records)))
     workers = []

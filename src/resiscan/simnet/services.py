@@ -432,7 +432,6 @@ class SimServices:
 
     def __init__(self, scenario: Scenario):
         self.transcripts: list[Transcript] = []
-        self._lock = threading.Lock()
         self._endpoints: dict[tuple[int, int], tuple] = {}  # (behavior, params)
         for net, sub, _net56, wan in scenario.iter_subnets():
             # Every behavior resolves, served or not, so a misspelt one fails the load.
@@ -463,8 +462,7 @@ class SimServices:
         if served is None:
             raise ConnectionRefusedError(f"{address}:{port} closed")
         transcript = Transcript(key, port)
-        with self._lock:  # grab workers connect from their own threads
-            self.transcripts.append(transcript)
+        self.transcripts.append(transcript)  # atomic under the GIL, from any grab worker
         client = _Pipe(*served, transcript, datagram=udp)
         client.settimeout(timeout)
         return client

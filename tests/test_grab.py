@@ -1333,32 +1333,103 @@ class TestCampaign:
         assert starts == []
         assert records == expected
 
-    def test_every_pair_grabbed_once_under_contention(self):
-        # More workers than cores and a short switch interval, so a pair taken twice
-        # or lost between workers would show.
-        calls = []
-        connector, _state = self._refusing_connector(calls)
-        addresses = [f"2001:db8:9::{i:x}" for i in range(1, 151)]
-        specs = default_services()[:4]
+    @staticmethod
+    def _every_worker_starts(connector, parallelism: int, workers: set):
+        """``connector``, but each worker's first connect waits until all
+        ``parallelism`` workers hold a pair, so every one of them starts and
+        they then race for the rest. Each worker's thread id goes in ``workers``."""
+        barrier = threading.Barrier(parallelism)
+
+        def first_waits(address, port, timeout, udp=False):
+            if threading.get_ident() not in workers:
+                workers.add(threading.get_ident())
+                barrier.wait(timeout=30)  # broken: a RuntimeError, which stops the campaign
+            return connector(address, port, timeout, udp=udp)
+
+        return first_waits
+
+    @staticmethod
+    def _under_contention(campaign):
+        """``campaign()`` run in its own thread at a 1 µs switch interval; its result."""
         result = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            worker = threading.Thread(
-                target=lambda: result.extend(
-                    run_grab_campaign(addresses, specs, connector=connector, parallelism=32)
-                )
-            )
+            worker = threading.Thread(target=lambda: result.append(campaign()))
             worker.start()
             worker.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
+        assert len(result) == 1
+        return result[0]
+
+    @pytest.mark.parametrize("parallelism", [32, 256])
+    def test_every_pair_grabbed_once_under_contention(self, parallelism):
+        # More workers than cores and a short switch interval, so a pair taken twice
+        # or lost between workers, who share the pair iterator with no lock, would show.
+        calls = []
+        connector, _state = self._refusing_connector(calls)
+        workers = set()
+        connector = self._every_worker_starts(connector, parallelism, workers)
+        addresses = [f"2001:db8:9::{i:x}" for i in range(1, 1001)]
+        specs = default_services()[:4]
+        result = self._under_contention(
+            lambda: run_grab_campaign(
+                addresses, specs, connector=connector, parallelism=parallelism
+            )
+        )
+        assert len(workers) == parallelism
         pairs = [(a, s.port) for a in addresses for s in specs]
         assert sorted(calls) == sorted(pairs)
         assert [(r.address, r.service) for r in result] == sorted(
             (a, s.name) for a in addresses for s in specs
         )
+
+    def test_every_connect_leaves_one_transcript_under_contention(self):
+        # 256 workers append to one transcript list with no lock: each connect
+        # that reaches an endpoint leaves exactly one transcript, with the bytes
+        # a 1-worker campaign leaves there.
+        services = [
+            SimService(21, "banner", {"data_hex": b"220 ready\r\n".hex()}),
+            SimService(22, "ssh", {}), SimService(23, "telnet", {}),
+            SimService(80, "http", {}), SimService(1883, "mqtt_broker", {}),
+            SimService(62078, "lockdown", {}),
+        ]
+        subnets = [
+            make_subnet(j, hosts=[make_host(i, services=services) for i in range(1, 11)])
+            for j in range(1, 9)
+        ]
+        scenario = make_scenario([make_net("2001:db8:5::", subnets)])
+        addresses = [f"2001:db8:5:{j:x}00::{i:x}" for j in range(1, 9) for i in range(1, 11)]
+
+        def transcripts(parallelism):
+            backend = SimServices(scenario)
+            reached = []
+
+            def connector(address, port, timeout, udp=False):
+                conn = backend.connect(address, port, timeout, udp=udp)
+                reached.append((parse_address(address), port))
+                return conn
+
+            workers = set()
+            connector = self._every_worker_starts(connector, parallelism, workers)
+            self._under_contention(
+                lambda: run_grab_campaign(
+                    addresses, default_services(), connector=connector, parallelism=parallelism
+                )
+            )
+            assert len(workers) == parallelism
+            endpoints = sorted((t.address, t.port) for t in backend.transcripts)
+            assert endpoints == sorted(reached)
+            by_endpoint = {}
+            for t in backend.transcripts:
+                by_endpoint.setdefault((t.address, t.port), []).append(t.data)
+            return {endpoint: sorted(data) for endpoint, data in by_endpoint.items()}
+
+        one_worker = transcripts(1)
+        assert len(one_worker) == len(addresses) * len(services)
+        assert transcripts(256) == one_worker
 
     def test_own_failure_under_contention_stops_every_worker(self):
         # Once the 50th connect's failure is recorded, each of the 32 workers

@@ -1,8 +1,9 @@
 """The stage protocol as a state machine.
 
 Hypothesis drives sequences of stage runs (some with another ``--seed``),
-failed or killed output writes, and stage files deleted or replaced by hand
-with well-formed ones, through ``cli.main`` on a 2x2 simulated deployment.
+failed or killed output writes, stage files deleted or replaced by hand
+with well-formed ones, and reference tables made unreadable and restored,
+through ``cli.main`` on a 2x2 simulated deployment.
 A model predicts the output directory after every step, and the directory
 must hold exactly that:
 
@@ -10,8 +11,11 @@ must hold exactly that:
   exits 0 and each of its outputs equals what a clean run of it writes from
   those files alone, in a directory that holds nothing else;
 - a missing input ends the stage with exit 1, naming the stage that writes
-  it, and a failed write with exit 1; either way none of its outputs is left,
-  nor a ``.tmp``;
+  it; an unreadable reference table (deleted, a directory in its place, or a
+  byte that is not UTF-8) with exit 1, naming its path, or for the byte
+  ``<what> line N`` as the README's file formats say; and a failed write
+  with exit 1; either way none of its outputs is left, nor a ``.tmp``, and
+  no other stage's file changes;
 - a run killed mid-write leaves the outputs it finished and the ``.tmp`` of
   the one it was writing, and the stage's next run removes that ``.tmp``.
 
@@ -25,6 +29,7 @@ import contextlib
 import errno
 import hashlib
 import io
+import json
 import os
 import shutil
 import tempfile
@@ -49,6 +54,18 @@ PIPELINE = [("plan", "--dump", "5") if stage == "plan" else (stage,) for stage i
 # None, or (n, kill): the n-th output the run opens fails to write, or its process is killed.
 FAULTS = st.none() | st.tuples(st.integers(1, 3), st.booleans())
 TORN = object()  # the .tmp a killed write leaves: whatever bytes reached the file
+# Each reference table's config key, by the stage that reads it,
+# and what a bad row's message calls it; the raw seed list is named by its path instead.
+TABLES = {
+    "seed-filter": ("seed_list", "as_map", "conn_map"),
+    "fingerprint": ("oui_db",),
+    "report": ("asn_geo",),
+}
+WHAT = {
+    "as_map": "as map", "conn_map": "connection map", "oui_db": "oui db", "asn_geo": "asn/geo table",
+}
+TABLE_KEYS = sorted(key for keys in TABLES.values() for key in keys)
+UNREADABLE = ("deleted", "directory", "not UTF-8")
 
 
 class Killed(BaseException):
@@ -148,6 +165,12 @@ class Deployment:
             trees.append({n: b for n, b in read_tree(out).items() if n in STAGE_FILES})
         self.config = os.path.join(root, "deployment-1", "config.json")
         self.pristine, self.alternate = trees
+        with open(self.config, encoding="utf-8") as fh:
+            config = json.load(fh)
+        self.tables = {}  # config key: the table's bytes
+        for key in TABLE_KEYS:
+            with open(config[key], "rb") as fh:
+                self.tables[key] = fh.read()
         self.clean_runs: dict = {}
 
     def clean_run(self, argv, options, inputs: dict[str, bytes]) -> SimpleNamespace:
@@ -173,9 +196,21 @@ class StageProtocol(RuleBasedStateMachine):
         self.dir = tempfile.mkdtemp(dir=deployment.root)
         self.model = dict(deployment.pristine)  # what the directory holds, file by file
         write_tree(self.dir, self.model)
+        # The deployment's config, but reading its own copy of each reference table.
+        self.table_dir = tempfile.mkdtemp(dir=deployment.root)
+        with open(deployment.config, encoding="utf-8") as fh:
+            config = json.load(fh)
+        for key, content in deployment.tables.items():
+            config[key] = os.path.join(self.table_dir, key)
+            write_tree(self.table_dir, {key: content})
+        self.config = os.path.join(self.table_dir, "config.json")
+        with open(self.config, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        self.unreadable: dict[str, str] = {}  # config key: the error reading it gives
 
     def teardown(self):
         shutil.rmtree(self.dir)
+        shutil.rmtree(self.table_dir)
 
     @rule(name=st.sampled_from(INPUTS))
     def delete_stage_file(self, name):
@@ -189,12 +224,44 @@ class StageProtocol(RuleBasedStateMachine):
         write_tree(self.dir, {name: content})
         self.model[name] = content
 
+    def _remove_table(self, key):
+        path = os.path.join(self.table_dir, key)
+        if os.path.isdir(path):
+            os.rmdir(path)
+        elif os.path.exists(path):
+            os.remove(path)
+        self.unreadable.pop(key, None)
+        return path
+
+    @rule(key=st.sampled_from(TABLE_KEYS), how=st.sampled_from(UNREADABLE), line=st.integers(1, 2))
+    def make_table_unreadable(self, key, how, line):
+        path = self._remove_table(key)
+        if how == "not UTF-8":  # a 0xff at the start of the line-th line
+            lines = self.deployment.tables[key].splitlines(keepends=True)
+            offset = len(b"".join(lines[: line - 1]))
+            lines[line - 1] = b"\xff" + lines[line - 1]
+            write_tree(self.table_dir, {key: b"".join(lines)})
+            where = f"{path}:" if key == "seed_list" else WHAT[key]
+            reason = f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
+            self.unreadable[key] = f"error: {where} line {line}: {reason}\n"
+            return
+        if how == "directory":
+            os.mkdir(path)
+        code = errno.ENOENT if how == "deleted" else errno.EISDIR
+        self.unreadable[key] = f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n"
+
+    @rule(key=st.sampled_from(TABLE_KEYS))
+    def restore_table(self, key):
+        self._remove_table(key)
+        write_tree(self.table_dir, {key: self.deployment.tables[key]})
+
     def run_stage(self, argv, seed, fault):
         stage = argv[0]
         options = () if seed is None else ("--seed", str(seed))
         reads = TABLE[stage][0]
         missing = [name for name in reads if name not in self.model]
-        if not missing:
+        unreadable = [self.unreadable[k] for k in TABLES.get(stage, ()) if k in self.unreadable]
+        if not missing and not unreadable:
             inputs = {name: self.model[name] for name in reads}
             clean = self.deployment.clean_run(argv, options, inputs)
             assert clean.res.code == 0, clean.res.err
@@ -204,14 +271,14 @@ class StageProtocol(RuleBasedStateMachine):
         opened = []
         try:
             with outputs_opened(opened, fault, self.dir):
-                res = run(["--config", self.deployment.config, "--out", self.dir, *options, *argv])
+                res = run(["--config", self.config, "--out", self.dir, *options, *argv])
         except Killed as killed:
             shutil.rmtree(self.dir)
             os.makedirs(self.dir)
             write_tree(self.dir, killed.tree)
             res = None
-        if missing:
-            errors = [
+        if missing or unreadable:
+            errors = unreadable + [
                 f"error: no {name} at {os.path.join(self.dir, name)}; run {WRITER[name]} first\n"
                 for name in missing
             ]
@@ -258,6 +325,26 @@ class StageProtocol(RuleBasedStateMachine):
 @pytest.fixture(scope="module")
 def deployment(tmp_path_factory):
     return Deployment(str(tmp_path_factory.mktemp("protocol")))
+
+
+@pytest.mark.parametrize("how", UNREADABLE)
+@pytest.mark.parametrize("key", TABLE_KEYS)
+def test_each_table_unreadable_then_restored(deployment, key, how):
+    # The two table rules, stepped by hand around a run of the stage that
+    # reads the table, so each table and each way it breaks is checked.
+    (stage,) = (stage for stage, keys in TABLES.items() if key in keys)
+    machine = StageProtocol(deployment)
+    try:
+        for step in (
+            lambda: machine.make_table_unreadable(key, how, 2),
+            lambda: machine.run_stage((stage,), None, None),
+            lambda: machine.restore_table(key),
+            lambda: machine.run_stage((stage,), None, None),
+        ):
+            step()
+            machine.directory_holds_the_model()
+    finally:
+        machine.teardown()
 
 
 def test_stage_protocol(deployment):
