@@ -71,14 +71,14 @@ def prefix56_of(address: int) -> int:
 class LongestPrefixMap:
     """Longest-prefix-match lookup over IPv6 networks of any length, none with host bits set.
 
-    Entries are bucketed by prefix length; a lookup masks the address at each
-    populated length, longest first. Fine for offline datasets of the sizes
-    we load (a bucket scan is at most 129 dict probes).
+    Entries are bucketed by prefix length; a lookup masks the address with
+    each populated length's mask, longest first. Fine for offline datasets of
+    the sizes we load (a bucket scan is at most 129 dict probes).
     """
 
     def __init__(self) -> None:
         self._by_len: dict[int, dict[int, object]] = {}
-        self._lens_desc: list[int] = []
+        self._buckets: list[tuple[int, dict[int, object]]] = []  # (mask, bucket), longest first
 
     @classmethod
     def load(cls, path: str, what: str, width: int, value) -> LongestPrefixMap:
@@ -100,13 +100,13 @@ class LongestPrefixMap:
         bucket = self._by_len.get(plen)
         if bucket is None:
             bucket = self._by_len[plen] = {}
-            self._lens_desc = sorted(self._by_len, reverse=True)
+            lens = sorted(self._by_len, reverse=True)  # a /0's mask is 0
+            self._buckets = [(((1 << n) - 1) << (128 - n), self._by_len[n]) for n in lens]
         bucket[network] = value
 
     def lookup(self, address: int) -> object | None:
-        for plen in self._lens_desc:
-            mask = ((1 << plen) - 1) << (128 - plen)  # 0 for the default route
-            hit = self._by_len[plen].get(address & mask)
+        for mask, bucket in self._buckets:
+            hit = bucket.get(address & mask)
             if hit is not None:
                 return hit
         return None

@@ -242,7 +242,7 @@ def cmd_seed_filter(cfg: dict, args: argparse.Namespace) -> int:
         try:
             seeds = seedprep.parse_prefix_list(fh.read())
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{seed_path}: line {undecodable_line(exc)}: {exc}") from None
+            raise ValueError(f"{seed_path}: line {undecodable_line(fh, exc)}: {exc}") from None
         except ValueError as exc:  # a line that does not parse
             raise ValueError(f"{seed_path}: {exc}") from None
     filtered = seedprep.filter_seeds(
@@ -284,13 +284,12 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     if mode == "live":
         contact = _require_operator_contact(cfg)
         _require(cfg, "rate_pps", "live probing requires a rate cap")
-    rate = None
-    if cfg["rate_pps"] is not None:
-        rate = probe.RateLimiter(int(cfg["rate_pps"]))
+        clock = probe.LiveTransport  # real time: a bad rate_pps then opens no socket
+    else:
+        transport = clock = SimTransport(_sim_scenario(cfg))
+    rate = None if cfg["rate_pps"] is None else probe.RateLimiter(int(cfg["rate_pps"]), clock)
     if mode == "live":
         transport = probe.LiveTransport(contact)
-    else:
-        transport = SimTransport(_sim_scenario(cfg))
     try:
         log = probe.run_scan(
             plan.addresses(),

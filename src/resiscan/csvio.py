@@ -74,16 +74,17 @@ def read_rows(
             if width is not None and len(row) != width:
                 raise ValueError(f"expected {width} fields, got {len(row)}")
             yield row if parse is None else parse(row)
-    except UnicodeDecodeError as exc:  # in a chunk read past the lines the reader counted
-        raise ValueError(f"{what} line {undecodable_line(exc, reader.line_num)}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} line {undecodable_line(fh, exc)}: {exc}") from None
     except (csv.Error, ValueError) as exc:
         raise ValueError(f"{what} line {max(reader.line_num, 1)}: {exc}") from None
 
 
-def undecodable_line(exc: UnicodeDecodeError, lines_before: int = 0) -> int:
-    """The line of the byte ``exc`` failed on, ``exc.object`` following ``lines_before`` lines
-    that end in ``\\r\\n``, ``\\r`` or ``\\n``, as the csv reader counts them."""
-    return lines_before + len(exc.object[: exc.start + 1].splitlines())  # that byte ends no line
+def undecodable_line(fh, exc: UnicodeDecodeError) -> int:
+    """The line of the byte ``exc`` failed on in ``fh``, as the csv reader counts lines."""
+    at = fh.buffer.tell() - len(exc.object) + exc.start  # fh decodes ahead of the lines read
+    fh.buffer.seek(0)
+    return len(fh.buffer.read(at + 1).splitlines())  # that byte ends no line
 
 
 def table_rows(

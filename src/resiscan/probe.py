@@ -8,13 +8,13 @@ validation is counted as spurious and dropped, so off-path noise and
 misdirected replies cannot enter the response log. ICMPv6 errors are
 correlated through the quoted invoking packet instead of their source.
 
-Sending and receiving share one thread: the scan loop drains the transport
+Sending and receiving share one thread: the scan loop polls the transport
 without blocking every ``POLL_EVERY`` sends and validates each event as it
 arrives. Transports are pluggable: the live transport uses raw ICMPv6
 sockets, the simulated transport answers from a scenario in-process. Both
-surface the same event type, and each says through ``drained()`` whether a
-reply can still arrive, so a simulated scan ends as soon as its queue is
-empty while a live one waits out the quiet period.
+surface the same event type, and every wait of a scan (pacing, send back-off,
+quiet period) reads the transport's clock: real time live, virtual time in
+the simulator, where a rate cap or a quiet period costs no wall time.
 """
 
 from __future__ import annotations
@@ -73,14 +73,15 @@ class IcmpEvent:
 
 
 class Transport(Protocol):
+    """Every wait of a scan reads ``monotonic`` and ``sleep``, the transport's clock."""
+
+    monotonic: Callable[[], float]
+    sleep: Callable[[float], None]
+
     def send(self, dst: int, ident: int, seq: int, payload: bytes) -> None: ...
 
     def poll(self, max_wait: float) -> list[IcmpEvent]:
-        """Wait up to ``max_wait`` seconds for events, then return all pending."""
-        ...
-
-    def drained(self) -> bool:
-        """True only if nothing is pending and no further event can arrive."""
+        """Wait up to ``max_wait`` seconds on the transport's clock, then return all pending."""
         ...
 
 
@@ -129,27 +130,26 @@ class RateLimiter:
 
     Credit from slow periods is capped at ``burst`` sends (10 ms worth) so a
     stall can never be repaid with an unbounded packet burst; over any window
-    of a second or more the realized rate stays within a burst of the target.
+    of a second or more on ``clock`` (``time``, or a transport) the realized
+    rate stays within a burst of the target.
     """
 
-    def __init__(self, pps: int):
+    def __init__(self, pps: int, clock=time):
         if pps <= 0:
             raise ValueError("packets-per-second must be positive")
         self.interval = 1.0 / pps
         self.burst = max(1, pps // 100)
+        self._clock = clock
         self._next = None
 
     def wait(self) -> None:
-        now = time.monotonic()
+        now = self._clock.monotonic()
         if self._next is None:
             self._next = now
         if now < self._next:
-            time.sleep(self._next - now)
+            self._clock.sleep(self._next - now)
             now = self._next
-        floor = now - self.burst * self.interval
-        if self._next < floor:
-            self._next = floor
-        self._next += self.interval
+        self._next = max(self._next, now - self.burst * self.interval) + self.interval
 
 
 @dataclass(slots=True)
@@ -197,15 +197,15 @@ def _record_from_event(ev: IcmpEvent, secret: bytes) -> ResponseRecord | None:
     )
 
 
-def _retry_send(exc: OSError, send, probe: tuple, errors: dict[str, int]) -> bool:
+def _retry_send(exc: OSError, transport: Transport, probe: tuple, errors: dict[str, int]) -> bool:
     """Apply the send errno policy to a failed send of ``probe``.
 
     A full send buffer (``ENOBUFS``, or ``EAGAIN`` from a non-blocking
     socket) means the packet never left, so the same probe is tried again
-    after a short back-off, up to ``SEND_TRIES`` tries in all. An error that
-    concerns only the destination is counted in ``errors`` and the
-    destination skipped. True once the probe went out, False when it was
-    skipped; any other error, or a buffer still full, is raised.
+    after a short back-off on the transport's clock, up to ``SEND_TRIES``
+    tries in all. An error that concerns only the destination is counted in
+    ``errors`` and the destination skipped. True once the probe went out,
+    False when it was skipped; any other error, or a buffer still full, is raised.
     """
     tries = 1
     while True:
@@ -216,10 +216,10 @@ def _retry_send(exc: OSError, send, probe: tuple, errors: dict[str, int]) -> boo
         full = isinstance(exc, BlockingIOError) or exc.errno == errno.ENOBUFS
         if not full or tries == SEND_TRIES:
             raise exc
-        time.sleep(SEND_BACKOFF_S * 2 ** (tries - 1))
+        transport.sleep(SEND_BACKOFF_S * 2 ** (tries - 1))
         tries += 1
         try:
-            send(*probe)
+            transport.send(*probe)
             return True
         except OSError as again:
             exc = again
@@ -237,16 +237,16 @@ def run_scan(
     """Probe each address once and collect validated responses.
 
     Probes are single-shot (no retransmission). Sending and receiving share
-    one loop: every ``POLL_EVERY`` sends the transport is drained without
+    one loop: every ``POLL_EVERY`` sends the transport is polled without
     blocking, and each event is validated on arrival, so spurious packets
     are counted and dropped instead of queued. After the send phase the
-    loop keeps draining until the transport reports ``drained()`` or no
-    event has arrived for ``quiescence_s``, counted from the later of the
-    last event and the end of sending.
+    loop keeps draining until no event has arrived for ``quiescence_s`` on
+    the transport's clock, counted from the later of the last event and the
+    end of sending. ``send_duration_s`` is wall time, on any transport.
 
     A failed send follows the errno policy of ``_retry_send``. Any other
     transport failure, in either phase, aborts the campaign: what is
-    already pending is drained, unless the failure was a poll, and the
+    already pending is read, unless the failure was a poll, and the
     records validated so far come back with ``complete=False``.
     """
     scan = ScanLog()
@@ -280,7 +280,7 @@ def run_scan(
                     send(address, ident, seq, payload)
                 except OSError as exc:
                     probe = (address, ident, seq, payload)
-                    if not _retry_send(exc, send, probe, scan.send_errors):
+                    if not _retry_send(exc, transport, probe, scan.send_errors):
                         continue
                 sent += 1
                 if sent % POLL_EVERY == 0:
@@ -291,11 +291,11 @@ def run_scan(
             scan.sent = sent
             scan.send_duration_s = time.monotonic() - t0
 
-        quiet_since = time.monotonic()
+        quiet_since = transport.monotonic()
         while True:
-            if drain(max(0.0, quiet_since + quiescence_s - time.monotonic())):
-                quiet_since = time.monotonic()
-            if transport.drained() or time.monotonic() >= quiet_since + quiescence_s:
+            if drain(max(0.0, quiet_since + quiescence_s - transport.monotonic())):
+                quiet_since = transport.monotonic()
+            if transport.monotonic() >= quiet_since + quiescence_s:
                 break
     except Exception as exc:  # noqa: BLE001 - any transport failure aborts
         log.error("transport failure after %d sends: %s", sent, exc)
@@ -411,6 +411,8 @@ class LiveTransport:
     a network operator who sees the probe can find out who sends it.
     """
 
+    monotonic, sleep = staticmethod(time.monotonic), staticmethod(time.sleep)  # real time
+
     def __init__(self, contact_url: str) -> None:
         self._contact = contact_url.encode()
         self._sock = socket.socket(socket.AF_INET6, socket.SOCK_RAW, socket.IPPROTO_ICMPV6)
@@ -447,9 +449,6 @@ class LiveTransport:
             if ev is not None:
                 out.append(ev)
         return out
-
-    def drained(self) -> bool:
-        return False  # replies to live probes can still be in flight
 
     def close(self) -> None:
         self._sock.close()

@@ -1,11 +1,11 @@
 """In-process ICMPv6 transport answering probes from a scenario.
 
 Responses are generated synchronously at send time and queued for poll(), so
-nothing is ever in flight: once the queue is empty the transport is drained.
-A scan over the simulator is fully deterministic: event order equals send
-order and timestamps come from a virtual clock, making two identical runs
-byte-identical. Hop limits are arithmetic, never guessed: a responder with
-initial hop limit H at distance d emits H - d.
+nothing is ever in flight. The clock is virtual: a send moves it ``_TICK_US``,
+and a ``sleep`` or a poll that finds nothing queued its whole wait. A scan
+over the simulator is fully deterministic: event order equals send order and
+timestamps read that clock. Hop limits are arithmetic, never guessed: a
+responder with initial hop limit H at distance d emits H - d.
 
 Reply rules per probed address:
   * aliased /56              -> echo reply from the probed address itself
@@ -35,6 +35,7 @@ class SimTransport:
 
     def __init__(self, scenario: Scenario):
         self.sent = 0
+        self._since, self._since_sent, self._stamp0_us = 0.0, 0, 0  # the clock at the last wait
         self._events: list[IcmpEvent] = []
         # Flatten the scenario into one lookup keyed by the /56's top 56 bits.
         self._subnets: dict[int, _SubnetView] = {}
@@ -56,7 +57,7 @@ class SimTransport:
         sub = self._subnets.get(dst >> SUBNET_SHIFT)
         if sub is None:
             return
-        ts = self.sent * _TICK_US
+        ts = self._stamp0_us + self.sent * _TICK_US
         # An aliased /56 echoes from the probed address, an allowed host from
         # itself; anything else gets an error quoting the probe from the CPE.
         source, icmp_type, code, quoted = dst, ICMP6_ECHO_REPLY, 0, None
@@ -76,12 +77,17 @@ class SimTransport:
         )
 
     def poll(self, max_wait: float) -> list[IcmpEvent]:
-        # Replies are queued at send time, so there is never anything to wait for.
         out, self._events = self._events, []
+        self.sleep(0.0 if out else max_wait)  # with nothing queued, the whole wait passes
         return out
 
-    def drained(self) -> bool:
-        return not self._events
+    def monotonic(self) -> float:
+        return self._since + (self.sent - self._since_sent) * _TICK_US / 1e6
+
+    def sleep(self, seconds: float) -> None:
+        if seconds > 0:  # ticks restart: they are counted, never summed in floats
+            self._since, self._since_sent = self.monotonic() + seconds, self.sent
+            self._stamp0_us = round(self._since * 1e6) - self.sent * _TICK_US
 
     def inject(self, event: IcmpEvent) -> None:
         """Test hook: feed an arbitrary (possibly forged) inbound event."""

@@ -13,6 +13,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -604,6 +605,9 @@ class TestLiveModeGuards:
             """Stands in for the raw socket; ``fault`` names the call that fails,
             or is the ``rate_pps`` to refuse."""
 
+            monotonic = staticmethod(time.monotonic)
+            sleep = staticmethod(time.sleep)
+
             def __init__(self, contact_url):
                 self.closed = False
                 transports.append(self)
@@ -616,9 +620,6 @@ class TestLiveModeGuards:
                 if fault == "poll":
                     raise OSError("socket gone")
                 return []
-
-            def drained(self):
-                return False
 
             def close(self):
                 self.closed = True
@@ -676,7 +677,8 @@ class TestScanFaults:
     def test_poll_failure_writes_the_partial_log(self, pipeline, scan_dir, monkeypatch):
         class FailingPoll:
             def __init__(self, inner):
-                self.inner, self.send, self.drained = inner, inner.send, inner.drained
+                self.inner, self.send = inner, inner.send
+                self.monotonic, self.sleep = inner.monotonic, inner.sleep
                 self.polls = 0
 
             def poll(self, max_wait):
@@ -699,7 +701,8 @@ class TestScanFaults:
     ):
         class Unreachable:
             def __init__(self, inner):
-                self.inner, self.poll, self.drained = inner, inner.poll, inner.drained
+                self.inner, self.poll = inner, inner.poll
+                self.monotonic, self.sleep = inner.monotonic, inner.sleep
                 self.failures = 3
 
             def send(self, dst, ident, seq, payload):
@@ -713,6 +716,28 @@ class TestScanFaults:
         assert res.out.splitlines()[1].endswith(
             "dropped 0 spurious, skipped 3 (EHOSTUNREACH), complete"
         )
+
+
+class TestScanRateCap:
+    def test_capped_sim_scan_costs_no_wall_time(self, pipeline, tmp_path):
+        # 14,080 probes at 1,000 pps: 14 s on the simulator's clock, none of it waited.
+        shutil.copy(os.path.join(pipeline.dir, "seeds.txt"), tmp_path / "seeds.txt")
+        config = write_config(str(tmp_path), {**read_json(pipeline.config), "rate_pps": 1_000})
+        t0 = time.monotonic()
+        res = run_cli("--config", config, "--out", str(tmp_path), "scan")
+        assert res.code == 0, res.err
+        assert time.monotonic() - t0 < 5.0
+        logs = []
+        for where in (pipeline.dir, tmp_path):
+            with open(os.path.join(where, "responses.csv"), encoding="utf-8") as fh:
+                logs.append(probe_mod.read_response_log(fh))
+        free, capped = logs
+
+        def unstamped(log):
+            return [(r.probed_target, r.source, r.kind, r.hop_limit) for r in log]
+
+        assert unstamped(capped) == unstamped(free)
+        assert max(r.timestamp_us for r in capped) > 9 * max(r.timestamp_us for r in free)
 
 
 class TestHostileFiles:
@@ -858,12 +883,15 @@ class TestHostileFiles:
     # The text reader decodes a whole chunk of the file (8 KiB) before the csv
     # reader counts its lines: the line is counted from the bytes before the
     # bad one, in a small file and in one that spans many chunks, with lines
-    # that end in "\n" or in a bare "\r".
+    # that end in "\n" or in a bare "\r", and with a chunk that ends in the
+    # bare "\r" before the bad line, which the text reader holds back.
     @pytest.mark.parametrize(
-        "rows, end", [(2, b"\n"), (2001, b"\n"), (2, b"\r"), (2001, b"\r")],
-        ids=["2", "2001", "2-cr", "2001-cr"],
+        "rows, end, cr_ends_chunk",
+        [(2, b"\n", False), (2001, b"\n", False), (2, b"\r", False), (2001, b"\r", False),
+         (100, b"\r", True)],
+        ids=["2", "2001", "2-cr", "2001-cr", "cr-ends-chunk"],
     )
-    def test_stage_file_not_utf8_names_its_line(self, tmp_path, rows, end):
+    def test_stage_file_not_utf8_names_its_line(self, tmp_path, rows, end, cr_ends_chunk):
         host = classify_mod.ClassifiedAddress(
             parse_address("2001:db8:7:100::"), parse_address("2001:db8:7:100::1"),
             classify_mod.LABEL_INTERNAL, 64, 3,
@@ -871,8 +899,11 @@ class TestHostileFiles:
         path = tmp_path / "classified.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             classify_mod.write_classification([host] * rows, fh)
-        assert rows == 2 or path.stat().st_size > 8192  # many decode chunks
+        assert rows != 2001 or path.stat().st_size > 8192  # many decode chunks
         text = path.read_bytes().replace(b"\n", end)
+        if cr_ends_chunk:  # a comment row first, so the first 8 KiB end with the last row but one
+            text = b"#" * (8192 - len(text) // rows * (rows - 1) - 1) + end + text
+            rows += 1
         path.write_bytes(text[:-1] + b"\xff" + end)  # the last row ends in 0xff
         res = run_cli("--out", str(tmp_path), "grab")
         assert res.code == 1

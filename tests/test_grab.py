@@ -1,3 +1,4 @@
+import collections
 import errno
 import functools
 import io
@@ -1432,47 +1433,47 @@ class TestCampaign:
         assert transcripts(256) == one_worker
 
     def test_own_failure_under_contention_stops_every_worker(self):
-        # Once the 50th connect's failure is recorded, each of the 32 workers
-        # finishes at most the one pair it already holds, and the campaign
-        # raises. The failure is recorded only after it leaves grab(), so each
-        # later connect waits until the failing worker has stopped: a pair taken
-        # in between then holds its worker, as one taken before would.
-        calls = []
-        failing = []
+        # All 32 workers hold a pair before a connect fails. Once that failure
+        # is recorded, each of them finishes at most the one pair it already
+        # holds, and the campaign raises. The failure is recorded only after it
+        # leaves grab(), so each later connect waits until the failing worker
+        # has stopped: a pair taken in between then holds its worker, as one
+        # taken before would. The connect that fails is the first from the
+        # 50th on that a started worker makes, since the calling thread stops last.
+        calls = []  # the worker of each connect
+        failing = []  # (the failing worker, the number of its connect)
+        caller = []
         lock = threading.Lock()
 
         def connector(address, port, timeout, udp=False):
+            me = threading.current_thread()
             with lock:
-                calls.append((address, port))
-                n = len(calls)
-                if n == 50:
-                    failing.append(threading.current_thread())
-            if n == 50:
+                calls.append(me)
+                after = list(failing)
+                if not failing and len(calls) >= 50 and me is not caller[0]:
+                    failing.append((me, len(calls)))
+            if not after and failing and failing[0][0] is me:
                 raise RuntimeError("can't start new thread")
-            if n > 50:
-                failing[0].join(timeout=10)
+            if after:
+                after[0][0].join(timeout=10)
             raise ConnectionRefusedError
 
+        workers: set = set()
+        connector = self._every_worker_starts(connector, 32, workers)
         addresses = [f"2001:db8:9::{i:x}" for i in range(1, 151)]
-        raised = []
 
         def campaign():
+            caller.append(threading.current_thread())
             try:
                 run_grab_campaign(addresses, default_services()[:4], connector=connector, parallelism=32)
             except RuntimeError as exc:
-                raised.append(exc)
+                return str(exc)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(target=campaign)
-            worker.start()
-            worker.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive()
-        assert [str(exc) for exc in raised] == ["can't start new thread"]
-        assert 50 <= len(calls) < 50 + 32
+        assert self._under_contention(campaign) == "can't start new thread"
+        assert len(workers) == 32
+        [(_, failed_at)] = failing
+        assert failed_at <= len(calls) < failed_at + 32
+        assert max(collections.Counter(calls[failed_at:]).values(), default=0) <= 1  # one each
 
 
 class TestGrabLog:

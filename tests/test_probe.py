@@ -1,9 +1,11 @@
 import errno
 import io
+import itertools
 import random
 import socket
 import struct
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from resiscan.probe import (
     KIND_DEST_UNREACH,
     KIND_ECHO_REPLY,
     KIND_OTHER,
+    SEND_BACKOFF_S,
     SEND_TRIES,
     TOKEN_LEN,
     IcmpEvent,
@@ -310,15 +313,20 @@ class TestRunScan:
         _, _, short = scan_scenario(tiny_scenario, seeds)
         t0 = time.monotonic()
         addresses = build_plan(seeds, 3).addresses()
-        log = run_scan(addresses, SimTransport(tiny_scenario), SECRET, quiescence_s=30)
+        transport = SimTransport(tiny_scenario)
+        log = run_scan(addresses, transport, SECRET, quiescence_s=30)
         assert time.monotonic() - t0 < 2.0
+        assert transport.monotonic() >= 30  # waited out on the simulator's clock
         assert log.complete
         assert len(log.records) == 33
         assert log.records == short.records
 
     def test_late_reply_kept_and_quiet_time_counted_from_it(self, tiny_scenario):
         class LateTransport:
-            """Answers the first probe 0.1 s after the last send; never drained."""
+            """Answers the first probe 0.1 s after the last send, on real time."""
+
+            monotonic = staticmethod(time.monotonic)
+            sleep = staticmethod(time.sleep)
 
             def __init__(self):
                 self.first = None
@@ -339,9 +347,6 @@ class TestRunScan:
                 else:
                     time.sleep(max_wait)
                 return []
-
-            def drained(self):
-                return False
 
         plan = build_plan([tiny_scenario.nets[0].prefix48], 3)
         transport = LateTransport()
@@ -365,6 +370,73 @@ class TestRunScan:
             progress=calls.append,
         )
         assert calls == [100_000]
+
+
+class TestScanClock:
+    """Every wait of a scan reads its transport's clock: on the simulator, a
+    rate cap and the quiet period pass in virtual time."""
+
+    @staticmethod
+    def _deployment(n48):
+        nets = [
+            make_net(
+                f"2001:db8:{k + 0x100:x}::",
+                [make_subnet(0x05, hosts=[make_host(1), make_host(2, extra=1)]),
+                 make_subnet(0x20, aliased=True)],
+            )
+            for k in range(n48)
+        ]
+        return make_scenario(nets), [net.prefix48 for net in nets]
+
+    def test_rate_cap_paces_the_transport_clock(self):
+        scenario, seeds = self._deployment(18)  # 18 x 2,816 probes > 50,000
+
+        def scan(rate=None):
+            transport = SimTransport(scenario)
+            addresses = itertools.islice(build_plan(seeds, 1).addresses(), 50_000)
+            limiter = None if rate is None else RateLimiter(rate, transport)
+            return transport, run_scan(addresses, transport, SECRET, rate=limiter, quiescence_s=0.0)
+
+        _, free = scan()
+        t0 = time.monotonic()
+        transport, capped = scan(10_000)
+        assert time.monotonic() - t0 < 1.0
+        assert transport.monotonic() == pytest.approx(5.0)
+        assert capped.complete and capped.sent == 50_000
+        assert len(free.records) > 0
+        assert capped.records == free.records  # 10,000 pps is one send a tick
+
+    def test_reply_stamps_follow_a_slower_rate(self):
+        net = make_net("2001:db8:30::", [make_subnet(i, aliased=True) for i in range(256)])
+        transport = SimTransport(make_scenario([net]))
+        rate = RateLimiter(1_000, transport)
+        log = run_scan(build_plan([net.prefix48], 1).addresses(), transport, SECRET, rate=rate)
+        stamps = [r.timestamp_us for r in log.records]  # every probe answered, in send order
+        assert len(stamps) == log.sent == 2816
+        assert min(b - a for a, b in zip(stamps, stamps[1:])) >= 1_000
+        assert transport.monotonic() == pytest.approx(2.8151 + 8.0)  # the quiet period after
+
+    @pytest.mark.parametrize("quiescence_s", [1e-9, 0.05, 0.2, 1.0, 8.0, 30.0])
+    def test_quiet_wait_ends_on_the_transport_clock(self, tiny_scenario, quiescence_s):
+        class Counting(SimTransport):
+            polls = 0
+
+            def poll(self, max_wait):
+                self.polls += 1
+                assert self.polls < 100, "the quiet wait does not end"
+                return super().poll(max_wait)
+
+        plan = build_plan([tiny_scenario.nets[0].prefix48], 3)
+        for sends in (1, 33, 1023, 1024, 2047, 2816):
+            transport = Counting(tiny_scenario)
+            log = run_scan(
+                itertools.islice(plan.addresses(), sends), transport, SECRET,
+                quiescence_s=quiescence_s,
+            )
+            assert log.complete and log.sent == sends
+            assert transport.monotonic() >= sends / 10_000 + quiescence_s  # 100 µs a send
+            # The periodic polls, one that reads what is pending, one empty wait.
+            assert transport.polls <= sends // 1024 + 2
 
 
 class FaultyTransport(SimTransport):
@@ -421,7 +493,9 @@ class TestSendErrnoPolicy:
         assert log.send_errors == {}
         assert transport.tries == plan.budget + 2
         assert log.sent == transport.sent == plan.budget  # each probe left once
-        assert log.records == full.records
+        # The two back-offs, 1 and 2 ms on the transport's clock, delay every send.
+        late = round(SEND_BACKOFF_S * 1e6) * (1 + 2)
+        assert log.records == [replace(r, timestamp_us=r.timestamp_us + late) for r in full.records]
 
     def test_full_buffer_past_the_cap_aborts(self, tiny_scenario, plan):
         dst = [t.address for t in plan][1500]
@@ -646,7 +720,9 @@ class TestLivePoll:
             assert len(events) == 5
             assert all(ev.hop_limit == 64 for ev in events)  # loopback default
             assert all(validate_token(ev.ident, ev.seq, ev.payload, SECRET) for ev in events)
-            assert not transport.drained()
+            t0 = transport.monotonic()
+            assert transport.poll(0.05) == []  # nothing pending: the wait passes in real time
+            assert transport.monotonic() - t0 >= 0.045
         finally:
             transport.close()
 
