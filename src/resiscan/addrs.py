@@ -8,7 +8,7 @@ only produced at file boundaries and is always the lowercase canonical
 from __future__ import annotations
 
 import ipaddress
-import socket
+from _socket import AF_INET6, inet_ntop, inet_pton  # socket.py loads only on the live path
 
 from .csvio import table_rows
 
@@ -25,7 +25,7 @@ def parse_address(text: str) -> int:
 
 def _address(text: str) -> int:
     try:
-        return int.from_bytes(socket.inet_pton(socket.AF_INET6, text), "big")
+        return int.from_bytes(inet_pton(AF_INET6, text), "big")
     except (OSError, ValueError):
         # ipaddress also takes a scope id and words the error.
         return int(ipaddress.IPv6Address(text))
@@ -37,7 +37,7 @@ def format_address(value: int) -> str:
         # inet_ntop prints ::a.b.c.d and ::ffff:a.b.c.d dotted; ipaddress
         # also rejects a value out of range.
         return ipaddress.IPv6Address(value).compressed
-    return socket.inet_ntop(socket.AF_INET6, value.to_bytes(16, "big"))
+    return inet_ntop(AF_INET6, value.to_bytes(16, "big"))
 
 
 def parse_cidr(text: str) -> tuple[int, int]:

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import threading
+from typing import NoReturn
 
 from .addrs import format_address, parse_prefix
 from .csvio import open_output, read_rows, undecodable_line, write_rows
@@ -521,7 +522,11 @@ def main(argv: list[str] | None = None) -> int:
             cfg["output_dir"] = args.out
         _remove_outputs(cfg, args.command)
         try:
-            return COMMANDS[args.command](cfg, args)
+            code = COMMANDS[args.command](cfg, args)
+            # The summary is part of the stage, buffered or not: if the reader closed
+            # stdout, the stage fails here. (print skips a process with no stdout.)
+            print(end="", flush=True)
+            return code
         except BaseException:
             _remove_outputs(cfg, args.command)
             raise
@@ -533,5 +538,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def run() -> NoReturn:
+    """The process entry of ``python -m resiscan`` and the ``resiscan`` script.
+
+    Once ``main`` returns, every output is written, fsynced and renamed and
+    every grab worker joined, so the process skips the interpreter's teardown
+    (as mypy's ``hard_exit`` does). An argparse exit or an exception out of
+    ``main`` ends it the usual way.
+    """
+    code = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        with contextlib.suppress(OSError):  # a closed reader: main has failed the stage
+            stream.flush()
+    os._exit(code)

@@ -19,9 +19,7 @@ from __future__ import annotations
 import base64
 import functools
 import itertools
-import logging
 import re
-import socket
 import struct
 import threading
 import time
@@ -37,8 +35,6 @@ from .services import (
     KIND_TLS_HTTP,
     ServiceSpec,
 )
-
-log = logging.getLogger(__name__)
 
 BANNER_CAP = 64 * 1024
 LOCKDOWN_REPLY_CAP = 1 << 20  # anything larger is hostile or broken
@@ -72,6 +68,8 @@ class GrabRecord:
 
 def live_connector(address: str, port: int, timeout: float = DEFAULT_TIMEOUT_S, udp: bool = False):
     """Real-socket connector for IPv6 address text."""
+    import socket
+
     if udp:
         sock = socket.socket(socket.AF_INET6, socket.SOCK_DGRAM)
         try:
@@ -533,7 +531,9 @@ def run_grab_campaign(
             except (RuntimeError, MemoryError) as exc:  # say, "can't start new thread"
                 failures.append(exc)
             except Exception as exc:  # noqa: BLE001 - isolate per-pair failures
-                log.warning("grab %s/%s failed: %s", a, s.name, exc)
+                import logging  # loaded only when a grab warns
+
+                logging.getLogger(__name__).warning("grab %s/%s failed: %s", a, s.name, exc)
                 records[i] = GrabRecord(
                     address=a, service=s.name, outcome=OUTCOME_ERROR, detail=repr(exc)
                 )
@@ -548,7 +548,11 @@ def run_grab_campaign(
         try:
             t.start()
         except RuntimeError as exc:  # "can't start new thread"
-            log.warning("grab: %s; %d of %d workers started", exc, len(workers) + 1, n_workers)
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "grab: %s; %d of %d workers started", exc, len(workers) + 1, n_workers
+            )
             break
         workers.append(t)
     work()

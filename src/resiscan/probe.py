@@ -22,9 +22,6 @@ from __future__ import annotations
 import errno
 import functools
 import hashlib
-import logging
-import select
-import socket
 import struct
 import sys
 import time
@@ -33,8 +30,6 @@ from typing import Callable, Iterable, Protocol
 
 from .addrs import format_address, parse_address
 from .csvio import read_rows, write_rows
-
-log = logging.getLogger(__name__)
 
 ICMP6_ECHO_REQUEST = 128
 ICMP6_ECHO_REPLY = 129
@@ -298,7 +293,9 @@ def run_scan(
             if transport.monotonic() >= quiet_since + quiescence_s:
                 break
     except Exception as exc:  # noqa: BLE001 - any transport failure aborts
-        log.error("transport failure after %d sends: %s", sent, exc)
+        import logging
+
+        logging.getLogger(__name__).error("transport failure after %d sends: %s", sent, exc)
         if not polling:
             try:
                 drain(0.0)
@@ -414,6 +411,8 @@ class LiveTransport:
     monotonic, sleep = staticmethod(time.monotonic), staticmethod(time.sleep)  # real time
 
     def __init__(self, contact_url: str) -> None:
+        import socket
+
         self._contact = contact_url.encode()
         self._sock = socket.socket(socket.AF_INET6, socket.SOCK_RAW, socket.IPPROTO_ICMPV6)
         self._sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_UNICAST_HOPS, OUTGOING_HOP_LIMIT)
@@ -424,12 +423,12 @@ class LiveTransport:
 
     def send(self, dst: int, ident: int, seq: int, payload: bytes) -> None:
         packet = build_echo_request(ident, seq, payload + self._contact)
-        # The kernel needs parseable text, not canonical text: inet_ntop is
-        # about 15x cheaper per probe than ipaddress formatting.
-        dst_text = socket.inet_ntop(socket.AF_INET6, dst.to_bytes(16, "big"))
-        self._sock.sendto(packet, (dst_text, 0, 0, 0))
+        self._sock.sendto(packet, (format_address(dst), 0, 0, 0))
 
     def poll(self, max_wait: float) -> list[IcmpEvent]:
+        import select
+        import socket
+
         out: list[IcmpEvent] = []
         readable, _, _ = select.select([self._sock], [], [], max(0.0, max_wait))
         if not readable:

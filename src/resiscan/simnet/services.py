@@ -24,9 +24,9 @@ from __future__ import annotations
 import collections
 import functools
 import os
-import socket
 import struct
 import threading
+from _socket import AF_INET6, SHUT_RDWR, inet_pton  # socket.py loads only on the live path
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -175,7 +175,7 @@ class _Pipe:
     def close(self) -> None:
         """Close this end. The peer runs on to its end: it reads what was sent
         and then EOF, and any read still waiting runs to its deadline."""
-        self.shutdown(socket.SHUT_RDWR)
+        self.shutdown(SHUT_RDWR)
         self._serve()
         while self._peer:
             self._expire()
@@ -490,4 +490,4 @@ def _key(address: str) -> int:
     """Endpoint key of IPv6 address text in any form: its 128-bit int, as the
     scenario stores it. Other text, IPv4 and ``[IPv6]`` included, raises
     OSError, or ValueError if it holds a NUL."""
-    return int.from_bytes(socket.inet_pton(socket.AF_INET6, address), "big")
+    return int.from_bytes(inet_pton(AF_INET6, address), "big")

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import errno
@@ -39,6 +40,14 @@ from resiscan.simnet import load_scenario, save_scenario
 from resiscan.simnet.scenario import expected_grab_outcomes, ground_truth
 
 PROBES_PER_SEED = 2816
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def process_env(**settings):
+    """A ``python -m resiscan`` process's environment: the sources on its path and,
+    unless ``settings`` say otherwise, stdout block-buffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.path.join(ROOT, "src"), **settings}
 
 
 def run_cli(*argv):
@@ -1135,3 +1144,86 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "seed-filter" in proc.stdout
+
+    def test_console_script_is_the_module_entry(self):
+        import resiscan.__main__ as entry
+
+        with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+            [target] = re.findall(r'^resiscan = "([\w.]+):(\w+)"$', fh.read(), re.M)
+        assert getattr(sys.modules[target[0]], target[1]) is entry.run is cli_mod.run
+        with open(entry.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        assert [n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call)] == ["run"]
+
+    @pytest.fixture(scope="class")
+    def in_process(self, tmp_path_factory):
+        """A small deployment, and each stage run on it by ``main`` in this process."""
+        base = tmp_path_factory.mktemp("entry")
+        gen = run_cli("--out", str(base / "gen"), "simnet-gen", "--n48", "2", "--subnets", "2")
+        assert gen.code == 0, gen.err
+        config = str(base / "gen" / "config.json")
+        results = run_stages(config, str(base / "in-process"))
+        assert all(res.code == 0 for res in results.values())
+        return config, results, base / "in-process"
+
+    @pytest.mark.parametrize("stdout", ["pipe", "file"])
+    def test_stage_process_ends_as_main_returns(self, in_process, tmp_path, stdout):
+        # Block-buffered either way: the summary must be flushed before the process ends.
+        config, expected, expected_dir = in_process
+        env = process_env()
+
+        def process(*argv):
+            cmd = [sys.executable, "-m", "resiscan", *argv]
+            if stdout == "pipe":
+                proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+                return SimpleNamespace(code=proc.returncode, out=proc.stdout, err=proc.stderr)
+            with open(tmp_path / "stdout", "w+", encoding="utf-8") as out:
+                proc = subprocess.run(
+                    cmd, stdout=out, stderr=subprocess.PIPE, text=True, env=env, timeout=60
+                )
+                out.seek(0)
+                return SimpleNamespace(code=proc.returncode, out=out.read(), err=proc.stderr)
+
+        outdir = str(tmp_path / "process")
+        for stage in STAGES:
+            want = vars(expected[stage])
+            want = want | {"out": want["out"].replace(str(expected_dir), outdir)}
+            assert vars(process("--config", config, "--out", outdir, stage)) == want
+        assert want["out"] == f"report: 11 tables under {outdir}/report\n"
+        assert _tree(outdir) == _tree(expected_dir)
+        for name in _tree(outdir):
+            assert filecmp.cmp(os.path.join(outdir, name), os.path.join(expected_dir, name), False)
+        # A missing input fails scan after its plan line, which must not be lost.
+        absent = str(tmp_path / "absent.json")
+        no_scenario = write_config(
+            str(tmp_path), {**read_json(config), "transport": {"mode": "sim", "scenario": absent}}
+        )
+        plan_line = expected["scan"].out.splitlines(keepends=True)[0]
+        for argv, code, out, err in (
+            (["--config", no_scenario, "--out", outdir, "scan"], 1, plan_line, "error: "),
+            (["--config", absent, "scan"], 2, "", "config error: "),
+        ):
+            res = process(*argv)
+            assert res == run_cli(*argv)
+            assert (res.code, res.out) == (code, out) and res.err.startswith(err)
+
+    @pytest.mark.parametrize(
+        "settings", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"]
+    )
+    def test_closed_stdout_fails_the_stage(self, in_process, tmp_path, settings):
+        config, _expected, _dir = in_process
+        outdir = str(tmp_path)
+        for stage in ("seed-filter", "scan"):
+            assert run_cli("--config", config, "--out", outdir, stage).code == 0
+        reader, writer = os.pipe()
+        os.close(reader)  # the reader is gone before the stage prints
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "resiscan", "--config", config, "--out", outdir, "classify"],
+                stdout=writer, stderr=subprocess.PIPE, text=True, env=process_env(**settings),
+                timeout=60,
+            )
+        finally:
+            os.close(writer)
+        assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+        assert _tree(outdir) == {"seeds.txt", "seed_stats.json", "responses.csv"}

@@ -1032,7 +1032,7 @@ class TestNtp:
                 opened.append(self)
                 raise OSError(errno.ENETUNREACH, "Network is unreachable")
 
-        monkeypatch.setattr("resiscan.grab.socket.socket", Unreachable)
+        monkeypatch.setattr(socket, "socket", Unreachable)  # the module live_connector imports
         rec = grab(V6, spec_by_name("ntp"), timeout=1.0)
         assert (rec.outcome, rec.detail) == (OUTCOME_ERROR, "OSError")
         assert [sock.fileno() for sock in opened] == [-1]

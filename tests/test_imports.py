@@ -23,23 +23,29 @@ STAGE_MODULES = tuple(
     f"resiscan.{name}" for name in ("probe", "targetgen", "classify", "grab", "fingerprint", "report")
 )
 TLS = ("ssl", "_ssl")
+LIVE = ("logging", "socket", "select")
+SIMNET_GRAB = ("resiscan.probe", "resiscan.targetgen", "resiscan.simnet.transport", "cryptography")
 
 # Modules each case must not add; a name also bans its submodules.
 NOT_LOADED = {
-    "import": SIMNET + STAGE_MODULES + TLS + ("plistlib",),
-    "seed-filter": SIMNET + STAGE_MODULES + TLS + ("plistlib",),
+    "import": SIMNET + STAGE_MODULES + TLS + LIVE + ("plistlib",),
+    "seed-filter": SIMNET + STAGE_MODULES + TLS + LIVE + ("plistlib",),
     "classify": SIMNET
     + ("resiscan.grab", "resiscan.fingerprint", "resiscan.report", "resiscan.seedprep")
-    + TLS,
-    "fingerprint": SIMNET + ("resiscan.probe", "resiscan.targetgen") + TLS,
-    "report": SIMNET + ("resiscan.probe", "resiscan.targetgen", "resiscan.seedprep") + TLS,
+    + TLS
+    + LIVE,
+    "fingerprint": SIMNET + ("resiscan.probe", "resiscan.targetgen") + TLS + LIVE,
+    "report": SIMNET + ("resiscan.probe", "resiscan.targetgen", "resiscan.seedprep") + TLS + LIVE,
     "scan": (
         "resiscan.simnet.services", "resiscan.grab", "resiscan.classify", "resiscan.fingerprint",
         "resiscan.report", "resiscan.seedprep",
     )
-    + TLS,
-    # The deployment below has a TLS endpoint, so this grab makes and reads a certificate.
-    "grab": ("resiscan.probe", "resiscan.targetgen", "resiscan.simnet.transport", "cryptography"),
+    + TLS
+    + LIVE,
+    "grab": SIMNET_GRAB + TLS + LIVE,
+    # The deployment then gains a TLS endpoint, so this grab makes and reads a
+    # certificate; ssl imports socket, and socket imports select.
+    "grab over TLS": SIMNET_GRAB + ("logging",),
 }
 TLS_CN = "imports.example"
 
@@ -78,6 +84,10 @@ def added(tmp_path_factory):
     """The modules each case added, stages run in pipeline order."""
     out = str(tmp_path_factory.mktemp("imports"))
     _added_modules(["--out", out, "simnet-gen", "--n48", "2", "--subnets", "2"])
+    config = os.path.join(out, "config.json")
+    found = {"import": _added_modules([])}
+    for stage in ("seed-filter", "scan", "classify", "grab"):
+        found[stage] = _added_modules(["--config", config, stage])
     scenario = os.path.join(out, "scenario.json")
     with open(scenario, encoding="utf-8") as fh:
         deployment = json.load(fh)
@@ -86,9 +96,8 @@ def added(tmp_path_factory):
     )
     with open(scenario, "w", encoding="utf-8") as fh:
         json.dump(deployment, fh)
-    config = os.path.join(out, "config.json")
-    found = {"import": _added_modules([])}
-    for stage in ("seed-filter", "scan", "classify", "grab", "fingerprint", "report"):
+    found["grab over TLS"] = _added_modules(["--config", config, "grab"])
+    for stage in ("fingerprint", "report"):
         found[stage] = _added_modules(["--config", config, stage])
     with open(os.path.join(out, "grabs.csv"), encoding="utf-8") as fh:
         found["grab common names"] = {row["tls_subject_cn"] for row in csv.DictReader(fh)}
